@@ -58,9 +58,9 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule = None) 
         raise ValueError("n must be >= 1")
     op = nystrom.build_l0_operator(params, rule)
     W = op.norm_weights
+    B, _ = nystrom.weighted_symmetrize(op.matrix.real, W)
+    mu, U = np.linalg.eigh(B)
     S = np.sqrt(W)
-    A = S[:, None] * op.matrix.real / S[None, :]
-    mu, U = np.linalg.eigh(0.5 * (A + A.T))
     order = np.argsort(mu)[::-1]
     out = []
     for j in range(n):

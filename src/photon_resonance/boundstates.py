@@ -124,11 +124,7 @@ def build_bs_operator(profile: DensityProfile, omega, params: PhysicalParams,
         kern, smooth = nystrom._full_kernel_parts(profile.d, k, Branch.NEGATIVE, rule)
         W = nystrom.build_kernel_matrix(rule, kern, profile.d - 1, smooth)
         norm_w = greens.surface_measure(profile.d) * rule.weights * rule.nodes ** (profile.d - 1)
-    M = pref * W.real
-    S = np.sqrt(norm_w)
-    A = S[:, None] * M / S[None, :]
-    asym = float(np.max(np.abs(A - A.T)))
-    B = 0.5 * (A + A.T)
+    B, asym = nystrom.weighted_symmetrize(pref * W.real, norm_w)
     return BSOperator(B, rule, omega, profile, params, asym)
 
 

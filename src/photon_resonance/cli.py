@@ -1,6 +1,6 @@
 """Configuration-driven command line runner.
 
-``photon-resonance <experiment> --config <file> [--out <dir>] [--threads N]``
+``photon-resonance <experiment> --config <file> [--out <dir>]``
 
 Experiments: greens-table, resonances, trace-epsilon, bound-states,
 asymptotics-compare, dynamics.  Each run writes one CSV with a fixed
@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,24 +279,15 @@ def _run_resonances(cfg):
     return rows
 
 
-def _run_trace(cfg, threads):
+def _run_trace(cfg):
     grid = cfg.numerics["epsilon_grid"]
     if not grid:
         raise ConfigError("trace-epsilon requires numerics.epsilon_grid")
-    modes = range(1, cfg.numerics["n_modes"] + 1)
-
-    def one(j):
-        return eigensolver.trace_in_epsilon(
+    rows = []
+    for j in range(1, cfg.numerics["n_modes"] + 1):
+        tr = eigensolver.trace_in_epsilon(
             cfg.params, j, grid, n_radial=cfg.numerics["radial_nodes"],
             tol=cfg.numerics["muller_tol"], max_iter=cfg.numerics["max_iter"])
-
-    if threads > 1 and cfg.params.d != 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(one, modes))
-    else:
-        traces = [one(j) for j in modes]
-    rows = []
-    for j, tr in zip(modes, traces):
         for e, r in zip(tr.epsilons, tr.results):
             rows.append((j, e, r.omega.real, r.omega.imag))
     return rows
@@ -326,7 +316,7 @@ def _run_bound_states(cfg):
     return rows
 
 
-def _run_asymptotics_compare(cfg, threads):
+def _run_asymptotics_compare(cfg):
     grid = cfg.numerics["epsilon_grid"]
     if not grid:
         raise ConfigError("asymptotics-compare requires numerics.epsilon_grid")
@@ -392,7 +382,7 @@ def _run_dynamics(cfg):
     return rows
 
 
-def run(cfg: RunConfig, threads: int = 1):
+def run(cfg: RunConfig):
     """Execute one experiment; returns (exit_code, csv_path)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
@@ -404,11 +394,11 @@ def run(cfg: RunConfig, threads: int = 1):
         elif cfg.experiment == "resonances":
             rows = _run_resonances(cfg)
         elif cfg.experiment == "trace-epsilon":
-            rows = _run_trace(cfg, threads)
+            rows = _run_trace(cfg)
         elif cfg.experiment == "bound-states":
             rows = _run_bound_states(cfg)
         elif cfg.experiment == "asymptotics-compare":
-            rows = _run_asymptotics_compare(cfg, threads)
+            rows = _run_asymptotics_compare(cfg)
         else:
             rows = _run_dynamics(cfg)
     except SolverFailure as exc:
@@ -422,7 +412,6 @@ def run(cfg: RunConfig, threads: int = 1):
         status = 2
     write_csv(csv_path, CSV_SCHEMAS[cfg.experiment], rows)
     manifest = cfg.manifest()
-    manifest["threads"] = threads
     manifest["output_csv"] = os.path.basename(csv_path)
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -437,28 +426,14 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    threads = args.threads
-    env = os.environ.get("PHOTON_RESONANCE_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            print(f"invalid PHOTON_RESONANCE_THREADS={env!r}", file=sys.stderr)
-            return 1
-    if threads is None:
-        threads = 1
-    if threads < 1:
-        print("thread count must be >= 1", file=sys.stderr)
-        return 1
     try:
         cfg = resolve_config(parse_config(args.config), args.experiment, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        status, csv_path = run(cfg, threads)
+        status, csv_path = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -134,9 +134,8 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int, unit_rule=None):
                          / (params.c * math.log(params.epsilon)))
         return [w1]
     op = nystrom.build_l0_operator(params, unit_rule)
-    S = np.sqrt(op.norm_weights)
-    A = S[:, None] * op.matrix.real / S[None, :]
-    mu = np.linalg.eigvalsh(0.5 * (A + A.T))[::-1]
+    B, _ = nystrom.weighted_symmetrize(op.matrix.real, op.norm_weights)
+    mu = np.linalg.eigvalsh(B)[::-1]
     if n_modes > len(mu):
         raise ValueError(f"requested {n_modes} modes from an N={len(mu)} grid")
     return [params.omega_a - float(m) for m in mu[:n_modes]]

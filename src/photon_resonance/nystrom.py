@@ -20,7 +20,7 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
       int_{S^2} G3(|x - r' yhat|) dsigma = [G1(|r-r'|) - G1(r+r')] / (r r')
   with G1 the one-dimensional kernel on the same branch;
 * d = 2: the singular components have closed reductions (complete elliptic
-  integral for the 1/|x-y| part via AGM, Bessel addition theorem for the
+  integral for the 1/|x-y| part, Bessel addition theorem for the
   Y0 / Hankel parts); only the entire Struve component is reduced with the
   trapezoidal angular rule;
 * d = 1: the two-point sum G1(|r-r'|) + G1(r+r') on even functions.
@@ -33,10 +33,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ellipkm1, jv, yv
 
 from . import greens
 from .greens import Branch, GreensDomainError, WaveNumber
-from .specfun import EULER_GAMMA, _h0, _jy0, _struve_h0_series, exp_integral_e1
+# _jy0 is not called here; perfbench/tracing.py wraps it under this name
+from .specfun import EULER_GAMMA, _h0, _jy0, _struve_h0_series  # noqa: F401
 
 SING_LEVELS = 36  # dyadic refinement depth toward the diagonal
 SING_POINTS = 16  # Gauss points per dyadic panel
@@ -245,14 +247,6 @@ class QuadratureRule:
     def domain(self):
         return float(self.panels[0]), float(self.panels[-1])
 
-    def refined(self, factor=2):
-        """Same panel structure with `factor` times as many nodes."""
-        n = int(factor * len(self.nodes))
-        return QuadratureRule._from_breakpoints(self.panels, n, self.angular_count)
-
-    def with_angular(self, angular_count):
-        return QuadratureRule._from_breakpoints(self.panels, len(self.nodes), angular_count)
-
     def _panel_slices(self):
         out = []
         start = 0
@@ -371,18 +365,6 @@ def _bary_weights(x):
 # reduced kernels
 # ----------------------------------------------------------------------
 
-def _ellip_k_complement(mc):
-    """Complete elliptic integral K(m) with complement mc = 1 - m handed in
-    directly (avoids cancellation when m -> 1)."""
-    a = np.ones_like(mc)
-    b = np.sqrt(mc)
-    for _ in range(60):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        if np.max(np.abs(a - b)) < 1e-17 * np.max(a):
-            break
-    return np.pi / (2 * a)
-
-
 def _branch_for(k):
     kc = complex(k)
     if kc == 0:
@@ -435,18 +417,21 @@ def kernel_2d_singular(k, branch):
         lo = np.minimum(r0, t)
         hi = np.maximum(r0, t)
         mc = ((r0 - t) / (r0 + t)) ** 2
-        base = (2.0 / np.pi) * _ellip_k_complement(mc) / (r0 + t)
+        base = (2.0 / np.pi) * ellipkm1(mc) / (r0 + t)
         if branch is Branch.ZERO:
             return base.astype(complex)
         kappa = -k if branch is Branch.NEGATIVE else k
-        jlo, _ = _jy0(np.asarray(kappa * lo, dtype=complex))
-        _, yhi = _jy0(np.asarray(kappa * hi, dtype=complex))
-        out = base + (np.pi * kappa / 2.0) * jlo * yhi
-        if branch is Branch.OUTGOING:
-            out = out + 1j * np.pi * k * jlo * _h0(np.asarray(k * hi, dtype=complex), 1)
-        elif branch is Branch.INCOMING:
-            out = out - 1j * np.pi * k * jlo * _h0(np.asarray(k * hi, dtype=complex), 2)
-        return out
+        jlo = jv(0, np.asarray(kappa * lo, dtype=complex))
+        khi = np.asarray(kappa * hi, dtype=complex)
+        # the radiating branches fold their Hankel term into the Y0 factor:
+        # Y0 + 2i H0^(1) = i (J0 + H0^(1)),  Y0 - 2i H0^(2) = -i (J0 + H0^(2))
+        if branch is Branch.NEGATIVE:
+            hi_part = yv(0, khi)
+        elif branch is Branch.OUTGOING:
+            hi_part = 1j * (jv(0, khi) + _h0(khi, 1))
+        else:
+            hi_part = -1j * (jv(0, khi) + _h0(khi, 2))
+        return base + (np.pi * kappa / 2.0) * jlo * hi_part
     return f
 
 
@@ -476,7 +461,7 @@ def kernel_a0_reduced(d):
     if d == 2:
         def f2(r0, t):
             mc = ((r0 - t) / (r0 + t)) ** 2
-            return ((2.0 / np.pi) * _ellip_k_complement(mc) / (r0 + t)).astype(complex)
+            return ((2.0 / np.pi) * ellipkm1(mc) / (r0 + t)).astype(complex)
         return f2
     raise ValueError("A0 reduction applies to d in {2, 3}")
 
@@ -575,6 +560,19 @@ class RadialOperator:
 
     def weighted_dot(self, u, v):
         return complex(np.sum(self.norm_weights * np.conj(u) * v))
+
+
+def weighted_symmetrize(matrix, weights):
+    """Symmetric part of the similarity transform S M S^-1, S = diag(sqrt(w)).
+
+    A kernel symmetric in the w-weighted pairing gives an S M S^-1 that is
+    symmetric up to quadrature error, so the symmetric part keeps the
+    spectrum of M, with eigenvectors S v.  Returns that part together with
+    the discarded asymmetry max |S M S^-1 - (S M S^-1)^T|.
+    """
+    S = np.sqrt(weights)
+    A = S[:, None] * matrix / S[None, :]
+    return 0.5 * (A + A.T), float(np.max(np.abs(A - A.T)))
 
 
 def _volume_weights(d, rule):

@@ -1,33 +1,32 @@
 """Complex special functions: E1, J0, Y0, Hankel H0, and the Struve combination K0.
 
 Everything here is double precision and vectorized over numpy arrays of
-complex arguments.  Each function switches between evaluation regimes at
-fixed crossover radii; the radii below were chosen by sweeping relative
+complex arguments.  J0, Y0 and H0^(1,2) are thin wrappers around the AMOS
+routines in ``scipy.special``.  E1 and K0 are evaluated here, switching
+between regimes at fixed crossover radii chosen by sweeping relative
 accuracy against extended-precision oracles on dense grids:
 
 * ``exp_integral_e1``: Maclaurin-type series for |z| < 4, modified-Lentz
-  continued fraction for |z| >= 4.
-* ``bessel_j0`` / ``bessel_y0``: power series for |z| <= 8, Miller backward
-  recurrence for 8 < |z| < 17 (and near the negative real axis), Hankel
-  asymptotic expansion beyond.
+  continued fraction for |z| >= 4.  ``scipy.special.exp1`` is not used: its
+  relative error reaches 2e-12 just below the positive real axis (e.g. at
+  4.84 e^{-i pi/100}), where this code stays at round-off.
 * ``struve_k0``: power series for |z| <= 10, rotated-contour Laplace
   integral for 10 < |z| < 40, asymptotic series for |z| >= 40; arguments in
   the left half plane are reflected into the right half plane first.
+  ``scipy.special.struve`` accepts real arguments only.
 
 Arguments on the closed negative real axis (the principal branch cut of
-E1, Y0 and K0) are rejected rather than continued from one side.
+E1, Y0, H0 and K0) are rejected rather than continued from one side.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import hankel1, hankel2, jv, yv
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 E1_SERIES_RADIUS = 4.0
-BESSEL_SERIES_RADIUS = 8.0
-BESSEL_ASYMPTOTIC_RADIUS = 17.0
-BESSEL_ASYMPTOTIC_MAX_ARG = 2.2  # |arg z| beyond which Miller replaces asymptotics
 STRUVE_SERIES_RADIUS = 10.0
 STRUVE_ASYMPTOTIC_RADIUS = 40.0
 
@@ -110,182 +109,40 @@ def exp_integral_e1(z):
 
 
 # ----------------------------------------------------------------------
-# Bessel J0 / Y0 and Hankel functions
+# Bessel J0 / Y0 and Hankel functions (AMOS, through scipy.special)
 # ----------------------------------------------------------------------
 
-def _j0_series(z):
-    s = np.ones_like(z)
-    term = np.ones_like(z)
-    q = -(z * z) / 4.0
-    for n in range(1, 80):
-        term = term * q / (n * n)
-        s += term
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(s)), 1e-30):
-            break
-    return s
-
-
-def _y0_series(z):
-    # Y0 = (2/pi)[(ln(z/2)+gamma) J0 + sum_{k>=1} (-1)^{k+1} H_k (z^2/4)^k/(k!)^2]
-    s = np.zeros_like(z)
-    term = np.ones_like(z)
-    q = -(z * z) / 4.0
-    H = 0.0
-    for k in range(1, 80):
-        term = term * q / (k * k)
-        H += 1.0 / k
-        s -= term * H  # (-1)^{k+1} (z^2/4)^k/(k!)^2 == -term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    return (2.0 / np.pi) * ((np.log(z / 2.0) + EULER_GAMMA) * _j0_series(z) + s)
-
-
-def _jy0_miller(z):
-    """J0 and Y0 by backward recurrence, elementwise over a 1-d array."""
-    j0 = np.empty_like(z)
-    y0 = np.empty_like(z)
-    for idx, zz in enumerate(z):
-        N = int(abs(zz)) + 50
-        jj = np.empty(N + 1, dtype=complex)
-        fp = 0.0 + 0.0j
-        f = 1e-30 + 0.0j
-        jj[N] = f
-        for n in range(N, 0, -1):
-            fm = (2.0 * n / zz) * f - fp
-            fp = f
-            f = fm
-            jj[n - 1] = f
-        even = jj[2::2]
-        if abs(zz.imag) > 2.0:
-            # cos-normalized sum avoids the e^{|Im z|} cancellation of the
-            # identity normalization J0 + 2*sum J_{2k} = 1
-            signs = (-1.0) ** np.arange(1, even.size + 1)
-            norm = (jj[0] + 2.0 * np.sum(signs * even)) / np.cos(zz)
-        else:
-            norm = jj[0] + 2.0 * np.sum(even)
-        jj /= norm
-        ks = np.arange(1, even.size + 1)
-        ssum = np.sum(((-1.0) ** (ks + 1)) * jj[2::2] / ks)
-        j0[idx] = jj[0]
-        y0[idx] = (2.0 / np.pi) * ((np.log(zz / 2.0) + EULER_GAMMA) * jj[0] + 2.0 * ssum)
-    return j0, y0
-
-
-def _h0_asymptotic(z, kind):
-    # H0^(1,2)(z) ~ sqrt(2/(pi z)) e^{+-i(z - pi/4)} sum_k (+-i)^k a_k / z^k,
-    # a_0 = 1, a_{k+1} = -a_k (2k+1)^2 / (8(k+1)); truncated at the smallest term
-    sgn = 1.0 if kind == 1 else -1.0
-    s = np.zeros_like(z)
-    best = np.full(z.shape, np.inf)
-    done = np.zeros(z.shape, dtype=bool)
-    a = 1.0
-    zpow = np.ones_like(z)
-    for k in range(0, 60):
-        term = a * zpow
-        mag = np.abs(term)
-        done |= mag > best
-        best = np.where(done, best, mag)
-        s = np.where(done, s, s + (sgn * 1j) ** k * term)
-        if np.all(done) or np.max(mag) < 1e-18:
-            break
-        a *= -((2 * k + 1) ** 2) / (8.0 * (k + 1))
-        zpow = zpow / z
-    return np.sqrt(2.0 / (np.pi * z)) * np.exp(sgn * 1j * (z - np.pi / 4.0)) * s
-
-
 def _jy0(z):
-    out_j = np.empty_like(z)
-    out_y = np.empty_like(z)
-    az = np.abs(z)
-    small = az <= BESSEL_SERIES_RADIUS
-    asym = (az >= BESSEL_ASYMPTOTIC_RADIUS) & (np.abs(np.angle(z)) <= BESSEL_ASYMPTOTIC_MAX_ARG)
-    mid = ~(small | asym)
-    if np.any(small):
-        out_j[small] = _j0_series(z[small])
-        out_y[small] = _y0_series(z[small])
-    if np.any(mid):
-        j0m, y0m = _jy0_miller(z[mid].ravel())
-        out_j[mid] = j0m
-        out_y[mid] = y0m
-    if np.any(asym):
-        h1 = _h0_asymptotic(z[asym], 1)
-        h2 = _h0_asymptotic(z[asym], 2)
-        out_j[asym] = 0.5 * (h1 + h2)
-        out_y[asym] = (h1 - h2) / 2j
-    return out_j, out_y
-
-
-def _h0_recessive_integral(w, n_panels=6, n_quad=28):
-    # exact representation, valid for Re w > 0, Im w >= 0:
-    #   H0^(1)(w) = (4/(i pi)) e^{iw} int_0^inf e^{i w v^2} (v^2+2)^{-1/2} dv
-    # integrated along the ray v = e^{i pi/8} s so the exponent decays for
-    # every w in the first quadrant.  Used where H0^(1) is recessive and the
-    # J0 + iY0 composition would cancel catastrophically.
-    rot = np.exp(1j * np.pi / 8)
-    out = np.empty_like(w)
-    xs, ws = np.polynomial.legendre.leggauss(n_quad)
-    for idx, ww in enumerate(w):
-        decay = -(1j * ww * rot * rot).real
-        L = 9.0 / np.sqrt(decay)
-        brk = np.concatenate(([0.0], L * np.geomspace(2.0 ** (1 - n_panels), 1.0, n_panels)))
-        tot = 0.0 + 0.0j
-        for i in range(n_panels):
-            a, b = brk[i], brk[i + 1]
-            s = 0.5 * (b - a) * xs + 0.5 * (b + a)
-            v = 0.5 * (b - a) * ws
-            vv = rot * s
-            tot += np.sum(v * np.exp(1j * ww * vv * vv) / np.sqrt(vv * vv + 2.0)) * rot
-        out[idx] = (4.0 / (1j * np.pi)) * np.exp(1j * ww) * tot
-    return out
+    """J0 and Y0 of a complex array."""
+    return jv(0, z), yv(0, z)
 
 
 def _h0(z, kind):
-    """Hankel function with a cancellation-safe path for recessive cases."""
-    out = np.empty_like(z)
-    az = np.abs(z)
-    asym = (az >= BESSEL_ASYMPTOTIC_RADIUS) & (np.abs(np.angle(z)) <= BESSEL_ASYMPTOTIC_MAX_ARG)
-    imag = z.imag if kind == 1 else -z.imag
-    recessive = ~asym & (imag > 6.0) & (z.real > 0.0) & (az > 6.0)
-    rest = ~(asym | recessive)
-    if np.any(asym):
-        out[asym] = _h0_asymptotic(z[asym], kind)
-    if np.any(recessive):
-        zr = z[recessive].ravel()
-        if kind == 1:
-            vals = _h0_recessive_integral(zr)
-        else:
-            vals = np.conj(_h0_recessive_integral(np.conj(zr)))
-        out[recessive] = vals.reshape(z[recessive].shape)
-    if np.any(rest):
-        j0, y0 = _jy0(z[rest])
-        out[rest] = j0 + 1j * y0 if kind == 1 else j0 - 1j * y0
-    return out
+    """Hankel function H0^(1) or H0^(2) of a complex array."""
+    return hankel1(0, z) if kind == 1 else hankel2(0, z)
 
 
 def bessel_j0(z):
     """J0(z) for any finite complex z (entire function, no cut)."""
     za = _asfarray_complex(z)
-    j0, _ = _jy0(np.where(za == 0.0, 1.0, za))  # avoid log in Y0 path; J0(0)=1
-    out = np.where(za == 0.0, 1.0 + 0.0j, j0)
-    return _maybe_scalar(out, z)
+    return _maybe_scalar(jv(0, za), z)
 
 
 def bessel_y0(z):
     """Principal-branch Y0(z) for z off the closed negative real axis."""
     za = _asfarray_complex(z)
     _reject_cut(za, "bessel_y0")
-    _, y0 = _jy0(za)
-    return _maybe_scalar(y0, z)
+    return _maybe_scalar(yv(0, za), z)
 
 
 def hankel0(z, kind=1):
-    """H0^(1)(z) or H0^(2)(z), composed as J0 +- i Y0."""
+    """Principal-branch H0^(1)(z) or H0^(2)(z) for z off the closed negative
+    real axis; the recessive one stays accurate to full relative precision."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     za = _asfarray_complex(z)
     _reject_cut(za, "hankel0")
-    out = _h0(za, kind)
-    return _maybe_scalar(out, z)
+    return _maybe_scalar(_h0(za, kind), z)
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +209,7 @@ def _k0_right_half(z):
     mid = ~(small | large)
     if np.any(small):
         zs = z[small]
-        out[small] = _struve_h0_series(zs) - _y0_series(zs)
+        out[small] = _struve_h0_series(zs) - yv(0, zs)
     if np.any(mid):
         vals = [_k0_laplace(zz) for zz in z[mid].ravel()]
         out[mid] = np.asarray(vals).reshape(z[mid].shape)

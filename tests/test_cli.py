@@ -134,7 +134,6 @@ def test_manifest_records_defaults(tmp_path):
     assert man["numerics"]["max_iter"] == 50
     assert man["dynamics"]["grid_points"] == 8192
     assert man["params"]["epsilon"] == 0.1
-    assert man["threads"] == 1
 
 
 def test_resonances_csv(tmp_path):
@@ -233,11 +232,3 @@ epsilon_grid = 0.01, 0.005
     code = cli.main(["asymptotics-compare", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "regime" in capsys.readouterr().err
-
-
-def test_threads_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PHOTON_RESONANCE_THREADS", "junk")
-    path = write_cfg(tmp_path, GREENS_CFG)
-    assert cli.main(["greens-table", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    monkeypatch.setenv("PHOTON_RESONANCE_THREADS", "2")
-    assert cli.main(["greens-table", "--config", path, "--out", str(tmp_path / "o")]) == 0

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,10 @@ def test_y0_frozen_values():
 @pytest.mark.parametrize("fn,ref,tol", [
     (sf.bessel_j0, orc.j0_ref, 1e-12),
     (sf.bessel_y0, orc.y0_ref, 1e-12),
+    pytest.param(partial(sf.hankel0, kind=1), partial(orc.hankel_ref, kind=1), 1e-12,
+                 id="hankel0_kind1-1e-12"),
+    pytest.param(partial(sf.hankel0, kind=2), partial(orc.hankel_ref, kind=2), 1e-12,
+                 id="hankel0_kind2-1e-12"),
 ])
 def test_bessel_grid_against_oracle(fn, ref, tol):
     rng = np.random.default_rng(5)
@@ -84,6 +90,19 @@ def test_hankel_identity_and_reflection():
     assert abs(h1 - (sf.bessel_j0(z) + 1j * sf.bessel_y0(z))) < 1e-13 * abs(h1)
     w = 2.0 + 1.0j
     assert abs(sf.hankel0(np.conj(w), 2) - np.conj(sf.hankel0(w, 1))) < 1e-12 * abs(sf.hankel0(w, 1))
+
+
+# recessive points: H0 is exponentially small next to J0 and Y0 there, so
+# composing it as J0 +- i Y0 cancels catastrophically
+@pytest.mark.parametrize("z,kind", [
+    (1.5 + 5.97j, 1),
+    (2.36 + 5.93j, 1),
+    (-29.5 - 39.8j, 2),
+    (-32.85 + 37.07j, 1),
+])
+def test_hankel_recessive_against_oracle(z, kind):
+    ref = orc.hankel_ref(z, kind)
+    assert abs(sf.hankel0(z, kind) - ref) <= 1e-12 * abs(ref)
 
 
 def test_hankel_decay_along_imaginary_direction():
