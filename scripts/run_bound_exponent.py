@@ -2,8 +2,8 @@
 """Negative eigenvalue of the 1D log-scaled inclusion vs the power law.
 
 For Omega pi c / (g^2 s0 |B1|) > 1 the small negative eigenvalue follows
-omega(eps) ~ -c eps^p.  This script locates it by Birman-Schwinger
-bisection on an eps sweep and prints the fitted exponent next to the
+omega(eps) ~ -c eps^p.  This script locates it by the Birman-Schwinger
+root finder on an eps sweep and prints the fitted exponent next to the
 predicted one.
 
     python scripts/run_bound_exponent.py --s0 0.7853981633974483

@@ -9,7 +9,8 @@ self-adjoint, positive operator
 having an eigenvalue >= 1: the number of Hamiltonian eigenvalues in
 (-infty, omega] equals the number of eigenvalues of K_omega in [1, infty).
 Its eigenvalues mu_n(omega) increase monotonically as omega increases
-toward 0-, so bound states are located by bisecting mu_n(omega) = 1.
+toward 0-, so bound states are located by solving mu_n(omega) = 1 with
+Brent's method.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import greens, nystrom
 from .greens import Branch
 from .nystrom import OperatorKind, PhysicalParams, QuadratureRule
 
-BRACKET_EXPONENTS = range(-20, 11)  # scan omega = -c 2^j
+BRACKET_EXPONENTS = (-20, 10)  # omega = -c 2^j from just below 0 to the deepest
 
 
 class BoundStateNotFound(RuntimeError):
@@ -155,63 +157,39 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
                       tol: float = 1e-10, n_nodes: int = 64) -> float:
     """Frequency omega* < 0 at which mu_n crosses 1.
 
-    mu_n is continuous and increasing in omega, so a sign change of
-    mu_n - 1 over the geometric bracket scan pins the crossing; a
-    bisection-safeguarded secant then runs until |mu_n(omega*) - 1| <= tol.
+    mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
+    decreases in the scan exponent j.  Once f changes sign over
+    BRACKET_EXPONENTS, Brent's method (scipy.optimize.brentq) refines the
+    crossing, and omega* is returned only if |mu_n(omega*) - 1| <= tol.
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
     rule = _bs_rule(profile, n_nodes)
     seen: dict = {}
 
-    def mu(w):
-        if w not in seen:
-            seen[w] = _mu_n(profile, w, params, mode_n, n_nodes, rule)
-        return seen[w]
+    def f(j):
+        if j not in seen:
+            seen[j] = _mu_n(profile, -params.c * 2.0**j, params, mode_n, n_nodes, rule) - 1.0
+        return seen[j]
 
-    omegas = sorted(-params.c * 2.0**j for j in BRACKET_EXPONENTS)  # toward 0-
-    # mu_n increases along the scan, so the first index with mu >= 1 is
-    # found by binary search over the geometric grid
-    if mu(omegas[-1]) < 1.0:
+    j_shallow, j_deep = BRACKET_EXPONENTS
+    if f(j_shallow) < 0.0:
         raise BoundStateNotFound(
             f"no bound state detected for mode {mode_n}: "
             f"mu_{mode_n} stays below 1 on the scanned bracket"
         )
-    if mu(omegas[0]) >= 1.0:
+    if f(j_deep) >= 0.0:
         raise BoundStateNotFound(
-            f"mu_{mode_n} >= 1 already at the deepest scanned omega = {omegas[0]}; "
-            "bracket does not cover the crossing"
+            f"mu_{mode_n} >= 1 already at the deepest scanned omega = "
+            f"{-params.c * 2.0**j_deep}; bracket does not cover the crossing"
         )
-    ilo, ihi = 0, len(omegas) - 1
-    while ihi - ilo > 1:
-        mid = (ilo + ihi) // 2
-        if mu(omegas[mid]) >= 1.0:
-            ihi = mid
-        else:
-            ilo = mid
-    lo, hi = omegas[ilo], omegas[ihi]
-    mu_lo, mu_hi = mu(lo), mu(hi)
-    w_est = hi
-    m_est = mu_hi
-    for _ in range(120):
-        if abs(m_est - 1.0) <= tol:
-            return float(w_est)
-        # secant step from the bracket endpoints, safeguarded by bisection
-        w_sec = lo + (1.0 - mu_lo) * (hi - lo) / (mu_hi - mu_lo)
-        mid = 0.5 * (lo + hi)
-        w_est = w_sec if lo < w_sec < hi else mid
-        m_est = mu(w_est)
-        if m_est >= 1.0:
-            hi, mu_hi = w_est, m_est
-        else:
-            lo, mu_lo = w_est, m_est
-        if hi - lo < 1e-17 * abs(hi):
-            break
-    if abs(m_est - 1.0) <= 1e3 * tol:
-        return float(w_est)
-    raise BoundStateNotFound(
-        f"root refinement stalled for mode {mode_n}: final |mu - 1| = {abs(m_est - 1):.2e}"
-    )
+    j_star = brentq(f, j_shallow, j_deep, xtol=1e-14, disp=False)
+    if abs(f(j_star)) > tol:
+        raise BoundStateNotFound(
+            f"root refinement stalled for mode {mode_n}: "
+            f"final |mu - 1| = {abs(f(j_star)):.2e}"
+        )
+    return float(-params.c * 2.0**j_star)
 
 
 def sobolev_threshold(d: int) -> float:

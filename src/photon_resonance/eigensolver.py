@@ -142,14 +142,14 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int, unit_rule=None):
 
 
 def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
-    evals = {}
+    evals = {}  # omega -> (operator, characteristic value)
 
     def f(w):
         wc = complex(w)
         if wc not in evals:
             op = nystrom.build_full_operator(params, wc, rule)
-            evals[wc] = characteristic_value(op)
-        return evals[wc]
+            evals[wc] = (op, characteristic_value(op))
+        return evals[wc][1]
 
     seeds = [omega_seed * s for s in SEED_SPREAD]
     attempt = 0
@@ -165,20 +165,21 @@ def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
             return MullerResult(res.root, res.fvalue, res.iterations, False), None
         bump = (1e-3 * 2**attempt) * max(abs(omega_seed), 1e-3)
         seeds = [s + bump * (1 + 0.3j * attempt) for s in seeds]
-    op = nystrom.build_full_operator(params, res.root, rule)
-    lam, v = _smallest_eigenpair(op.matrix)
+    op = evals[res.root][0]
+    _, v = _smallest_eigenpair(op.matrix)
     residual = float(np.linalg.norm(op.matrix @ v) / np.linalg.norm(v))
     v = v / op.weighted_norm(v)
-    return res, (op, lam, v, residual)
+    return res, (v, residual)
 
 
 def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule = None,
                     tol: float = 1e-10, max_iter: int = 50) -> list[SpectrumResult]:
     """Locate the nonlinear eigenvalues seeded from the limiting spectrum.
 
-    Returns one entry per requested mode, sorted by Re(omega); duplicates
-    within the deflation radius are merged.  Modes whose Muller iteration
-    fails are returned with converged=False rather than aborting the rest.
+    Returns one entry per requested mode, sorted by Re(omega).  A root that
+    lands within the deflation radius of an earlier mode's root is re-seeded,
+    so converged entries are distinct.  Modes whose Muller iteration fails
+    are returned with converged=False rather than aborting the rest.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -195,16 +196,10 @@ def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule =
             results.append(SpectrumResult(res.root, np.array([]), float("nan"),
                                           res.iterations, w_seed, converged=False))
             continue
-        op, lam, v, residual = extra
+        v, residual = extra
         roots.append(res.root)
         results.append(SpectrumResult(res.root, v, residual, res.iterations, w_seed))
-    merged = []
-    for r in sorted(results, key=lambda s: s.omega.real):
-        if merged and r.converged and merged[-1].converged and \
-                abs(r.omega - merged[-1].omega) < DEFLATION_RADIUS:
-            continue
-        merged.append(r)
-    return merged
+    return sorted(results, key=lambda s: s.omega.real)
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ def trace_in_epsilon(params: PhysicalParams, mode_index: int, epsilons: Sequence
         res, extra = _solve_one_mode(p, omega_prev, rule, tol, max_iter, [])
         if extra is None:
             raise EigensolverError(f"continuation failed at eps = {e}")
-        op, lam, v, residual = extra
+        v, residual = extra
         sr = SpectrumResult(res.root, v, residual, res.iterations, omega_prev)
         if results and abs(sr.omega - results[-1].omega) > continuity_rtol * abs(results[-1].omega):
             breaks.append(i)

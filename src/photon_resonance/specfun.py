@@ -10,9 +10,11 @@ accuracy against extended-precision oracles on dense grids:
   continued fraction for |z| >= 4.  ``scipy.special.exp1`` is not used: its
   relative error reaches 2e-12 just below the positive real axis (e.g. at
   4.84 e^{-i pi/100}), where this code stays at round-off.
-* ``struve_k0``: power series for |z| <= 10, rotated-contour Laplace
-  integral for 10 < |z| < 40, asymptotic series for |z| >= 40; arguments in
-  the left half plane are reflected into the right half plane first.
+* ``struve_k0``: power series minus Y0 for |z| <= 3, rotated-contour
+  Laplace integral for 3 < |z| < 40, asymptotic series for |z| >= 40;
+  arguments in the left half plane are reflected into the right half plane
+  first.  The series loses digits to cancellation as |z| grows (1e-11
+  relative near |z| = 10), while the Laplace integral stays at round-off.
   ``scipy.special.struve`` accepts real arguments only.
 
 Arguments on the closed negative real axis (the principal branch cut of
@@ -27,7 +29,7 @@ from scipy.special import hankel1, hankel2, jv, yv
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 E1_SERIES_RADIUS = 4.0
-STRUVE_SERIES_RADIUS = 10.0
+STRUVE_SERIES_RADIUS = 3.0
 STRUVE_ASYMPTOTIC_RADIUS = 40.0
 
 

@@ -90,6 +90,28 @@ def test_one_dimensional_square_always_binds(square1, omega_star):
     assert abs(mu - 1.0) <= 1e-9
 
 
+def test_bound_state_build_count(square1, monkeypatch):
+    # Brent on the scan exponent needs 11 operator builds here (bracket ends included)
+    calls = []
+    build = bs.build_bs_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "build_bs_operator", counted)
+    w = bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
+    assert len(calls) <= 14
+    assert abs(bs._mu_n(square1, w, p1d(), 1, 48) - 1.0) <= 1e-10
+
+
+def test_crossing_below_deepest_bracket_end_rejected():
+    # mu_1 = 9.5 already at omega = -1024, the deep end of the bracket
+    dense = DensityProfile.square(1, 1e7, 1.0)
+    with pytest.raises(BoundStateNotFound, match="deepest"):
+        bs.solve_bound_state(dense, p1d(rho0=1e7), 1, n_nodes=32)
+
+
 def test_necessary_condition(square1, omega_star):
     p = p1d()
     lhs = p.g**2 * square1.sup_density
@@ -144,7 +166,7 @@ def test_count_below_bound_consistency():
 
 def test_3d_bound_state_two_routes_agree():
     # Omega below the limiting shift puts the lowest mode on the negative
-    # axis; the Muller continuation and the Birman-Schwinger bisection are
+    # axis; the Muller continuation and the Birman-Schwinger crossing are
     # independent solve paths and must land on the same frequency
     p = PhysicalParams(d=3, c=1.0, g=1.0, omega_a=0.3, epsilon=0.1, s0=1.0)
     res = es.find_resonances(p, 1, rule=QuadratureRule.make(0.1, n_radial=40))

@@ -108,6 +108,21 @@ def test_find_resonances_eigenvector_normalized(res3):
     assert op.weighted_norm(res3[0].eigenvector) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_find_resonances_builds_each_omega_once(monkeypatch):
+    # the eigenvector at a root comes from the operator Muller already built
+    omegas = []
+    build = ny.build_full_operator
+
+    def recorded(params, omega, rule=None):
+        omegas.append(complex(omega))
+        return build(params, omega, rule)
+
+    monkeypatch.setattr(ny, "build_full_operator", recorded)
+    res = es.find_resonances(params3(), 3, rule=QuadratureRule.make(0.1, n_radial=32))
+    assert all(r.converged for r in res)
+    assert len(omegas) == len(set(omegas))
+
+
 def test_seed_robustness(res3):
     # 1% seed perturbation reproduces the first mode to 1e-8
     p = params3()

@@ -151,6 +151,16 @@ def test_struve_k0_grid_against_oracle():
         assert abs(sf.struve_k0(z) - ref) <= 1e-10 * abs(ref), z
 
 
+# mid-range radii: H0 - Y0 by the power series cancels there (1e-11 near
+# |z| = 10), so these points pin the integral representation to round-off
+@pytest.mark.parametrize("radius", [4.0, 6.0, 8.0, 9.9])
+def test_struve_k0_mid_range_round_off(radius):
+    for theta in (0.0, 0.3 * np.pi, -0.45 * np.pi, 0.7 * np.pi):
+        z = radius * np.exp(1j * theta)
+        ref = orc.struve_k0_ref(z)
+        assert abs(sf.struve_k0(z) - ref) <= 1e-13 * abs(ref), z
+
+
 def test_struve_k0_cut_rejected():
     with pytest.raises(sf.SpecialFunctionDomainError):
         sf.struve_k0(-3.0 + 0j)
