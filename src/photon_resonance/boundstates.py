@@ -92,6 +92,14 @@ class BSOperator:
         return OperatorKind.BIRMAN_SCHWINGER
 
 
+@dataclass(frozen=True)
+class BoundState:
+    """A root of mu_n(omega) = 1 and the value of mu_n found there."""
+
+    omega: float
+    mu: float
+
+
 def _bs_rule(profile, n_nodes):
     if profile.d == 1:
         a = profile.center - profile.half_width
@@ -119,12 +127,10 @@ def build_bs_operator(profile: DensityProfile, omega, params: PhysicalParams,
     pref = params.g**2 * profile.rho0 / (
         params.c * (params.omega_a + abs(omega)))
     if profile.d == 1:
-        kern = nystrom.kernel_1d_interval(k, Branch.NEGATIVE)
-        W = nystrom.build_kernel_matrix(rule, kern, 0)
+        W = nystrom.build_split_matrix(rule, nystrom.kernel_1d_interval, k, Branch.NEGATIVE, 0)
         norm_w = rule.weights
     else:
-        kern, smooth = nystrom._full_kernel_parts(profile.d, k, Branch.NEGATIVE, rule)
-        W = nystrom.build_kernel_matrix(rule, kern, profile.d - 1, smooth)
+        W = nystrom.full_kernel_matrix(rule, profile.d, k, Branch.NEGATIVE)
         norm_w = greens.surface_measure(profile.d) * rule.weights * rule.nodes ** (profile.d - 1)
     B, asym = nystrom.weighted_symmetrize(pref * W.real, norm_w)
     return BSOperator(B, rule, omega, profile, params, asym)
@@ -154,23 +160,24 @@ def _mu_n(profile, omega, params, n, n_nodes, rule=None):
 
 
 def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: int = 1,
-                      tol: float = 1e-10, n_nodes: int = 64) -> float:
-    """Frequency omega* < 0 at which mu_n crosses 1.
+                      tol: float = 1e-10, n_nodes: int = 64) -> BoundState:
+    """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*).
 
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
     decreases in the scan exponent j.  Once f changes sign over
     BRACKET_EXPONENTS, Brent's method (scipy.optimize.brentq) refines the
     crossing, and omega* is returned only if |mu_n(omega*) - 1| <= tol.
+    The returned mu is the one computed there, so it equals a rebuild's.
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
     rule = _bs_rule(profile, n_nodes)
-    seen: dict = {}
+    seen: dict = {}  # j -> mu_n(-c 2^j)
 
     def f(j):
         if j not in seen:
-            seen[j] = _mu_n(profile, -params.c * 2.0**j, params, mode_n, n_nodes, rule) - 1.0
-        return seen[j]
+            seen[j] = _mu_n(profile, -params.c * 2.0**j, params, mode_n, n_nodes, rule)
+        return seen[j] - 1.0
 
     j_shallow, j_deep = BRACKET_EXPONENTS
     if f(j_shallow) < 0.0:
@@ -189,7 +196,7 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
             f"root refinement stalled for mode {mode_n}: "
             f"final |mu - 1| = {abs(f(j_star)):.2e}"
         )
-    return float(-params.c * 2.0**j_star)
+    return BoundState(float(-params.c * 2.0**j_star), seen[j_star])
 
 
 def sobolev_threshold(d: int) -> float:

@@ -301,16 +301,13 @@ def _run_bound_states(cfg):
     failures = False
     for n in range(1, blk["modes"] + 1):
         try:
-            w = boundstates.solve_bound_state(
+            st = boundstates.solve_bound_state(
                 prof, cfg.params, n, n_nodes=cfg.numerics["radial_nodes"])
         except boundstates.BoundStateNotFound as exc:
             print(f"mode {n}: {exc}", file=sys.stderr)
             failures = True
             continue
-        op = boundstates.build_bs_operator(prof, w, cfg.params,
-                                           n_nodes=cfg.numerics["radial_nodes"])
-        mu = float(boundstates.mu_spectrum(op, n)[n - 1])
-        rows.append((n, w, mu))
+        rows.append((n, st.omega, st.mu))
     if failures:
         raise SolverFailure(rows)
     return rows

@@ -14,6 +14,22 @@ values are pulled back onto the grid through piecewise barycentric
 interpolation.  For smooth kernel components a plain Nyström rule (kernel
 times base weights) is used instead.
 
+Every operator build is split by singularity subtraction,
+
+    W(k) = W_sing + W_reg(k),
+
+because the log singularity is that of the k = 0 kernel and does not
+depend on k.  W_sing integrates the k = 0 kernel with the rule's
+SING_LEVELS-deep row quadrature; W_reg(k) integrates the bounded
+remainder kernel(k) - kernel(0) with a derived rule of only REG_LEVELS
+dyadic levels, whose innermost panel is closed up to the singular point
+instead of dropping the last 2^-levels gap.  Its refined panels keep
+SING_POINTS Gauss points, as they must integrate the degree-23 panel
+interpolant exactly: with 10 points the error on an N = 96 interval rule
+was 3.4e-4.  By linearity W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)], so
+everything k-independent, W_sing - Q_reg[kernel(0)], is assembled once
+per rule and each build evaluates kernel(k) on the derived rule only.
+
 Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
 * d = 3: exact, via the antiderivative identity
@@ -30,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ellipkm1, jv, yv
@@ -40,7 +56,8 @@ from .greens import Branch, GreensDomainError, WaveNumber
 # _jy0 is not called here; perfbench/tracing.py wraps it under this name
 from .specfun import EULER_GAMMA, _h0, _jy0, _struve_h0_series  # noqa: F401
 
-SING_LEVELS = 36  # dyadic refinement depth toward the diagonal
+SING_LEVELS = 36  # dyadic refinement depth toward the diagonal (k = 0 kernel)
+REG_LEVELS = 8  # depth of the derived rule for the k-dependent remainder
 SING_POINTS = 16  # Gauss points per dyadic panel
 PLAIN_POINTS = 28  # Gauss points on panels away from the singularity
 MAX_PANEL_NODES = 24  # interp degree cap; row quadratures must out-integrate it
@@ -153,6 +170,13 @@ class QuadratureRule:
     produced by `row_quadrature`, which replace the base weights near the
     diagonal (dyadically graded panels, truncated at relative width
     2^-sing_levels where the remaining logarithmic mass is negligible).
+
+    `regular_rule()` derives the rule for the bounded remainder of a split
+    build: the same grid with REG_LEVELS levels and `close_gap` set, so
+    that its innermost panel reaches the singular point.  Row quadratures,
+    the derived rule and the k-independent part of each split build are
+    cached on the rule (`_cache`), so one rule should serve all builds of
+    one discretization.
     """
 
     nodes: np.ndarray
@@ -162,6 +186,7 @@ class QuadratureRule:
     angular_count: int = 256
     sing_levels: int = SING_LEVELS
     sing_points: int = SING_POINTS
+    close_gap: bool = False  # only for integrands bounded at the singular point
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -271,8 +296,8 @@ class QuadratureRule:
                 out.append((a + lo, a + hi))
             else:
                 out.append((b - hi, b - lo))
-        if min_width > 0 and min_width >= h * 2.0 ** (-levels):
-            # singularity lies beyond the remainder panel: keep it
+        if self.close_gap or (min_width > 0 and min_width >= h * 2.0 ** (-levels)):
+            # integrand bounded there, or singularity beyond it: keep the gap
             if toward_start:
                 out.append((a, a + edges[levels]))
             else:
@@ -313,6 +338,14 @@ class QuadratureRule:
         v = np.concatenate(vs)
         self._cache[key] = (t, v)
         return t, v
+
+    def regular_rule(self):
+        """The derived rule for the remainder kernel(k) - kernel(0)."""
+        hit = self._cache.get("regular")
+        if hit is None:
+            hit = self._cache["regular"] = replace(
+                self, sing_levels=REG_LEVELS, close_gap=True, _cache={})
+        return hit
 
     # -- interpolation ----------------------------------------------------
 
@@ -397,9 +430,7 @@ def kernel_1d_interval(k, branch):
 
 def kernel_3d_reduced(k, branch):
     if branch is Branch.ZERO:
-        def f0(r0, t):
-            return (np.log((r0 + t) / np.abs(r0 - t)) / (np.pi * r0 * t)).astype(complex)
-        return f0
+        return kernel_a0_reduced(3)
 
     def f(r0, t):
         val = (_g1_values(k, np.abs(r0 - t), branch) - _g1_values(k, r0 + t, branch)) / (r0 * t)
@@ -413,13 +444,13 @@ def kernel_3d_reduced(k, branch):
 def kernel_2d_singular(k, branch):
     """Closed-form part of the 2D angular reduction (everything except the
     entire Struve component)."""
+    base = kernel_a0_reduced(2)
+    if branch is Branch.ZERO:
+        return base
+
     def f(r0, t):
         lo = np.minimum(r0, t)
         hi = np.maximum(r0, t)
-        mc = ((r0 - t) / (r0 + t)) ** 2
-        base = (2.0 / np.pi) * ellipkm1(mc) / (r0 + t)
-        if branch is Branch.ZERO:
-            return base.astype(complex)
         kappa = -k if branch is Branch.NEGATIVE else k
         jlo = jv(0, np.asarray(kappa * lo, dtype=complex))
         khi = np.asarray(kappa * hi, dtype=complex)
@@ -431,7 +462,7 @@ def kernel_2d_singular(k, branch):
             hi_part = 1j * (jv(0, khi) + _h0(khi, 1))
         else:
             hi_part = -1j * (jv(0, khi) + _h0(khi, 2))
-        return base + (np.pi * kappa / 2.0) * jlo * hi_part
+        return base(r0, t) + (np.pi * kappa / 2.0) * jlo * hi_part
     return f
 
 
@@ -516,6 +547,23 @@ def reduced_kernel(d, k, r, rp, rule=None):
 # matrix assembly
 # ----------------------------------------------------------------------
 
+def build_split_matrix(rule, family, k, branch, measure_power, smooth_kernel=None):
+    """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
+
+    W_sing - Q_reg[family(0)] is k-independent and assembled once per
+    rule; each call then integrates family(k, branch) on the derived rule
+    only (see the module docstring).
+    """
+    reg = rule.regular_rule()
+    key = (family, measure_power)
+    fixed = rule._cache.get(key)
+    if fixed is None:
+        kernel0 = family(0.0, Branch.ZERO)
+        fixed = rule._cache[key] = (build_kernel_matrix(rule, kernel0, measure_power)
+                                    - build_kernel_matrix(reg, kernel0, measure_power))
+    return fixed + build_kernel_matrix(reg, family(k, branch), measure_power, smooth_kernel)
+
+
 def build_kernel_matrix(rule, kernel, measure_power, smooth_kernel=None):
     """Dense matrix of f -> int K(r, r') f(r') r'^p dr' on the rule's nodes.
 
@@ -583,14 +631,12 @@ def default_rule(params, n_radial=64):
     return QuadratureRule.make(params.epsilon, n_radial=n_radial)
 
 
-def _full_kernel_parts(d, k, branch, rule):
-    if d == 1:
-        return kernel_1d(k, branch), None
-    if d == 3:
-        return kernel_3d_reduced(k, branch), None
-    sing = kernel_2d_singular(k, branch)
-    smooth = None if branch is Branch.ZERO else kernel_2d_struve_reduced(k, branch, rule.angular_count)
-    return sing, smooth
+def full_kernel_matrix(rule, d, k, branch):
+    """Split build of the reduced resolvent kernel in dimension d; in 2D
+    the entire Struve component is added with the plain rule."""
+    family = {1: kernel_1d, 2: kernel_2d_singular, 3: kernel_3d_reduced}[d]
+    smooth = kernel_2d_struve_reduced(k, branch, rule.angular_count) if d == 2 else None
+    return build_split_matrix(rule, family, k, branch, d - 1, smooth)
 
 
 def build_full_operator(params, omega, rule=None):
@@ -602,9 +648,7 @@ def build_full_operator(params, omega, rule=None):
     if rule is None:
         rule = default_rule(params)
     k = omega / params.c
-    branch = _branch_for(k)
-    kern, smooth = _full_kernel_parts(params.d, k, branch, rule)
-    W = build_kernel_matrix(rule, kern, params.d - 1, smooth)
+    W = full_kernel_matrix(rule, params.d, k, _branch_for(k))
     pref = params.g**2 * params.density / params.c
     M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - pref * W
     return RadialOperator(M, rule, omega, params, OperatorKind.FULL,

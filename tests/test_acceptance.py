@@ -33,7 +33,7 @@ def resonances_3d():
 def bound_state_setup():
     params = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=1.0)
     profile = bs.DensityProfile.square(1, 1.0, 1.0)
-    omega_star = bs.solve_bound_state(profile, params, 1, n_nodes=48)
+    omega_star = bs.solve_bound_state(profile, params, 1, n_nodes=48).omega
     return params, profile, omega_star
 
 
@@ -210,7 +210,7 @@ def test_criterion_08_bound_state_suite(bound_state_setup):
     for eps in eps_list:
         pe = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=s0)
         ws.append(bs.solve_bound_state(bs.DensityProfile.from_params(pe), pe, 1,
-                                       n_nodes=40))
+                                       n_nodes=40).omega)
     slope = np.polyfit(np.log(eps_list), np.log(-np.asarray(ws)), 1)[0]
     assert abs(slope - p_pred) <= 0.05 * p_pred
     print(f"\nPASS criterion 8 (bound-state suite): omega* = {omega_star:.6f} with "

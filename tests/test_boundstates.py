@@ -81,7 +81,7 @@ def test_tiny_coupling_has_no_bound_states(square1):
 
 @pytest.fixture(scope="module")
 def omega_star(square1):
-    return bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
+    return bs.solve_bound_state(square1, p1d(), 1, n_nodes=48).omega
 
 
 def test_one_dimensional_square_always_binds(square1, omega_star):
@@ -100,9 +100,11 @@ def test_bound_state_build_count(square1, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(bs, "build_bs_operator", counted)
-    w = bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
+    st = bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
     assert len(calls) <= 14
-    assert abs(bs._mu_n(square1, w, p1d(), 1, 48) - 1.0) <= 1e-10
+    # the solver's mu at the root is the one a rebuild on a fresh rule gives
+    assert st.mu == bs._mu_n(square1, st.omega, p1d(), 1, 48)
+    assert abs(st.mu - 1.0) <= 1e-10
 
 
 def test_crossing_below_deepest_bracket_end_rejected():
@@ -174,7 +176,7 @@ def test_3d_bound_state_two_routes_agree():
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9  # bound modes carry no width
     assert w_muller.real < 0
-    w_bisect = bs.solve_bound_state(bs.DensityProfile.from_params(p), p, 1, n_nodes=40)
+    w_bisect = bs.solve_bound_state(bs.DensityProfile.from_params(p), p, 1, n_nodes=40).omega
     assert abs(w_muller.real - w_bisect) <= 1e-6
 
 
@@ -189,8 +191,8 @@ def test_second_mode_crossing_strong_coupling():
     p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=30.0)
     prof = DensityProfile.square(1, 30.0, 1.0)
     assert bs.count_bound_states_below(prof, -1e-3, p, n_nodes=40) >= 2
-    w1 = bs.solve_bound_state(prof, p, 1, n_nodes=40)
-    w2 = bs.solve_bound_state(prof, p, 2, n_nodes=40)
+    w1 = bs.solve_bound_state(prof, p, 1, n_nodes=40).omega
+    w2 = bs.solve_bound_state(prof, p, 2, n_nodes=40).omega
     assert w1 < w2 < 0
     op = bs.build_bs_operator(prof, w2, p, n_nodes=40)
     assert abs(bs.mu_spectrum(op, 2)[1] - 1.0) <= 1e-9
@@ -204,7 +206,7 @@ def test_scaled_1d_matches_log_limit_real_part():
     for eps in eps_list:
         p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=0.3, epsilon=eps, s0=1.0)
         prof = DensityProfile.from_params(p)
-        w = bs.solve_bound_state(prof, p, 1, n_nodes=40)
+        w = bs.solve_bound_state(prof, p, 1, n_nodes=40).omega
         gaps.append(abs(w - target))
     inv_log = [1.0 / abs(np.log(e)) for e in eps_list]
     assert gaps[0] > gaps[1] > gaps[2]

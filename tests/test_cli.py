@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from photon_resonance import cli, greens
+from photon_resonance import boundstates, cli, greens
 from photon_resonance.cli import ConfigError
 
 
@@ -134,6 +134,29 @@ def test_manifest_records_defaults(tmp_path):
     assert man["numerics"]["max_iter"] == 50
     assert man["dynamics"]["grid_points"] == 8192
     assert man["params"]["epsilon"] == 0.1
+
+
+def test_bound_states_builds_only_for_the_solve(tmp_path, monkeypatch):
+    # mu_check comes from the solver's memo, not from one more build
+    calls = {"all": 0, "solve": 0}
+    build, solve = boundstates.build_bs_operator, boundstates.solve_bound_state
+
+    def counted_build(*args, **kwargs):
+        calls["all"] += 1
+        return build(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        before = calls["all"]
+        state = solve(*args, **kwargs)
+        calls["solve"] += calls["all"] - before
+        return state
+
+    monkeypatch.setattr(boundstates, "build_bs_operator", counted_build)
+    monkeypatch.setattr(boundstates, "solve_bound_state", counted_solve)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    assert cli.run(cfg)[0] == 0
+    assert calls["all"] == calls["solve"] == 11
 
 
 def test_resonances_csv(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,76 @@ def test_operator_norm_weights_and_dot():
     vol = greens.ball_volume(3, 0.3)
     assert op.weighted_norm(ones) == pytest.approx(np.sqrt(vol))
     assert op.weighted_dot(ones, ones) == pytest.approx(vol)
+
+
+# (reduced kernel family, measure power, rule factory) for each split build
+SPLIT_CASES = {
+    "1d-even": (ny.kernel_1d, 0, lambda n: QuadratureRule.make(1.0, n_radial=n)),
+    "1d-interval": (ny.kernel_1d_interval, 0,
+                    lambda n: QuadratureRule.make_interval(-1.0, 1.0, n)),
+    "2d": (ny.kernel_2d_singular, 1, lambda n: QuadratureRule.make(0.1, n_radial=n)),
+    "3d": (ny.kernel_3d_reduced, 2, lambda n: QuadratureRule.make(0.1, n_radial=n)),
+}
+SPLIT_WAVENUMBERS = ((0.8 - 0.01j, Branch.OUTGOING), (-0.7, Branch.NEGATIVE))
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_build_matches_one_piece(case):
+    # W_sing + W_reg(k) against the whole kernel on the singular rule; the
+    # difference is the remainder's share of the 2^-36 gap that rule drops
+    family, power, make = SPLIT_CASES[case]
+    for n in (48, 96):
+        rule = make(n)
+        for k, branch in SPLIT_WAVENUMBERS:
+            one_piece = ny.build_kernel_matrix(rule, family(k, branch), power)
+            split = ny.build_split_matrix(rule, family, k, branch, power)
+            assert _rel(split, one_piece) <= 1e-10, (n, branch)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_regular_part_converged_in_levels(case):
+    family, power, make = SPLIT_CASES[case]
+    for n in (48, 96):
+        rule = make(n)
+        deeper = replace(rule.regular_rule(), sing_levels=2 * ny.REG_LEVELS, _cache={})
+        for k, branch in SPLIT_WAVENUMBERS:
+            def remainder(r0, t):
+                return family(k, branch)(r0, t) - family(0.0, Branch.ZERO)(r0, t)
+            w_reg = ny.build_kernel_matrix(rule.regular_rule(), remainder, power)
+            w_ref = ny.build_kernel_matrix(deeper, remainder, power)
+            assert _rel(w_reg, w_ref) <= 1e-13, (n, branch)
+
+
+def test_second_build_skips_k0_kernel(monkeypatch):
+    rule = QuadratureRule.make(0.1, n_radial=48)
+    points, k0_points = [], []
+    build, a0 = ny.build_kernel_matrix, ny.kernel_a0_reduced
+
+    def counted_build(rule, kernel, *args, **kwargs):
+        def kern(r0, t):
+            points.append(len(t))
+            return kernel(r0, t)
+        return build(rule, kern, *args, **kwargs)
+
+    def counted_a0(d):
+        kernel = a0(d)
+
+        def kern(r0, t):
+            k0_points.append(len(t))
+            return kernel(r0, t)
+        return kern
+
+    monkeypatch.setattr(ny, "build_kernel_matrix", counted_build)
+    monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
+    ny.build_full_operator(params3(0.1), 0.5 - 0.001j, rule)
+    assert k0_points  # the first build assembles the k = 0 part
+    one_piece = sum(len(rule.row_quadrature(r0)[0]) for r0 in rule.nodes)
+    points.clear()
+    k0_points.clear()
+    ny.build_full_operator(params3(0.1), 0.8 - 0.001j, rule)
+    assert k0_points == []
+    assert sum(points) <= 0.4 * one_piece
