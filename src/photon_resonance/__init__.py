@@ -6,5 +6,4 @@ from .boundstates import BSOperator, DensityProfile  # noqa: F401
 from .dynamics import FieldState  # noqa: F401
 from .eigensolver import ResonanceTrace, SpectrumResult  # noqa: F401
 from .greens import Branch, ExpansionCoeffs, WaveNumber  # noqa: F401
-from .nystrom import (OperatorKind, PhysicalParams, QuadratureRule,  # noqa: F401
-                      RadialOperator)
+from .nystrom import PhysicalParams, QuadratureRule, RadialOperator  # noqa: F401

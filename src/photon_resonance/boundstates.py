@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from . import greens, nystrom
 from .greens import Branch
-from .nystrom import OperatorKind, PhysicalParams, QuadratureRule
+from .nystrom import PhysicalParams, QuadratureRule
 
 BRACKET_EXPONENTS = (-20, 10)  # omega = -c 2^j from just below 0 to the deepest
 
@@ -86,10 +86,6 @@ class BSOperator:
     profile: DensityProfile
     params: PhysicalParams
     asymmetry: float  # similarity-transform asymmetry before symmetrizing
-
-    @property
-    def kind(self):
-        return OperatorKind.BIRMAN_SCHWINGER
 
 
 @dataclass(frozen=True)

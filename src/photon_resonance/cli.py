@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,21 +242,18 @@ def write_csv(path, columns, rows):
 
 def _run_greens_table(cfg):
     blk = cfg.greens_block
+    try:
+        branch = greens.Branch(blk["branch"])
+    except ValueError:
+        raise ConfigError(f"[greens]: unknown branch {blk['branch']!r}") from None
     rows = []
-    branch = blk["branch"]
     for d in blk["dims"]:
         for k in blk["k_values"]:
             for r in blk["r_values"]:
-                if branch == "zero" or k == 0:
+                if branch is greens.Branch.ZERO or k == 0:
                     wave = greens.WaveNumber.zero()
-                elif branch == "outgoing":
-                    wave = greens.WaveNumber.outgoing(k)
-                elif branch == "incoming":
-                    wave = greens.WaveNumber.incoming(k)
-                elif branch == "negative":
-                    wave = greens.WaveNumber.negative(k)
                 else:
-                    raise ConfigError(f"[greens]: unknown branch {branch!r}")
+                    wave = greens.WaveNumber(k, branch)
                 val = greens.green(d, wave, float(r))
                 rows.append((d, k.real, k.imag, float(r), val.real, val.imag))
     return rows
@@ -279,18 +276,20 @@ def _run_resonances(cfg):
     return rows
 
 
+def _trace(cfg, modes, grid):
+    num = cfg.numerics
+    return eigensolver.trace_in_epsilon(
+        cfg.params, modes, grid, n_radial=num["radial_nodes"],
+        angular_count=num["angular_nodes"], tol=num["muller_tol"], max_iter=num["max_iter"])
+
+
 def _run_trace(cfg):
     grid = cfg.numerics["epsilon_grid"]
     if not grid:
         raise ConfigError("trace-epsilon requires numerics.epsilon_grid")
-    rows = []
-    for j in range(1, cfg.numerics["n_modes"] + 1):
-        tr = eigensolver.trace_in_epsilon(
-            cfg.params, j, grid, n_radial=cfg.numerics["radial_nodes"],
-            tol=cfg.numerics["muller_tol"], max_iter=cfg.numerics["max_iter"])
-        for e, r in zip(tr.epsilons, tr.results):
-            rows.append((j, e, r.omega.real, r.omega.imag))
-    return rows
+    traces = _trace(cfg, range(1, cfg.numerics["n_modes"] + 1), grid)
+    return [(tr.mode_index, e, r.omega.real, r.omega.imag)
+            for tr in traces for e, r in zip(tr.epsilons, tr.results)]
 
 
 def _run_bound_states(cfg):
@@ -330,7 +329,7 @@ def _run_asymptotics_compare(cfg):
         asymptotics.resonance_expansion_1d(p, grid[0])
 
     def asym_at(eps):
-        pe = nystrom.PhysicalParams(p.d, p.c, p.g, p.omega_a, eps, s0=p.s0, rho0=p.rho0)
+        pe = replace(p, epsilon=eps)
         if p.d == 1:
             return asymptotics.resonance_expansion_1d(pe, eps)
         if kind == "sphere":
@@ -339,9 +338,7 @@ def _run_asymptotics_compare(cfg):
             return asymptotics.resonance_expansion_2d(mode, pe, eps)
         return asymptotics.resonance_expansion_3d(mode, pe, eps)
 
-    trace = eigensolver.trace_in_epsilon(
-        p, j, grid, n_radial=cfg.numerics["radial_nodes"],
-        tol=cfg.numerics["muller_tol"], max_iter=cfg.numerics["max_iter"])
+    [trace] = _trace(cfg, [j], grid)
     rows = []
     for e, r in zip(trace.epsilons, trace.results):
         a = asym_at(e)

@@ -6,6 +6,10 @@ f(omega) = eigenvalue of M(omega) of smallest magnitude and drive it to
 zero with Muller's method, seeded from the spectrum of the limiting
 operator.  Physically admissible roots have Im omega <= 0; a small
 positive slack absorbs roundoff.
+
+`find_resonances` and `trace_in_epsilon` share one mode loop,
+`_solve_modes`: the modes of one parameter set are solved in turn on one
+quadrature rule, each deflated against the roots already found.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import nystrom
-from .nystrom import OperatorKind, PhysicalParams, QuadratureRule, RadialOperator
+from .nystrom import PhysicalParams, QuadratureRule, RadialOperator
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +125,7 @@ class SpectrumResult:
             )
 
 
-def _limiting_frequencies(params: PhysicalParams, n_modes: int, unit_rule=None):
+def _limiting_frequencies(params: PhysicalParams, n_modes: int):
     if params.d == 1:
         if n_modes != 1:
             raise ValueError("the d=1 limiting operator is rank one: n_modes must be 1")
@@ -133,7 +137,7 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int, unit_rule=None):
             w1 = complex(w1, 2.0 * params.g**2 * params.s0_effective
                          / (params.c * math.log(params.epsilon)))
         return [w1]
-    op = nystrom.build_l0_operator(params, unit_rule)
+    op = nystrom.build_l0_operator(params)
     B, _ = nystrom.weighted_symmetrize(op.matrix.real, op.norm_weights)
     mu = np.linalg.eigvalsh(B)[::-1]
     if n_modes > len(mu):
@@ -172,23 +176,21 @@ def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
     return res, (v, residual)
 
 
-def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule = None,
-                    tol: float = 1e-10, max_iter: int = 50) -> list[SpectrumResult]:
-    """Locate the nonlinear eigenvalues seeded from the limiting spectrum.
+def _solve_modes(params: PhysicalParams, seeds: Sequence[complex], rule: QuadratureRule,
+                 tol: float, max_iter: int, modes: Sequence[int] = None) -> list[SpectrumResult]:
+    """The one mode loop: one SpectrumResult per seed, in seed order.
 
-    Returns one entry per requested mode, sorted by Re(omega).  A root that
-    lands within the deflation radius of an earlier mode's root is re-seeded,
-    so converged entries are distinct.  Modes whose Muller iteration fails
-    are returned with converged=False rather than aborting the rest.
+    Each mode deflates against the converged roots of the modes before it:
+    a root within DEFLATION_RADIUS of one of them is re-seeded.  A mode
+    whose Muller iteration fails is logged and returned with
+    converged=False.  `modes` labels the seeds in that warning (1, 2, ...
+    by default).
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if rule is None:
-        rule = nystrom.default_rule(params)
-    seeds = _limiting_frequencies(params, n_modes)
+    if modes is None:
+        modes = range(1, len(seeds) + 1)
     results = []
     roots = []
-    for j, w_seed in enumerate(seeds, start=1):
+    for j, w_seed in zip(modes, seeds):
         res, extra = _solve_one_mode(params, w_seed, rule, tol, max_iter, roots)
         if extra is None:
             log.warning("mode %d did not converge (seed %s, best |f| = %.3e)",
@@ -199,6 +201,23 @@ def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule =
         v, residual = extra
         roots.append(res.root)
         results.append(SpectrumResult(res.root, v, residual, res.iterations, w_seed))
+    return results
+
+
+def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule = None,
+                    tol: float = 1e-10, max_iter: int = 50) -> list[SpectrumResult]:
+    """Locate the nonlinear eigenvalues seeded from the limiting spectrum.
+
+    Returns one entry per requested mode, sorted by Re(omega).  The modes
+    go through the shared mode loop (`_solve_modes`), so converged entries
+    are distinct, and modes whose Muller iteration fails are returned with
+    converged=False rather than aborting the rest.
+    """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    if rule is None:
+        rule = nystrom.default_rule(params)
+    results = _solve_modes(params, _limiting_frequencies(params, n_modes), rule, tol, max_iter)
     return sorted(results, key=lambda s: s.omega.real)
 
 
@@ -216,27 +235,44 @@ class ResonanceTrace:
         return np.array([r.omega for r in self.results])
 
 
-def trace_in_epsilon(params: PhysicalParams, mode_index: int, epsilons: Sequence[float],
-                     n_radial: int = 64, tol: float = 1e-10, max_iter: int = 50,
-                     continuity_rtol: float = 0.1) -> ResonanceTrace:
-    """Warm-started continuation of mode `mode_index` along decreasing eps."""
+def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Sequence[float],
+                     n_radial: int = 64, angular_count: int = None, tol: float = 1e-10,
+                     max_iter: int = 50, continuity_rtol: float = 0.1) -> list[ResonanceTrace]:
+    """Warm-started continuation of the given modes along decreasing eps.
+
+    The limiting spectrum is computed once and seeds the first eps.  At
+    each eps one QuadratureRule.make(eps, n_radial, angular_count) serves
+    every mode, and the modes go through the shared mode loop from their
+    roots at the previous eps, so they deflate against each other.  A
+    mode that fails raises EigensolverError; a root that moves by more
+    than `continuity_rtol` relative to the previous one is logged and
+    recorded in `continuity_breaks`.  Returns one ResonanceTrace per mode,
+    in the order of `modes`.
+    """
+    modes = [int(m) for m in modes]
+    if not modes or min(modes) < 1:
+        raise ValueError("modes must be a non-empty sequence of indices >= 1")
+    if len(set(modes)) != len(modes):
+        raise ValueError("mode indices must be distinct")
     eps = [float(e) for e in epsilons]
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
-    omega_prev = _limiting_frequencies(params, mode_index)[mode_index - 1]
-    results = []
-    breaks = []
+    limit = _limiting_frequencies(params, max(modes))
+    seeds = [limit[m - 1] for m in modes]
+    results = [[] for _ in modes]
+    breaks = [[] for _ in modes]
     for i, e in enumerate(eps):
-        p = PhysicalParams(params.d, params.c, params.g, params.omega_a, e,
-                           s0=params.s0, rho0=params.rho0)
-        rule = QuadratureRule.make(e, n_radial=n_radial)
-        res, extra = _solve_one_mode(p, omega_prev, rule, tol, max_iter, [])
-        if extra is None:
-            raise EigensolverError(f"continuation failed at eps = {e}")
-        v, residual = extra
-        sr = SpectrumResult(res.root, v, residual, res.iterations, omega_prev)
-        if results and abs(sr.omega - results[-1].omega) > continuity_rtol * abs(results[-1].omega):
-            breaks.append(i)
-        results.append(sr)
-        omega_prev = sr.omega
-    return ResonanceTrace(tuple(eps), tuple(results), mode_index, tuple(breaks))
+        rule = QuadratureRule.make(e, n_radial=n_radial, angular_count=angular_count)
+        step = _solve_modes(replace(params, epsilon=e), seeds, rule, tol, max_iter, modes)
+        for m, sr, past, brk in zip(modes, step, results, breaks):
+            if not sr.converged:
+                raise EigensolverError(f"continuation of mode {m} failed at eps = {e}")
+            if past:
+                jump = abs(sr.omega - past[-1].omega) / abs(past[-1].omega)
+                if jump > continuity_rtol:
+                    log.warning("mode %d jumps by %.3e relative at eps = %s", m, jump, e)
+                    brk.append(i)
+            past.append(sr)
+        seeds = [sr.omega for sr in step]
+    return [ResonanceTrace(tuple(eps), tuple(r), m, tuple(b))
+            for m, r, b in zip(modes, results, breaks)]

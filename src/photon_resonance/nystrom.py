@@ -44,7 +44,6 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 
@@ -52,7 +51,7 @@ import numpy as np
 from scipy.special import ellipkm1, jv, yv
 
 from . import greens
-from .greens import Branch, GreensDomainError, WaveNumber
+from .greens import Branch, GreensDomainError
 # _jy0 is not called here; perfbench/tracing.py wraps it under this name
 from .specfun import EULER_GAMMA, _h0, _jy0, _struve_h0_series  # noqa: F401
 
@@ -129,13 +128,6 @@ class PhysicalParams:
         return greens.ball_volume(self.d, 1.0)
 
 
-class OperatorKind(enum.Enum):
-    FULL = "full"
-    LIMITING = "limiting"
-    KERNEL = "kernel-only"
-    BIRMAN_SCHWINGER = "birman-schwinger"
-
-
 _leggauss_cache: dict = {}
 
 
@@ -185,7 +177,6 @@ class QuadratureRule:
     counts: tuple  # nodes per panel
     angular_count: int = 256
     sing_levels: int = SING_LEVELS
-    sing_points: int = SING_POINTS
     close_gap: bool = False  # only for integrands bounded at the singular point
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -200,30 +191,19 @@ class QuadratureRule:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def make(cls, radius, n_radial=64, angular_count=None, grading="boundary"):
-        """Radial rule on [0, radius].
-
-        grading="boundary" grades panels toward the outer boundary, where
-        eigenfunctions of the nonlocal operators have weak derivative
-        singularities; "plain" is a single Gauss panel.
-        """
-        if grading == "plain":
-            brk = np.array([0.0, radius])
-        elif grading == "boundary":
-            brk = _graded_breakpoints(0.0, radius, False, True)
-        else:
-            raise ValueError(f"unknown grading {grading!r}")
+    def make(cls, radius, n_radial=64, angular_count=None):
+        """Radial rule on [0, radius], graded toward the outer boundary,
+        where eigenfunctions of the nonlocal operators have weak
+        derivative singularities."""
+        brk = _graded_breakpoints(0.0, radius, False, True)
         return cls._from_breakpoints(brk, n_radial, angular_count)
 
     @classmethod
-    def make_interval(cls, a, b, n_nodes=64, angular_count=None, grading="boundary"):
+    def make_interval(cls, a, b, n_nodes=64, angular_count=None):
         """Rule on a general interval [a, b], graded toward both ends."""
         if b <= a:
             raise ValueError("need a < b")
-        if grading == "plain":
-            brk = np.array([a, b])
-        else:
-            brk = _graded_breakpoints(a, b, True, True)
+        brk = _graded_breakpoints(a, b, True, True)
         return cls._from_breakpoints(brk, n_nodes, angular_count)
 
     @classmethod
@@ -330,7 +310,7 @@ class QuadratureRule:
                 else:
                     pieces = [(a, b)]
             for lo, hi in pieces:
-                n = self.sing_points if (hi - lo) < 0.9 * width else PLAIN_POINTS
+                n = SING_POINTS if (hi - lo) < 0.9 * width else PLAIN_POINTS
                 x, w = _gauss_panel(lo, hi, n)
                 ts.append(x)
                 vs.append(w)
@@ -409,22 +389,16 @@ def _branch_for(k):
     raise GreensDomainError("k on the punctured imaginary axis")
 
 
-def _g1_values(k, s, branch):
-    """1D kernel at separations s (array), tolerating tiny s."""
-    s = np.asarray(s, dtype=float)
-    return greens._g1(k, s, branch)
-
-
 def kernel_1d(k, branch):
     def f(r0, t):
-        return _g1_values(k, np.abs(r0 - t), branch) + _g1_values(k, r0 + t, branch)
+        return greens._g1(k, np.abs(r0 - t), branch) + greens._g1(k, r0 + t, branch)
     return f
 
 
 def kernel_1d_interval(k, branch):
     """Kernel on a general interval (no even reduction)."""
     def f(x0, t):
-        return _g1_values(k, np.abs(x0 - t), branch)
+        return greens._g1(k, np.abs(x0 - t), branch)
     return f
 
 
@@ -433,7 +407,7 @@ def kernel_3d_reduced(k, branch):
         return kernel_a0_reduced(3)
 
     def f(r0, t):
-        val = (_g1_values(k, np.abs(r0 - t), branch) - _g1_values(k, r0 + t, branch)) / (r0 * t)
+        val = (greens._g1(k, np.abs(r0 - t), branch) - greens._g1(k, r0 + t, branch)) / (r0 * t)
         if not np.all(np.isfinite(val)):
             bad = t[~np.isfinite(val)][:1]
             raise NystromError(f"non-finite 3d kernel at r={r0}, r'={bad}")
@@ -599,7 +573,6 @@ class RadialOperator:
     rule: QuadratureRule
     omega: complex
     params: PhysicalParams
-    kind: OperatorKind
     norm_weights: np.ndarray
 
     def weighted_norm(self, v):
@@ -651,8 +624,7 @@ def build_full_operator(params, omega, rule=None):
     W = full_kernel_matrix(rule, params.d, k, _branch_for(k))
     pref = params.g**2 * params.density / params.c
     M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - pref * W
-    return RadialOperator(M, rule, omega, params, OperatorKind.FULL,
-                          _volume_weights(params.d, rule))
+    return RadialOperator(M, rule, omega, params, _volume_weights(params.d, rule))
 
 
 def unit_rule(n_radial=64):
@@ -668,16 +640,14 @@ def build_l0_operator(params, rule=None):
         rule = unit_rule()
     W = build_kernel_matrix(rule, kernel_a0_reduced(params.d), params.d - 1)
     pref = params.g**2 * params.s0_effective / params.c
-    return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, OperatorKind.KERNEL,
-                          _volume_weights(params.d, rule))
+    return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, _volume_weights(params.d, rule))
 
 
 def build_limiting_operator(params, omega, rule=None):
     """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
     l0 = build_l0_operator(params, rule)
     M = -(complex(omega) - params.omega_a) * np.eye(len(l0.rule.nodes)) - l0.matrix
-    return RadialOperator(M, l0.rule, complex(omega), params, OperatorKind.LIMITING,
-                          l0.norm_weights)
+    return RadialOperator(M, l0.rule, complex(omega), params, l0.norm_weights)
 
 
 def build_a1_operator(params, omega_j, rule):
@@ -687,7 +657,7 @@ def build_a1_operator(params, omega_j, rule):
     k = complex(omega_j) / params.c
     W = build_kernel_matrix(rule, kernel_a1_reduced(params.d, k), params.d - 1)
     pref = -params.g**2 * params.s0_effective / params.c
-    return RadialOperator(pref * W, rule, complex(omega_j), params, OperatorKind.KERNEL,
+    return RadialOperator(pref * W, rule, complex(omega_j), params,
                           _volume_weights(params.d, rule))
 
 
@@ -705,5 +675,4 @@ def build_rank1_limit_1d(params, omega, rule=None):
     pref = params.g**2 * params.s0_effective / (np.pi * params.c)
     N = len(rule.nodes)
     M = -(complex(omega) - params.omega_a) * np.eye(N) - pref * np.tile(w_even, (N, 1))
-    return RadialOperator(M.astype(complex), rule, complex(omega), params,
-                          OperatorKind.LIMITING, 2.0 * rule.weights)
+    return RadialOperator(M.astype(complex), rule, complex(omega), params, 2.0 * rule.weights)

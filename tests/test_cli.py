@@ -1,10 +1,11 @@
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from photon_resonance import boundstates, cli, greens
+from photon_resonance import boundstates, cli, greens, nystrom
 from photon_resonance.cli import ConfigError
 
 
@@ -110,6 +111,13 @@ def test_greens_table_values_and_schema(tmp_path):
     ref = greens.green(1, greens.WaveNumber.negative(-1.0), 0.5)
     assert float(first[4]) == pytest.approx(ref.real, rel=1e-15)
     assert float(first[5]) == 0.0
+
+
+def test_unknown_greens_branch_exits_1(tmp_path, capsys):
+    path = write_cfg(tmp_path, GREENS_CFG.replace("branch = negative", "branch = sideways"))
+    code = cli.main(["greens-table", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "sideways" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -255,3 +263,45 @@ epsilon_grid = 0.01, 0.005
     code = cli.main(["asymptotics-compare", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "regime" in capsys.readouterr().err
+
+
+def test_trace_epsilon_uses_angular_nodes(tmp_path, monkeypatch):
+    cfg = """
+experiment = trace-epsilon
+
+[params]
+d = 2
+c = 1.0
+g = 1.0
+omega_a = 1.0
+epsilon = 0.2
+s0 = 1.0
+
+[numerics]
+radial_nodes = 24
+angular_nodes = 64
+n_modes = 1
+epsilon_grid = 0.2, 0.1
+"""
+    counts = []
+    build = nystrom.build_full_operator
+
+    def recorded(params, omega, rule=None):
+        counts.append(rule.angular_count)
+        return build(params, omega, rule)
+
+    monkeypatch.setattr(nystrom, "build_full_operator", recorded)
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["trace-epsilon", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert counts and set(counts) == {64}  # not the 4 N = 96 default
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))
+                         + glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_configs_resolve(path, tmp_path):
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
+    assert cfg.experiment in cli.EXPERIMENTS

@@ -20,8 +20,7 @@ def test_characteristic_value_diagonal():
     p = PhysicalParams(d=3, c=1, g=1, omega_a=1, epsilon=0.1, s0=1)
 
     def as_op(mat):
-        return ny.RadialOperator(mat, rule, 0.0 + 0j, p, ny.OperatorKind.FULL,
-                                 np.ones(mat.shape[0]))
+        return ny.RadialOperator(mat, rule, 0.0 + 0j, p, np.ones(mat.shape[0]))
 
     m = np.diag([3.0 + 0j, -0.1 + 0j, 2.0j])
     assert es.characteristic_value(as_op(m)) == -0.1
@@ -174,16 +173,56 @@ def test_one_dimensional_bound_mode_real():
 
 def test_trace_requires_decreasing_grid():
     with pytest.raises(ValueError):
-        es.trace_in_epsilon(params3(), 1, [0.1, 0.2])
+        es.trace_in_epsilon(params3(), [1], [0.1, 0.2])
 
 
 def test_trace_warm_start_and_limit():
     p = params3()
     eps = [4e-2, 2e-2, 1e-2, 5e-3]
-    tr = es.trace_in_epsilon(p, 1, eps, n_radial=32)
+    [tr] = es.trace_in_epsilon(p, [1], eps, n_radial=32)
     assert tr.continuity_breaks == ()
     w_seed = tr.results[0].seed
     gaps = [abs(r.omega - w_seed) for r in tr.results]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))  # approaching the limit
     slope = orc.loglog_slope(eps, gaps)
     assert 0.8 <= slope <= 1.3  # O(eps) approach in 3D
+
+
+def test_trace_rejects_bad_modes():
+    for modes in ([], [0, 1], [1, 1]):
+        with pytest.raises(ValueError):
+            es.trace_in_epsilon(params3(), modes, [0.1, 0.05])
+
+
+def test_trace_shares_one_rule_per_eps_and_one_limit(monkeypatch):
+    radii, l0_builds = [], []
+    make, build_l0 = QuadratureRule.make.__func__, ny.build_l0_operator
+
+    def counted_make(cls, radius, *args, **kwargs):
+        radii.append(radius)
+        return make(cls, radius, *args, **kwargs)
+
+    def counted_l0(*args, **kwargs):
+        l0_builds.append(1)
+        return build_l0(*args, **kwargs)
+
+    monkeypatch.setattr(QuadratureRule, "make", classmethod(counted_make))
+    monkeypatch.setattr(ny, "build_l0_operator", counted_l0)
+    eps = [4e-2, 2e-2]
+    traces = es.trace_in_epsilon(params3(), (1, 2), eps, n_radial=16)
+    # the unit rule of the limiting operator, then one rule per eps for both modes
+    assert radii == [1.0, *eps]
+    assert len(l0_builds) == 1
+    assert [tr.mode_index for tr in traces] == [1, 2]
+    assert all(r.converged for tr in traces for r in tr.results)
+    assert traces[0].omegas[-1].real < traces[1].omegas[-1].real
+
+
+def test_trace_logs_continuity_breaks(caplog):
+    with caplog.at_level("WARNING", logger=es.__name__):
+        [tr] = es.trace_in_epsilon(params3(), [1], [4e-2, 2e-2], n_radial=16,
+                                   continuity_rtol=1e-12)
+    assert tr.continuity_breaks == (1,)
+    [rec] = [r for r in caplog.records if r.name == es.__name__]
+    assert rec.levelname == "WARNING"
+    assert "mode 1" in rec.getMessage() and "eps = 0.02" in rec.getMessage()
