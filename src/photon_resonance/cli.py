@@ -11,8 +11,8 @@ significant digits so identical configs reproduce byte-identical output.
 Config files are plain text: top-level ``key = value`` lines plus
 ``[section]`` blocks; unknown sections or keys are rejected with the
 offending line number.  ``#`` starts a comment.  Exit codes: 0 success,
-1 configuration error, 2 solver non-convergence (partial results are
-flushed first).
+1 configuration error, 2 solver failure (non-convergence, LinAlgError or
+NystromError; partial results are flushed first).
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ class SolverFailure(RuntimeError):
     pass
 
 
+SOLVER_ERRORS = (np.linalg.LinAlgError, nystrom.NystromError)
+
+
 # ----------------------------------------------------------------------
 # strict key-value config parsing
 # ----------------------------------------------------------------------
@@ -56,7 +59,7 @@ _SCHEMA = {
     "": {"experiment": str, "out_dir": str},
     "params": {"d": int, "c": float, "g": float, "omega_a": float,
                "epsilon": float, "s0": float, "rho0": float},
-    "numerics": {"radial_nodes": int, "angular_nodes": int, "muller_tol": float,
+    "numerics": {"radial_nodes": int, "muller_tol": float,
                  "max_iter": int, "n_modes": int, "mode_index": int,
                  "epsilon_grid": "floats"},
     "greens": {"dims": "ints", "k_values": "complexes", "r_values": "floats",
@@ -73,7 +76,7 @@ _SCHEMA = {
 
 _DEFAULTS = {
     "out_dir": "out",
-    "numerics": {"radial_nodes": 64, "angular_nodes": None, "muller_tol": 1e-10,
+    "numerics": {"radial_nodes": 64, "muller_tol": 1e-10,
                  "max_iter": 50, "n_modes": 5, "mode_index": 1,
                  "epsilon_grid": None},
     "greens": {"dims": [1, 2, 3], "k_values": [-1.0 + 0j], "r_values": [0.5, 1.0, 2.0],
@@ -259,15 +262,10 @@ def _run_greens_table(cfg):
     return rows
 
 
-def _rule_for(cfg, radius):
-    return nystrom.QuadratureRule.make(
-        radius, n_radial=cfg.numerics["radial_nodes"],
-        angular_count=cfg.numerics["angular_nodes"])
-
-
 def _run_resonances(cfg):
+    rule = nystrom.QuadratureRule.make(cfg.params.epsilon, n_radial=cfg.numerics["radial_nodes"])
     res = eigensolver.find_resonances(
-        cfg.params, cfg.numerics["n_modes"], rule=_rule_for(cfg, cfg.params.epsilon),
+        cfg.params, cfg.numerics["n_modes"], rule=rule,
         tol=cfg.numerics["muller_tol"], max_iter=cfg.numerics["max_iter"])
     rows = [(j, r.omega.real, r.omega.imag, r.residual, r.iterations)
             for j, r in enumerate(res, start=1)]
@@ -279,8 +277,8 @@ def _run_resonances(cfg):
 def _trace(cfg, modes, grid):
     num = cfg.numerics
     return eigensolver.trace_in_epsilon(
-        cfg.params, modes, grid, n_radial=num["radial_nodes"],
-        angular_count=num["angular_nodes"], tol=num["muller_tol"], max_iter=num["max_iter"])
+        cfg.params, modes, grid, n_radial=num["radial_nodes"], tol=num["muller_tol"],
+        max_iter=num["max_iter"])
 
 
 def _run_trace(cfg):
@@ -302,8 +300,8 @@ def _run_bound_states(cfg):
         try:
             st = boundstates.solve_bound_state(
                 prof, cfg.params, n, n_nodes=cfg.numerics["radial_nodes"])
-        except boundstates.BoundStateNotFound as exc:
-            print(f"mode {n}: {exc}", file=sys.stderr)
+        except (boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
+            print(f"solver failure: mode {n}: {exc}", file=sys.stderr)
             failures = True
             continue
         rows.append((n, st.omega, st.mu))
@@ -400,7 +398,7 @@ def run(cfg: RunConfig):
         status = 2
     except asymptotics.AsymptoticsError as exc:
         raise ConfigError(str(exc)) from None
-    except (eigensolver.EigensolverError, boundstates.BoundStateNotFound) as exc:
+    except (eigensolver.EigensolverError, boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         rows = []
         status = 2

@@ -236,18 +236,18 @@ class ResonanceTrace:
 
 
 def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Sequence[float],
-                     n_radial: int = 64, angular_count: int = None, tol: float = 1e-10,
-                     max_iter: int = 50, continuity_rtol: float = 0.1) -> list[ResonanceTrace]:
+                     n_radial: int = 64, tol: float = 1e-10, max_iter: int = 50,
+                     continuity_rtol: float = 0.1) -> list[ResonanceTrace]:
     """Warm-started continuation of the given modes along decreasing eps.
 
     The limiting spectrum is computed once and seeds the first eps.  At
-    each eps one QuadratureRule.make(eps, n_radial, angular_count) serves
-    every mode, and the modes go through the shared mode loop from their
-    roots at the previous eps, so they deflate against each other.  A
-    mode that fails raises EigensolverError; a root that moves by more
-    than `continuity_rtol` relative to the previous one is logged and
-    recorded in `continuity_breaks`.  Returns one ResonanceTrace per mode,
-    in the order of `modes`.
+    each eps one QuadratureRule.make(eps, n_radial) serves every mode, and
+    the modes go through the shared mode loop from their roots at the
+    previous eps, so they deflate against each other.  A mode that fails
+    raises EigensolverError; a jump larger than `continuity_rtol` times
+    the distance from the previous root to Omega or to another traced
+    mode's previous root is logged and recorded in `continuity_breaks`.
+    Returns one ResonanceTrace per mode, in the order of `modes`.
     """
     modes = [int(m) for m in modes]
     if not modes or min(modes) < 1:
@@ -262,17 +262,18 @@ def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Seq
     results = [[] for _ in modes]
     breaks = [[] for _ in modes]
     for i, e in enumerate(eps):
-        rule = QuadratureRule.make(e, n_radial=n_radial, angular_count=angular_count)
+        rule = QuadratureRule.make(e, n_radial=n_radial)
         step = _solve_modes(replace(params, epsilon=e), seeds, rule, tol, max_iter, modes)
-        for m, sr, past, brk in zip(modes, step, results, breaks):
+        for n, (m, sr) in enumerate(zip(modes, step)):
             if not sr.converged:
                 raise EigensolverError(f"continuation of mode {m} failed at eps = {e}")
-            if past:
-                jump = abs(sr.omega - past[-1].omega) / abs(past[-1].omega)
+            if i > 0:  # seeds are the roots at the previous eps
+                scale = min(abs(seeds[n] - w) for w in [params.omega_a, *seeds[:n], *seeds[n + 1:]])
+                jump = abs(sr.omega - seeds[n]) / scale
                 if jump > continuity_rtol:
                     log.warning("mode %d jumps by %.3e relative at eps = %s", m, jump, e)
-                    brk.append(i)
-            past.append(sr)
+                    breaks[n].append(i)
+            results[n].append(sr)
         seeds = [sr.omega for sr in step]
     return [ResonanceTrace(tuple(eps), tuple(r), m, tuple(b))
             for m, r, b in zip(modes, results, breaks)]

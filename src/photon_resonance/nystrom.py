@@ -35,10 +35,10 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 * d = 3: exact, via the antiderivative identity
       int_{S^2} G3(|x - r' yhat|) dsigma = [G1(|r-r'|) - G1(r+r')] / (r r')
   with G1 the one-dimensional kernel on the same branch;
-* d = 2: the singular components have closed reductions (complete elliptic
-  integral for the 1/|x-y| part, Bessel addition theorem for the
-  Y0 / Hankel parts); only the entire Struve component is reduced with the
-  trapezoidal angular rule;
+* d = 2: exact too: closed reductions for the singular components
+  (elliptic K for 1/|x-y|, Bessel addition theorem for Y0 / Hankel) and
+  the Struve power series summed over angular moments of rho (`hyp2f1`)
+  cached per rule, with NystromError where the series cancels;
 * d = 1: the two-point sum G1(|r-r'|) + G1(r+r') on even functions.
 """
 
@@ -48,11 +48,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ellipkm1, jv, yv
+from scipy.special import ellipkm1, hyp2f1, jv, yv
 
 from . import greens
 from .greens import Branch, GreensDomainError
-# _jy0 is not called here; perfbench/tracing.py wraps it under this name
+# _jy0 and _struve_h0_series are uncalled here; perfbench/tracing.py wraps these names
 from .specfun import EULER_GAMMA, _h0, _jy0, _struve_h0_series  # noqa: F401
 
 SING_LEVELS = 36  # dyadic refinement depth toward the diagonal (k = 0 kernel)
@@ -61,6 +61,7 @@ SING_POINTS = 16  # Gauss points per dyadic panel
 PLAIN_POINTS = 28  # Gauss points on panels away from the singularity
 MAX_PANEL_NODES = 24  # interp degree cap; row quadratures must out-integrate it
 BOUNDARY_FRACTIONS = (0.5, 0.925, 0.98875, 0.9983125)  # graded panel breaks
+STRUVE_MAX_CANCELLATION = 1e7  # largest series term / sum: about 8 digits kept
 
 
 class NystromError(RuntimeError):
@@ -166,16 +167,15 @@ class QuadratureRule:
     `regular_rule()` derives the rule for the bounded remainder of a split
     build: the same grid with REG_LEVELS levels and `close_gap` set, so
     that its innermost panel reaches the singular point.  Row quadratures,
-    the derived rule and the k-independent part of each split build are
-    cached on the rule (`_cache`), so one rule should serve all builds of
-    one discretization.
+    the derived rule, the k-independent part of each split build and the
+    2D Struve moments are cached on the rule (`_cache`), so one rule should
+    serve all builds of one discretization.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     panels: np.ndarray  # breakpoints, shape (n_panels+1,)
     counts: tuple  # nodes per panel
-    angular_count: int = 256
     sing_levels: int = SING_LEVELS
     close_gap: bool = False  # only for integrands bounded at the singular point
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -185,29 +185,27 @@ class QuadratureRule:
             raise ValueError("need at least 8 radial nodes")
         if np.any(self.weights <= 0):
             raise ValueError("base quadrature weights must be positive")
-        if self.angular_count < 8:
-            raise ValueError("need at least 8 angular nodes")
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def make(cls, radius, n_radial=64, angular_count=None):
+    def make(cls, radius, n_radial=64):
         """Radial rule on [0, radius], graded toward the outer boundary,
         where eigenfunctions of the nonlocal operators have weak
         derivative singularities."""
         brk = _graded_breakpoints(0.0, radius, False, True)
-        return cls._from_breakpoints(brk, n_radial, angular_count)
+        return cls._from_breakpoints(brk, n_radial)
 
     @classmethod
-    def make_interval(cls, a, b, n_nodes=64, angular_count=None):
+    def make_interval(cls, a, b, n_nodes=64):
         """Rule on a general interval [a, b], graded toward both ends."""
         if b <= a:
             raise ValueError("need a < b")
         brk = _graded_breakpoints(a, b, True, True)
-        return cls._from_breakpoints(brk, n_nodes, angular_count)
+        return cls._from_breakpoints(brk, n_nodes)
 
     @classmethod
-    def _from_breakpoints(cls, brk, n_nodes, angular_count):
+    def _from_breakpoints(cls, brk, n_nodes):
         if n_nodes < 8:
             raise ValueError("need at least 8 radial nodes")
         widths = np.diff(brk)
@@ -236,14 +234,11 @@ class QuadratureRule:
             x, w = _gauss_panel(brk[i], brk[i + 1], int(counts[i]))
             nodes.append(x)
             weights.append(w)
-        if angular_count is None:
-            angular_count = 4 * n_nodes
         return cls(
             nodes=np.concatenate(nodes),
             weights=np.concatenate(weights),
             panels=np.asarray(brk, dtype=float),
             counts=tuple(int(c) for c in counts),
-            angular_count=int(angular_count),
         )
 
     # -- geometry helpers ------------------------------------------------
@@ -440,21 +435,34 @@ def kernel_2d_singular(k, branch):
     return f
 
 
-def kernel_2d_struve_reduced(k, branch, angular_count):
-    """Trapezoidal angular reduction of the -(kappa/4) H0_struve(kappa rho)
-    component, which is entire and needs no singular treatment.  Returns a
-    matrix-valued evaluator over node vectors."""
+def kernel_2d_struve(k, branch, r, t, moments):
+    """Exact angular reduction of the entire -(kappa/4) H0_struve(kappa rho)
+    component as a (len(r), len(t)) matrix: the power series of H0 summed
+    term by term over the k-independent moments of rho, which the list
+    `moments` keeps and grows on demand.  Raises NystromError when the
+    largest term exceeds the sum by more than STRUVE_MAX_CANCELLATION."""
     kappa = -k if branch is Branch.NEGATIVE else k
-
-    def f(r, t):
-        theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-        rr = r[:, None, None]
-        tt = t[None, :, None]
-        rho = np.sqrt(rr**2 + tt**2 - 2 * rr * tt * np.cos(theta)[None, None, :])
-        vals = _struve_h0_series(np.asarray(kappa * rho, dtype=complex))
-        integral = vals.mean(axis=2) * 2.0 * np.pi
-        return -(kappa / 4.0) * integral
-    return f
+    s = r[:, None] + t[None, :]
+    m = np.minimum(4.0 * r[:, None] * t[None, :] / s**2, 1.0)  # rounded into [0, 1]
+    z = complex(kappa) * s.max()
+    term = z * 2.0 / np.pi  # (z/2) / Gamma(3/2)^2
+    total = peak = 0.0
+    for j in range(201):
+        if j == len(moments):  # <rho^(2j+1)> / s.max()^(2j+1), in [0, 1]
+            M = (s / s.max()) ** (2 * j + 1) * hyp2f1(-j - 0.5, 0.5, 1.0, m)
+            if not np.all(np.isfinite(M)):  # hyp2f1 fails at m = 1 for j >~ 170
+                raise NystromError(f"non-finite 2d Struve moment {j}")
+            moments.append(M)
+        total += term * moments[j]
+        peak = max(peak, abs(term) * moments[j].max())
+        term *= -((z / 2.0) ** 2) / ((j + 1.5) ** 2)
+        if abs(term) <= 1e-18 * np.max(np.abs(total)):  # moments are at most 1
+            break
+        if not math.isfinite(abs(term)):
+            raise NystromError(f"2d Struve series overflows at |kappa| (r + t)_max = {abs(z):.3g}")
+    if not peak <= STRUVE_MAX_CANCELLATION * np.max(np.abs(total)):  # NaN fails too
+        raise NystromError(f"2d Struve series cancels at |kappa| (r + t)_max = {abs(z):.3g}")
+    return -(np.pi * kappa / 2.0) * total
 
 
 def kernel_a0_reduced(d):
@@ -492,7 +500,7 @@ def kernel_a1_reduced(d, k):
     raise ValueError("A1 reduction applies to d in {2, 3}")
 
 
-def reduced_kernel(d, k, r, rp, rule=None):
+def reduced_kernel(d, k, r, rp):
     """Angular average of G^k over shells |x| = r, |y| = rp (surface measure
     of the unit sphere included), for r != rp."""
     branch = _branch_for(k)
@@ -506,14 +514,9 @@ def reduced_kernel(d, k, r, rp, rule=None):
     if d == 3:
         return complex(kernel_3d_reduced(kc, branch)(r, np.asarray([rp]))[0])
     if d == 2:
-        n_ang = rule.angular_count if rule is not None else 512
-        sing = complex(kernel_2d_singular(kc, branch)(r, np.asarray([rp]))[0])
-        if branch is Branch.ZERO:
-            return sing
-        smooth = complex(
-            kernel_2d_struve_reduced(kc, branch, n_ang)(np.asarray([r]), np.asarray([rp]))[0, 0]
-        )
-        return sing + smooth
+        tt = np.asarray([rp])
+        struve = kernel_2d_struve(kc, branch, np.asarray([r]), tt, [])
+        return complex(kernel_2d_singular(kc, branch)(r, tt)[0] + struve[0, 0])
     raise ValueError("dimension must be 1, 2 or 3")
 
 
@@ -521,7 +524,7 @@ def reduced_kernel(d, k, r, rp, rule=None):
 # matrix assembly
 # ----------------------------------------------------------------------
 
-def build_split_matrix(rule, family, k, branch, measure_power, smooth_kernel=None):
+def build_split_matrix(rule, family, k, branch, measure_power):
     """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
 
     W_sing - Q_reg[family(0)] is k-independent and assembled once per
@@ -535,15 +538,12 @@ def build_split_matrix(rule, family, k, branch, measure_power, smooth_kernel=Non
         kernel0 = family(0.0, Branch.ZERO)
         fixed = rule._cache[key] = (build_kernel_matrix(rule, kernel0, measure_power)
                                     - build_kernel_matrix(reg, kernel0, measure_power))
-    return fixed + build_kernel_matrix(reg, family(k, branch), measure_power, smooth_kernel)
+    return fixed + build_kernel_matrix(reg, family(k, branch), measure_power)
 
 
-def build_kernel_matrix(rule, kernel, measure_power, smooth_kernel=None):
-    """Dense matrix of f -> int K(r, r') f(r') r'^p dr' on the rule's nodes.
-
-    `kernel(r0, t)` is integrated with the singular row quadrature;
-    `smooth_kernel(r_vec, t_vec)`, if given, is added with the plain rule.
-    """
+def build_kernel_matrix(rule, kernel, measure_power):
+    """Dense matrix of f -> int K(r, r') f(r') r'^p dr' on the rule's nodes,
+    with `kernel(r0, t)` integrated by the singular row quadrature."""
     nodes = rule.nodes
     N = len(nodes)
     W = np.zeros((N, N), dtype=complex)
@@ -555,9 +555,6 @@ def build_kernel_matrix(rule, kernel, measure_power, smooth_kernel=None):
             raise NystromError(f"non-finite kernel value at r={r0}, r'={bad}")
         B = rule.interp_matrix(t)
         W[i, :] = (kv * v * t**measure_power) @ B
-    if smooth_kernel is not None:
-        Ks = smooth_kernel(nodes, nodes)
-        W += Ks * (rule.weights * nodes**measure_power)[None, :]
     return W
 
 
@@ -608,8 +605,11 @@ def full_kernel_matrix(rule, d, k, branch):
     """Split build of the reduced resolvent kernel in dimension d; in 2D
     the entire Struve component is added with the plain rule."""
     family = {1: kernel_1d, 2: kernel_2d_singular, 3: kernel_3d_reduced}[d]
-    smooth = kernel_2d_struve_reduced(k, branch, rule.angular_count) if d == 2 else None
-    return build_split_matrix(rule, family, k, branch, d - 1, smooth)
+    W = build_split_matrix(rule, family, k, branch, d - 1)
+    if d == 2:
+        moments = rule._cache.setdefault("struve_moments", [])
+        W += kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments) * rule.weights * rule.nodes
+    return W
 
 
 def build_full_operator(params, omega, rule=None):

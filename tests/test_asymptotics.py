@@ -109,7 +109,7 @@ def test_joint_2d_expansion():
     ratios = []
     for eps in (3e-3, 1e-3):
         pe = params(d=2, eps=eps)
-        rule = QuadratureRule.make(eps, n_radial=40, angular_count=160)
+        rule = QuadratureRule.make(eps, n_radial=40)
         res, extra = es._solve_one_mode(pe, mode.omega_j, rule, 1e-11, 60, [])
         assert extra is not None
         pred = asym.resonance_expansion_2d(mode, pe, eps)

@@ -265,35 +265,48 @@ epsilon_grid = 0.01, 0.005
     assert "regime" in capsys.readouterr().err
 
 
-def test_trace_epsilon_uses_angular_nodes(tmp_path, monkeypatch):
+def test_2d_bound_state_solver_failure_exits_2(tmp_path, capsys):
+    # the deep bracket end puts the 2D Struve series far past its reach
     cfg = """
-experiment = trace-epsilon
+experiment = bound-states
 
 [params]
 d = 2
 c = 1.0
 g = 1.0
 omega_a = 1.0
-epsilon = 0.2
+epsilon = 1.0
 s0 = 1.0
 
 [numerics]
-radial_nodes = 24
-angular_nodes = 64
-n_modes = 1
-epsilon_grid = 0.2, 0.1
+radial_nodes = 32
+
+[bound_states]
+rho0 = 4.0
+half_width = 1.0
 """
-    counts = []
-    build = nystrom.build_full_operator
-
-    def recorded(params, omega, rule=None):
-        counts.append(rule.angular_count)
-        return build(params, omega, rule)
-
-    monkeypatch.setattr(nystrom, "build_full_operator", recorded)
     path = write_cfg(tmp_path, cfg)
-    assert cli.main(["trace-epsilon", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert counts and set(counts) == {64}  # not the 4 N = 96 default
+    out = str(tmp_path / "o")
+    assert cli.main(["bound-states", "--config", path, "--out", out]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    lines = open(os.path.join(out, "bound-states.csv")).read().splitlines()
+    assert lines == ["mode,omega,mu_check"]
+
+
+def test_bound_states_flush_rows_before_a_linalg_failure(tmp_path, monkeypatch, capsys):
+    def solve(profile, params, n, n_nodes):
+        if n == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return boundstates.BoundState(-0.5, 1.0)
+
+    monkeypatch.setattr(boundstates, "solve_bound_state", solve)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    cfg.bound_block["modes"] = 2
+    code, csv_path = cli.run(cfg)
+    assert code == 2
+    assert "solver failure: mode 2" in capsys.readouterr().err
+    assert open(csv_path).read().splitlines() == ["mode,omega,mu_check", "1,-0.5,1"]
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)

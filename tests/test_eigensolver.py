@@ -145,8 +145,7 @@ def test_tiny_eps_roots_stay_near_seeds():
 
 def test_find_resonances_2d_smoke():
     p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.1, s0=1.0)
-    res = es.find_resonances(p, 2, rule=QuadratureRule.make(0.1, n_radial=28,
-                                                            angular_count=128))
+    res = es.find_resonances(p, 2, rule=QuadratureRule.make(0.1, n_radial=28))
     assert all(r.converged for r in res)
     assert res[0].omega.real < res[1].omega.real < 1.0
     assert all(r.omega.imag < 0 for r in res)
@@ -186,6 +185,16 @@ def test_trace_warm_start_and_limit():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))  # approaching the limit
     slope = orc.loglog_slope(eps, gaps)
     assert 0.8 <= slope <= 1.3  # O(eps) approach in 3D
+
+
+def test_smooth_2d_trace_logs_no_continuity_break(caplog):
+    # the perfbench trace_2d shape: mode 1 moves by 20 % of its own size,
+    # yet by a few percent of its distance to Omega and to mode 2
+    p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.2, s0=1.0)
+    with caplog.at_level("WARNING", logger=es.__name__):
+        traces = es.trace_in_epsilon(p, [1, 2], [0.2, 0.1], n_radial=48)
+    assert [tr.continuity_breaks for tr in traces] == [(), ()]
+    assert not [r for r in caplog.records if r.name == es.__name__]
 
 
 def test_trace_rejects_bad_modes():

@@ -87,7 +87,7 @@ def test_reduced_kernel_3d_outgoing_oracle():
 
 
 def test_reduced_kernel_2d_outgoing_oracle():
-    # trapezoid+closed-form reduction against adaptive quadrature
+    # exact reduction against adaptive quadrature
     from scipy.integrate import quad
     k, r, rp = 0.8, 0.35, 0.8
     def f(th, part):
@@ -128,17 +128,6 @@ def test_full_operator_refinement_stability():
     for n in (32, 64):
         rule = QuadratureRule.make(0.1, n_radial=n)
         op = ny.build_full_operator(p, 0.5 * p.omega_a + 0j, rule)
-        ev = np.linalg.eigvals(op.matrix)
-        vals.append(ev[np.argmin(np.abs(ev))])
-    assert abs(vals[0] - vals[1]) <= 1e-6
-
-
-def test_full_operator_angular_refinement_stability():
-    p = PhysicalParams(d=2, c=1, g=1, omega_a=1, epsilon=0.1, s0=1)
-    vals = []
-    for ang in (128, 256):
-        rule = QuadratureRule.make(0.1, n_radial=32, angular_count=ang)
-        op = ny.build_full_operator(p, 0.5 + 0j, rule)
         ev = np.linalg.eigvals(op.matrix)
         vals.append(ev[np.argmin(np.abs(ev))])
     assert abs(vals[0] - vals[1]) <= 1e-6
@@ -301,3 +290,80 @@ def test_second_build_skips_k0_kernel(monkeypatch):
     ny.build_full_operator(params3(0.1), 0.8 - 0.001j, rule)
     assert k0_points == []
     assert sum(points) <= 0.4 * one_piece
+
+
+def test_struve_moments_against_mpmath():
+    # the cached moments <rho^(2j+1)> / D^(2j+1), D = 2 r_max: the diagonal
+    # (m = 1), the nearest neighbours (m closest to 1) and four full rows
+    import mpmath as mp
+    rule = QuadratureRule.make(1.0, n_radial=48)
+    r = rule.nodes
+    n = len(r)
+    moments = []
+    ny.kernel_2d_struve(6.0, Branch.OUTGOING, r, r, moments)
+    assert len(moments) > 20
+    pairs = ({(a, a) for a in range(n)} | {(a, a + 1) for a in range(n - 1)}
+             | {(a, b) for a in (0, n // 3, 2 * n // 3, n - 1) for b in range(n)})
+    D = mp.mpf(2 * r.max())
+    with mp.workdps(20):
+        for j in range(21):
+            for a, b in pairs:
+                s = mp.mpf(r[a]) + mp.mpf(r[b])
+                m = 4 * mp.mpf(r[a]) * mp.mpf(r[b]) / s**2
+                ref = (s / D) ** (2 * j + 1) * mp.hyp2f1(-j - mp.mpf(0.5), 0.5, 1, m)
+                assert abs(moments[j][a, b] - ref) <= 1e-13 * ref, (j, a, b)
+
+
+def _struve_reference(kappa, r):
+    # -(kappa/4) int_0^2pi H0_struve(kappa rho) dtheta by adaptive quadrature,
+    # split where rho stops being close to |r - t|
+    from scipy.integrate import quad
+    from scipy.special import struve
+    ref = np.empty((len(r), len(r)))
+    for a in range(len(r)):
+        for b in range(a, len(r)):
+            ra, rb = r[a], r[b]
+
+            def f(th):
+                rho = np.sqrt((ra - rb) ** 2 + 4 * ra * rb * np.sin(th / 2) ** 2)
+                return struve(0, kappa * rho)
+            w = abs(ra - rb) / np.sqrt(ra * rb)
+            brk = [x for x in (w, 10 * w, 100 * w) if 0 < x < np.pi] or None
+            val = quad(f, 0, np.pi, epsabs=0, epsrel=1e-12, limit=200, points=brk)[0]
+            ref[a, b] = ref[b, a] = -(kappa / 4) * 2 * val
+    return ref
+
+
+@pytest.mark.parametrize("kappa", (1.0, 5.0, 10.0))
+def test_struve_part_of_2d_operator_against_quadrature(kappa):
+    # the Struve share of a 2D build, on a rule of radius 1 (kappa 2R = 2, 10, 20)
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    whole = ny.full_kernel_matrix(rule, 2, kappa, Branch.OUTGOING)
+    singular = ny.build_split_matrix(rule, ny.kernel_2d_singular, kappa, Branch.OUTGOING, 1)
+    struve = (whole - singular) / (rule.weights * rule.nodes)[None, :]
+    ref = _struve_reference(kappa, rule.nodes)
+    assert np.max(np.abs(struve - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_struve_cancellation_raises():
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    with pytest.raises(ny.NystromError):
+        ny.full_kernel_matrix(rule, 2, 15.0, Branch.OUTGOING)  # kappa 2R = 30
+    with pytest.raises(ny.NystromError):
+        ny.full_kernel_matrix(rule, 2, -1024.0, Branch.NEGATIVE)  # series terms overflow
+
+
+def test_second_2d_build_reuses_struve_moments(monkeypatch):
+    rule = QuadratureRule.make(0.2, n_radial=48)
+    p = PhysicalParams(d=2, c=1, g=1, omega_a=1, epsilon=0.2, s0=1)
+    ny.build_full_operator(p, 0.76 - 0.003j, rule)
+    calls = []
+    hyp2f1 = ny.hyp2f1
+
+    def counted(*args):
+        calls.append(1)
+        return hyp2f1(*args)
+
+    monkeypatch.setattr(ny, "hyp2f1", counted)
+    ny.build_full_operator(p, 0.7601 - 0.003j, rule)
+    assert calls == []
