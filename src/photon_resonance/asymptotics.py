@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,19 +31,25 @@ class LimitingMode:
     mass = integral of the normalized eigenfunction over the unit domain;
     a1_quad = <psi, A1 psi> with the first-order correction operator at
     the mode's own frequency (real part; the imaginary part of the 2D
-    correction is carried by the explicit formulas instead).
+    correction is carried by the explicit formulas instead).  A1 is built
+    when a1_quad is first read, so modes used only as seeds cost no build.
     """
 
     j: int
     omega_j: float
     psi: np.ndarray
     mass: float
-    a1_quad: float
     rule: QuadratureRule
+    params: PhysicalParams
 
     def __post_init__(self):
         if self.omega_j >= math.inf:
             raise AsymptoticsError("mode frequency must be finite")
+
+    @cached_property
+    def a1_quad(self) -> float:
+        a1 = nystrom.build_a1_operator(self.params, self.omega_j, self.rule)
+        return float(np.real(np.sum(a1.norm_weights * self.psi * (a1.matrix @ self.psi))))
 
 
 def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule = None) -> list[LimitingMode]:
@@ -60,6 +67,8 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule = None) 
     W = op.norm_weights
     B, _ = nystrom.weighted_symmetrize(op.matrix.real, W)
     mu, U = np.linalg.eigh(B)
+    if n > len(mu):
+        raise ValueError(f"requested {n} modes from an N={len(mu)} grid")
     S = np.sqrt(W)
     order = np.argsort(mu)[::-1]
     out = []
@@ -70,10 +79,8 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule = None) 
         if mass < 0:
             psi = -psi
             mass = -mass
-        omega_j = params.omega_a - float(mu[idx])
-        a1 = nystrom.build_a1_operator(params, omega_j, op.rule)
-        a1_quad = float(np.real(np.sum(W * psi * (a1.matrix @ psi))))
-        out.append(LimitingMode(j + 1, omega_j, psi, mass, a1_quad, op.rule))
+        out.append(LimitingMode(j + 1, params.omega_a - float(mu[idx]), psi, mass,
+                                op.rule, params))
     return out
 
 

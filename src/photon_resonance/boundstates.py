@@ -26,6 +26,12 @@ from .greens import Branch
 from .nystrom import PhysicalParams, QuadratureRule
 
 BRACKET_EXPONENTS = (-20, 10)  # omega = -c 2^j from just below 0 to the deepest
+MU_ROUNDOFF = 4 * np.finfo(float).eps  # |error| of a computed mu near 1 (+-2 ulp measured)
+MIN_SLOPE = 0.1  # |d mu / d j| at the root, for roots with |omega| >= 0.17 Omega
+# Brent's smallest step, xtol / 2, moves mu by at least twice its round-off
+# where the slope is at least MIN_SLOPE, so the sign of f there, and with it
+# the number of builds, does not depend on round-off
+BRENT_XTOL = 4 * MU_ROUNDOFF / MIN_SLOPE
 
 
 class BoundStateNotFound(RuntimeError):
@@ -162,7 +168,9 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
     decreases in the scan exponent j.  Once f changes sign over
     BRACKET_EXPONENTS, Brent's method (scipy.optimize.brentq) refines the
-    crossing, and omega* is returned only if |mu_n(omega*) - 1| <= tol.
+    crossing down to BRENT_XTOL in j, and omega* is returned only if
+    |mu_n(omega*) - 1| <= tol.  (d ln mu_n / d ln|omega| is at most
+    -|omega| / (Omega + |omega|), which gives MIN_SLOPE its range.)
     The returned mu is the one computed there, so it equals a rebuild's.
     """
     if mode_n < 1:
@@ -186,7 +194,7 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
             f"mu_{mode_n} >= 1 already at the deepest scanned omega = "
             f"{-params.c * 2.0**j_deep}; bracket does not cover the crossing"
         )
-    j_star = brentq(f, j_shallow, j_deep, xtol=1e-14, disp=False)
+    j_star = brentq(f, j_shallow, j_deep, xtol=BRENT_XTOL, disp=False)
     if abs(f(j_star)) > tol:
         raise BoundStateNotFound(
             f"root refinement stalled for mode {mode_n}: "

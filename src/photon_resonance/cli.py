@@ -274,11 +274,11 @@ def _run_resonances(cfg):
     return rows
 
 
-def _trace(cfg, modes, grid):
+def _trace(cfg, modes, grid, limit=None):
     num = cfg.numerics
     return eigensolver.trace_in_epsilon(
         cfg.params, modes, grid, n_radial=num["radial_nodes"], tol=num["muller_tol"],
-        max_iter=num["max_iter"])
+        max_iter=num["max_iter"], limit=limit)
 
 
 def _run_trace(cfg):
@@ -319,9 +319,11 @@ def _run_asymptotics_compare(cfg):
     kind = cfg.asym_block["approximation"]
     if kind not in ("expansion", "sphere"):
         raise ConfigError(f"[asymptotics]: unknown approximation {kind!r}")
-    mode = None
+    mode = limit = None
     if p.d in (2, 3):
-        mode = asymptotics.limiting_modes(p, j)[j - 1]
+        modes = asymptotics.limiting_modes(p, j)  # also the trace's seeds: one L0 build
+        mode = modes[j - 1]
+        limit = [m.omega_j for m in modes]
     else:
         # fail fast if the requested regime has no resonance expansion
         asymptotics.resonance_expansion_1d(p, grid[0])
@@ -336,7 +338,7 @@ def _run_asymptotics_compare(cfg):
             return asymptotics.resonance_expansion_2d(mode, pe, eps)
         return asymptotics.resonance_expansion_3d(mode, pe, eps)
 
-    [trace] = _trace(cfg, [j], grid)
+    [trace] = _trace(cfg, [j], grid, limit)
     rows = []
     for e, r in zip(trace.epsilons, trace.results):
         a = asym_at(e)

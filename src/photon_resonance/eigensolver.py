@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import nystrom
+from . import asymptotics, nystrom
 from .nystrom import PhysicalParams, QuadratureRule, RadialOperator
 
 log = logging.getLogger(__name__)
@@ -137,12 +137,7 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int):
             w1 = complex(w1, 2.0 * params.g**2 * params.s0_effective
                          / (params.c * math.log(params.epsilon)))
         return [w1]
-    op = nystrom.build_l0_operator(params)
-    B, _ = nystrom.weighted_symmetrize(op.matrix.real, op.norm_weights)
-    mu = np.linalg.eigvalsh(B)[::-1]
-    if n_modes > len(mu):
-        raise ValueError(f"requested {n_modes} modes from an N={len(mu)} grid")
-    return [params.omega_a - float(m) for m in mu[:n_modes]]
+    return [mode.omega_j for mode in asymptotics.limiting_modes(params, n_modes)]
 
 
 def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
@@ -237,10 +232,12 @@ class ResonanceTrace:
 
 def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Sequence[float],
                      n_radial: int = 64, tol: float = 1e-10, max_iter: int = 50,
-                     continuity_rtol: float = 0.1) -> list[ResonanceTrace]:
+                     continuity_rtol: float = 0.1,
+                     limit: Sequence[complex] = None) -> list[ResonanceTrace]:
     """Warm-started continuation of the given modes along decreasing eps.
 
-    The limiting spectrum is computed once and seeds the first eps.  At
+    The limiting frequencies seed the first eps: `limit`, mode 1 first, if
+    the caller already has them, else computed once here.  At
     each eps one QuadratureRule.make(eps, n_radial) serves every mode, and
     the modes go through the shared mode loop from their roots at the
     previous eps, so they deflate against each other.  A mode that fails
@@ -257,7 +254,8 @@ def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Seq
     eps = [float(e) for e in epsilons]
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
-    limit = _limiting_frequencies(params, max(modes))
+    if limit is None:
+        limit = _limiting_frequencies(params, max(modes))
     seeds = [limit[m - 1] for m in modes]
     results = [[] for _ in modes]
     breaks = [[] for _ in modes]

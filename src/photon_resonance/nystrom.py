@@ -7,12 +7,15 @@ interval for off-center one-dimensional densities), and the integral
 
     (W f)(r_i) = int K(r_i, r') f(r') r'^{d-1} dr'
 
-is discretized row by row with product integration: the integration domain
-is split at the collocation radius, panels are refined dyadically toward
-the logarithmic diagonal singularity of the reduced kernel, and integrand
+is discretized with product integration: each row's integration domain is
+split at its collocation radius, panels are refined dyadically toward the
+logarithmic diagonal singularity of the reduced kernel, and integrand
 values are pulled back onto the grid through piecewise barycentric
-interpolation.  For smooth kernel components a plain Nyström rule (kernel
-times base weights) is used instead.
+interpolation.  The rows' quadrature points are regrouped once per rule by
+the base panel they fall in, so a build makes one kernel call per base
+panel, on that panel's points of every row, and contracts the integrand
+with the panel's interpolation basis one node at a time.  For smooth kernel
+components a plain Nyström rule (kernel times base weights) is used instead.
 
 Every operator build is split by singularity subtraction,
 
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ellipkm1, hyp2f1, jv, yv
@@ -163,13 +167,15 @@ class QuadratureRule:
     produced by `row_quadrature`, which replace the base weights near the
     diagonal (dyadically graded panels, truncated at relative width
     2^-sing_levels where the remaining logarithmic mass is negligible).
+    `panel_batches()` regroups every node's row quadrature by base panel,
+    the layout `build_kernel_matrix` assembles from.
 
     `regular_rule()` derives the rule for the bounded remainder of a split
     build: the same grid with REG_LEVELS levels and `close_gap` set, so
-    that its innermost panel reaches the singular point.  Row quadratures,
-    the derived rule, the k-independent part of each split build and the
-    2D Struve moments are cached on the rule (`_cache`), so one rule should
-    serve all builds of one discretization.
+    that its innermost panel reaches the singular point.  The panel
+    batches, the derived rule, the k-independent part of each split build
+    and the 2D Struve moments are cached on the rule (`_cache`), so one
+    rule should serve all builds of one discretization.
     """
 
     nodes: np.ndarray
@@ -282,11 +288,8 @@ class QuadratureRule:
     def row_quadrature(self, r0):
         """Nodes and weights resolving log singularities at r0 (and at -r0,
         which the image term of even one-dimensional kernels sees near the
-        origin)."""
-        key = float(r0)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        origin).  Every base panel receives at least one piece.  Not cached:
+        `panel_batches` keeps the nodes' row quadratures, regrouped."""
         ts, vs = [], []
         sing = (float(r0), float(-r0))
         for p in range(len(self.panels) - 1):
@@ -309,10 +312,38 @@ class QuadratureRule:
                 x, w = _gauss_panel(lo, hi, n)
                 ts.append(x)
                 vs.append(w)
-        t = np.concatenate(ts)
-        v = np.concatenate(vs)
-        self._cache[key] = (t, v)
-        return t, v
+        return np.concatenate(ts), np.concatenate(vs)
+
+    def panel_batches(self):
+        """The row quadratures of all nodes, regrouped by the base panel
+        their points fall in: one PanelBatch per panel, cached on the rule.
+
+        A batch holds row 0's points in the panel, then row 1's, and so on.
+        Its weights carry the barycentric normalizer of the panel's
+        interpolant (`_bary_basis`), so that a build only multiplies by the
+        node terms w_j / (t - x_j)."""
+        hit = self._cache.get("batches")
+        if hit is not None:
+            return hit
+        slices = self._panel_slices()
+        per_panel = [([], [], []) for _ in slices]
+        for r0 in self.nodes:
+            t, v = self.row_quadrature(r0)
+            idx = self._panel_index(t)
+            order = np.argsort(idx, kind="stable")
+            ends = np.cumsum(np.bincount(idx, minlength=len(slices)))
+            for p, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+                per_panel[p][0].append(t[order[lo:hi]])
+                per_panel[p][1].append(v[order[lo:hi]])
+                per_panel[p][2].append(hi - lo)
+        batches = []
+        for sl, (ts, vs, counts) in zip(slices, per_panel):
+            t = np.concatenate(ts)
+            scale, exact = _bary_basis(t, self.nodes[sl])
+            batches.append(PanelBatch(sl, t, np.concatenate(vs) * scale,
+                                      np.asarray(counts), exact))
+        self._cache["batches"] = batches
+        return batches
 
     def regular_rule(self):
         """The derived rule for the remainder kernel(k) - kernel(0)."""
@@ -324,31 +355,65 @@ class QuadratureRule:
 
     # -- interpolation ----------------------------------------------------
 
+    def _panel_index(self, t):
+        return np.clip(np.searchsorted(self.panels, t, side="right") - 1, 0, len(self.counts) - 1)
+
     def interp_matrix(self, t):
         """(len(t), N) matrix mapping node values to values at points t,
         by barycentric interpolation within each panel."""
         t = np.asarray(t, dtype=float)
         B = np.zeros((len(t), len(self.nodes)))
-        slices = self._panel_slices()
-        idx = np.clip(np.searchsorted(self.panels, t, side="right") - 1, 0, len(slices) - 1)
-        for p, sl in enumerate(slices):
-            mask = idx == p
-            if not np.any(mask):
-                continue
-            xj = self.nodes[sl]
-            wj = _bary_weights(xj)
-            diff = t[mask][:, None] - xj[None, :]
-            exact = diff == 0.0
-            safe = np.where(exact, 1.0, diff)
-            terms = wj[None, :] / safe
-            denom = terms.sum(axis=1)
-            rows = terms / denom[:, None]
-            hit_rows = exact.any(axis=1)
-            if np.any(hit_rows):
-                rows[hit_rows] = 0.0
-                rows[hit_rows] = np.where(exact[hit_rows], 1.0, 0.0)
-            B[np.nonzero(mask)[0], sl] = rows
+        idx = self._panel_index(t)
+        for p, sl in enumerate(self._panel_slices()):
+            rows = np.flatnonzero(idx == p)
+            tp, x = t[rows], self.nodes[sl]
+            scale, exact = _bary_basis(tp, x)
+            for j in range(len(x)):
+                B[rows, sl.start + j] = scale * _bary_term(tp, x, exact, j)
         return B
+
+
+class PanelBatch(NamedTuple):
+    """The row-quadrature points of every row that fall in one base panel."""
+
+    nodes: slice  # the panel's nodes in the rule
+    t: np.ndarray  # points, grouped by row in node order
+    weights: np.ndarray  # quadrature weights times the barycentric normalizer
+    counts: np.ndarray  # points of each row
+    exact: np.ndarray | None  # node each point equals exactly, -1 if none; None: no point does
+
+
+def _bary_basis(t, x):
+    """Barycentric interpolation on the panel nodes x at the points t.
+
+    Returns (scale, exact) such that the Lagrange basis function of node j
+    is L_j(t) = scale(t) * _bary_term(t, x, exact, j): scale(t) is
+    1 / sum_k w_k / (t - x_k), or 1 where t equals a node exactly; `exact`
+    holds that node's index (-1 elsewhere), or is None when no point hits
+    a node.
+    """
+    w = _bary_weights(x)
+    denom = np.zeros(len(t))
+    exact = np.full(len(t), -1)
+    for j in range(len(x)):
+        diff = t - x[j]
+        on_node = diff == 0.0
+        exact[on_node] = j
+        denom += w[j] / np.where(on_node, 1.0, diff)
+    if np.all(exact < 0):
+        return 1.0 / denom, None
+    return np.where(exact < 0, 1.0 / denom, 1.0), exact
+
+
+def _bary_term(t, x, exact, j):
+    """w_j / (t - x_j) at the points t, and at a point equal to a node the
+    exact-hit rule: 1 if that node is x_j, else 0."""
+    w = _bary_weights(x)
+    if exact is None:
+        return w[j] / (t - x[j])
+    term = w[j] / np.where(exact < 0, t - x[j], np.inf)
+    term[exact == j] = 1.0
+    return term
 
 
 _bary_cache: dict = {}
@@ -372,6 +437,15 @@ def _bary_weights(x):
 # ----------------------------------------------------------------------
 # reduced kernels
 # ----------------------------------------------------------------------
+
+def _require_finite(val, r0, t, what):
+    """Raise NystromError naming the first (r, r') pair where val is not finite."""
+    finite = np.isfinite(val)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        r, rp = (float(np.broadcast_to(a, finite.shape).flat[i]) for a in (r0, t))
+        raise NystromError(f"non-finite {what} value at r={r!r}, r'={rp!r}")
+
 
 def _branch_for(k):
     kc = complex(k)
@@ -403,9 +477,7 @@ def kernel_3d_reduced(k, branch):
 
     def f(r0, t):
         val = (greens._g1(k, np.abs(r0 - t), branch) - greens._g1(k, r0 + t, branch)) / (r0 * t)
-        if not np.all(np.isfinite(val)):
-            bad = t[~np.isfinite(val)][:1]
-            raise NystromError(f"non-finite 3d kernel at r={r0}, r'={bad}")
+        _require_finite(val, r0, t, "3d kernel")
         return val
     return f
 
@@ -543,18 +615,28 @@ def build_split_matrix(rule, family, k, branch, measure_power):
 
 def build_kernel_matrix(rule, kernel, measure_power):
     """Dense matrix of f -> int K(r, r') f(r') r'^p dr' on the rule's nodes,
-    with `kernel(r0, t)` integrated by the singular row quadrature."""
+    with `kernel(r0, t)` integrated by the singular row quadratures.
+
+    The assembly goes panel by panel (`QuadratureRule.panel_batches`): one
+    kernel call on the panel's points of every row, r0 given per point,
+    then for each node j of the panel the row sums of the integrand times
+    the node's barycentric term fill column j.
+    """
     nodes = rule.nodes
-    N = len(nodes)
-    W = np.zeros((N, N), dtype=complex)
-    for i, r0 in enumerate(nodes):
-        t, v = rule.row_quadrature(r0)
-        kv = kernel(float(r0), t)
-        if not np.all(np.isfinite(kv)):
-            bad = t[~np.isfinite(np.asarray(kv))][:1]
-            raise NystromError(f"non-finite kernel value at r={r0}, r'={bad}")
-        B = rule.interp_matrix(t)
-        W[i, :] = (kv * v * t**measure_power) @ B
+    W = np.empty((len(nodes), len(nodes)), dtype=complex)
+    for batch in rule.panel_batches():
+        t = batch.t
+        r0 = np.repeat(nodes, batch.counts)
+        kv = kernel(r0, t)
+        _require_finite(kv, r0, t, "kernel")
+        a = kv * batch.weights
+        if measure_power:
+            a *= t**measure_power
+        starts = np.cumsum(batch.counts) - batch.counts
+        x = nodes[batch.nodes]
+        for j in range(len(x)):
+            W[:, batch.nodes.start + j] = np.add.reduceat(
+                a * _bary_term(t, x, batch.exact, j), starts)
     return W
 
 

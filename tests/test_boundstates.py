@@ -107,6 +107,29 @@ def test_bound_state_build_count(square1, monkeypatch):
     assert abs(st.mu - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("ulps", (2, -2))
+def test_bound_state_build_count_ignores_roundoff(square1, monkeypatch, ulps):
+    # mu off by 2 ulp everywhere must not change how many builds Brent makes
+    mu_n = bs._mu_n
+
+    def count(shift):
+        calls = []
+
+        def shifted(*args, **kwargs):
+            calls.append(1)
+            mu = mu_n(*args, **kwargs)
+            for _ in range(abs(shift)):
+                mu = float(np.nextafter(mu, np.inf if shift > 0 else -np.inf))
+            return mu
+
+        monkeypatch.setattr(bs, "_mu_n", shifted)
+        st = bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
+        assert abs(st.mu - 1.0) <= 1e-10
+        return len(calls)
+
+    assert count(ulps) == count(0)
+
+
 def test_crossing_below_deepest_bracket_end_rejected():
     # mu_1 = 9.5 already at omega = -1024, the deep end of the bracket
     dense = DensityProfile.square(1, 1e7, 1.0)

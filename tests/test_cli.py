@@ -167,6 +167,35 @@ def test_bound_states_builds_only_for_the_solve(tmp_path, monkeypatch):
     assert calls["all"] == calls["solve"] == 11
 
 
+def test_asymptotics_compare_builds_l0_once(tmp_path, monkeypatch):
+    # the limiting modes seed the trace too; the CSV is the one a trace with
+    # its own L0 build writes
+    from photon_resonance import eigensolver
+    l0_builds = []
+    build_l0, trace = nystrom.build_l0_operator, eigensolver.trace_in_epsilon
+
+    def counted_l0(*args, **kwargs):
+        l0_builds.append(1)
+        return build_l0(*args, **kwargs)
+
+    monkeypatch.setattr(nystrom, "build_l0_operator", counted_l0)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "asymptotics_compare_3d.cfg")
+
+    def run(out):
+        cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / out))
+        status, csv_path = cli.run(cfg)
+        assert status == 0
+        return open(csv_path, "rb").read()
+
+    shared = run("shared")
+    assert len(l0_builds) == 1
+    monkeypatch.setattr(eigensolver, "trace_in_epsilon",
+                        lambda *args, limit=None, **kwargs: trace(*args, **kwargs))
+    assert run("separate") == shared
+    assert len(l0_builds) == 3
+
+
 def test_resonances_csv(tmp_path):
     path = write_cfg(tmp_path, RES_CFG)
     out = str(tmp_path / "out")

@@ -73,6 +73,28 @@ def test_interpolation_exactness():
     assert np.allclose(B2[0], e)
 
 
+def test_build_with_a_point_on_a_node(monkeypatch):
+    # a quadrature point that equals base node 3 adds its weight times the
+    # kernel there to column 3 and nothing to the other columns
+    def kernel(r0, t):
+        return np.exp(1j * r0 * t)
+
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    plain = ny.build_kernel_matrix(rule, kernel, 0)
+    row_quadrature = QuadratureRule.row_quadrature
+
+    def with_node(self, r0):
+        t, v = row_quadrature(self, r0)
+        return np.append(t, self.nodes[3]), np.append(v, 0.01)
+
+    monkeypatch.setattr(QuadratureRule, "row_quadrature", with_node)
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    W = ny.build_kernel_matrix(rule, kernel, 0)
+    assert rule.panel_batches()[0].exact is not None
+    plain[:, 3] += 0.01 * kernel(rule.nodes, rule.nodes[3])
+    assert _rel(W, plain) <= 1e-14
+
+
 def test_reduced_kernel_3d_zero_branch_oracle():
     val = ny.reduced_kernel(3, 0.0, 0.5, 1.0)
     assert abs(val - RED3_ZERO_HALF_ONE) <= 1e-8 * RED3_ZERO_HALF_ONE
@@ -248,6 +270,24 @@ def test_split_build_matches_one_piece(case):
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_panel_assembly_matches_per_row_reference(case):
+    # each row integrated on its own quadrature through interp_matrix; the
+    # k = 0 kernels (kernel_a0_reduced in 2D and 3D) on the singular rule,
+    # the others on the derived rule, as a split build uses them
+    family, power, make = SPLIT_CASES[case]
+    for n in (48, 96):
+        rule = make(n)
+        for k, branch in ((0.0, Branch.ZERO),) + SPLIT_WAVENUMBERS:
+            r = rule if branch is Branch.ZERO else rule.regular_rule()
+            kernel = family(k, branch)
+            ref = []
+            for r0 in r.nodes:
+                t, v = r.row_quadrature(r0)
+                ref.append((kernel(r0, t) * v * t**power) @ r.interp_matrix(t))
+            assert _rel(ny.build_kernel_matrix(r, kernel, power), np.array(ref)) <= 1e-14, (n, branch)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_regular_part_converged_in_levels(case):
     family, power, make = SPLIT_CASES[case]
     for n in (48, 96):
@@ -280,8 +320,16 @@ def test_second_build_skips_k0_kernel(monkeypatch):
             return kernel(r0, t)
         return kern
 
+    interp_calls = []
+    interp = QuadratureRule.interp_matrix
+
+    def counted_interp(*args, **kwargs):
+        interp_calls.append(1)
+        return interp(*args, **kwargs)
+
     monkeypatch.setattr(ny, "build_kernel_matrix", counted_build)
     monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
+    monkeypatch.setattr(QuadratureRule, "interp_matrix", counted_interp)
     ny.build_full_operator(params3(0.1), 0.5 - 0.001j, rule)
     assert k0_points  # the first build assembles the k = 0 part
     one_piece = sum(len(rule.row_quadrature(r0)[0]) for r0 in rule.nodes)
@@ -290,6 +338,24 @@ def test_second_build_skips_k0_kernel(monkeypatch):
     ny.build_full_operator(params3(0.1), 0.8 - 0.001j, rule)
     assert k0_points == []
     assert sum(points) <= 0.4 * one_piece
+    assert len(points) <= len(rule.counts)  # one kernel call per base panel
+    assert interp_calls == []
+
+
+def test_non_finite_kernel_names_the_pair():
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    r_bad = float(rule.nodes[5])
+    t_bad = float(rule.row_quadrature(r_bad)[0][7])
+
+    def kernel(r0, t):
+        return np.where((r0 == r_bad) & (t == t_bad), np.nan, 1.0)
+
+    with pytest.raises(ny.NystromError) as err:
+        ny.build_kernel_matrix(rule, kernel, 0)
+    assert f"r={r_bad!r}, r'={t_bad!r}" in str(err.value)
+    with pytest.raises(ny.NystromError) as err, np.errstate(invalid="ignore"):  # 0 / 0 at r' = 0
+        ny.kernel_3d_reduced(0.8, Branch.OUTGOING)(np.array([0.3, 0.5]), np.array([0.2, 0.0]))
+    assert "r=0.5, r'=0.0" in str(err.value)
 
 
 def test_struve_moments_against_mpmath():
