@@ -105,6 +105,12 @@ def resonance_expansion_2d(mode: LimitingMode, params: PhysicalParams, eps: floa
     return complex(re, im)
 
 
+def limiting_frequency_1d(params: PhysicalParams) -> float:
+    """Omega - g^2 s0 |B1| / (pi c), the eigenvalue of the d=1 rank-one limit."""
+    return params.omega_a - params.g**2 * params.s0_effective * UNIT_INTERVAL_LENGTH / (
+        np.pi * params.c)
+
+
 def resonance_expansion_1d(params: PhysicalParams, eps: float) -> complex:
     """Leading resonance terms in one dimension under the log-scaled density.
 
@@ -116,8 +122,7 @@ def resonance_expansion_1d(params: PhysicalParams, eps: float) -> complex:
         raise AsymptoticsError("one-dimensional expansion needs d = 1")
     if not (0 < eps < 1):
         raise AsymptoticsError("need 0 < eps < 1")
-    shift = params.g**2 * params.s0_effective * UNIT_INTERVAL_LENGTH / (np.pi * params.c)
-    re = params.omega_a - shift
+    re = limiting_frequency_1d(params)
     if re <= 0:
         raise AsymptoticsError(
             "Omega - g^2 s0 |B1|/(pi c) <= 0: negative eigenvalue regime; "

@@ -51,7 +51,6 @@ class DensityProfile:
     rho0: float
     half_width: float
     center: float = 0.0
-    scaled: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -71,7 +70,7 @@ class DensityProfile:
 
     @classmethod
     def from_params(cls, params: PhysicalParams):
-        return cls(params.d, params.density, params.epsilon, 0.0, scaled=True)
+        return cls(params.d, params.density, params.epsilon, 0.0)
 
     @property
     def sup_density(self) -> float:
@@ -133,7 +132,7 @@ def build_bs_operator(profile: DensityProfile, omega, params: PhysicalParams,
         norm_w = rule.weights
     else:
         W = nystrom.full_kernel_matrix(rule, profile.d, k, Branch.NEGATIVE)
-        norm_w = greens.surface_measure(profile.d) * rule.weights * rule.nodes ** (profile.d - 1)
+        norm_w = nystrom.volume_weights(profile.d, rule)
     B, asym = nystrom.weighted_symmetrize(pref * W.real, norm_w)
     return BSOperator(B, rule, omega, profile, params, asym)
 

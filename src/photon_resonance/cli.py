@@ -6,13 +6,16 @@ Experiments: greens-table, resonances, trace-epsilon, bound-states,
 asymptotics-compare, dynamics.  Each run writes one CSV with a fixed
 column schema plus a JSON manifest recording every resolved parameter
 (defaults included) and the library version.  Floats are written with 17
-significant digits so identical configs reproduce byte-identical output.
+significant digits.  A root is converged only to |f| <= ``muller_tol``, so
+the trailing digits of a weakly damped imaginary part depend on round-off:
+output is byte-identical only for a fixed config, code version and BLAS.
 
 Config files are plain text: top-level ``key = value`` lines plus
 ``[section]`` blocks; unknown sections or keys are rejected with the
-offending line number.  ``#`` starts a comment.  Exit codes: 0 success,
-1 configuration error, 2 solver failure (non-convergence, LinAlgError or
-NystromError; partial results are flushed first).
+offending line number.  ``#`` starts a comment.  Every section and key is
+declared once, in ``_SCHEMA``.  Exit codes: 0 success, 1 configuration
+error, 2 solver failure (non-convergence, LinAlgError or NystromError;
+partial results are flushed first).
 """
 
 from __future__ import annotations
@@ -21,23 +24,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__, asymptotics, boundstates, dynamics, eigensolver, greens, nystrom
-
-EXPERIMENTS = ("greens-table", "resonances", "trace-epsilon", "bound-states",
-               "asymptotics-compare", "dynamics")
-
-CSV_SCHEMAS = {
-    "greens-table": ("d", "re_k", "im_k", "r", "re_G", "im_G"),
-    "resonances": ("j", "re_omega", "im_omega", "residual", "iterations"),
-    "trace-epsilon": ("j", "epsilon", "re_omega", "im_omega"),
-    "bound-states": ("mode", "omega", "mu_check"),
-    "asymptotics-compare": ("epsilon", "re_num", "im_num", "re_asym", "im_asym"),
-    "dynamics": ("t", "mass", "window_mass", "survival"),
-}
 
 
 class ConfigError(ValueError):
@@ -55,80 +46,56 @@ SOLVER_ERRORS = (np.linalg.LinAlgError, nystrom.NystromError)
 # strict key-value config parsing
 # ----------------------------------------------------------------------
 
+def _list_of(item):
+    return lambda raw: [item(x) for x in raw.split(",") if x.strip()]
+
+
+def _positive(val):
+    if val <= 0:
+        return f"must be positive, got {val}"
+
+
+def _at_least_8(val):
+    if val < 8:
+        return f"must be at least 8, got {val}"
+
+
+def _decreasing_positive(val):
+    if any(e <= 0 for e in val):
+        return "entries must be positive"
+    if any(b >= a for a, b in zip(val, val[1:])):
+        return "must be strictly decreasing"
+
+
+# section -> key -> (parser, default, check); '' is the top level.  A check
+# returns its complaint about a parsed value, or None.  [params] has no
+# defaults here: nystrom.PhysicalParams decides them.
 _SCHEMA = {
-    "": {"experiment": str, "out_dir": str},
-    "params": {"d": int, "c": float, "g": float, "omega_a": float,
-               "epsilon": float, "s0": float, "rho0": float},
-    "numerics": {"radial_nodes": int, "muller_tol": float,
-                 "max_iter": int, "n_modes": int, "mode_index": int,
-                 "epsilon_grid": "floats"},
-    "greens": {"dims": "ints", "k_values": "complexes", "r_values": "floats",
-               "branch": str},
-    "bound_states": {"rho0": float, "half_width": float, "center": float,
-                     "modes": int},
-    "dynamics": {"grid_points": int, "box_length": float, "dt": float,
-                 "t_final": float, "sample_every": int,
-                 "window_halfwidth": float, "init_kind": str,
-                 "packet_center": float, "packet_width": float,
-                 "packet_momentum": float},
-    "asymptotics": {"approximation": str},
+    "": {"experiment": (str, None, None), "out_dir": (str, "out", None)},
+    "params": {"d": (int, None, None), "c": (float, None, _positive),
+               "g": (float, None, _positive), "omega_a": (float, None, None),
+               "epsilon": (float, None, _positive), "s0": (float, None, _positive),
+               "rho0": (float, None, _positive)},
+    "numerics": {"radial_nodes": (int, 64, _at_least_8),
+                 "muller_tol": (float, 1e-10, _positive),
+                 "max_iter": (int, 50, _positive), "n_modes": (int, 5, _positive),
+                 "mode_index": (int, 1, _positive),
+                 "epsilon_grid": (_list_of(float), None, _decreasing_positive)},
+    "greens": {"dims": (_list_of(int), [1, 2, 3], None),
+               "k_values": (_list_of(lambda x: complex(x.replace(" ", ""))), [-1.0 + 0j], None),
+               "r_values": (_list_of(float), [0.5, 1.0, 2.0], None),
+               "branch": (str, "negative", None)},
+    "bound_states": {"rho0": (float, 1.0, _positive), "half_width": (float, 1.0, _positive),
+                     "center": (float, 0.0, None), "modes": (int, 1, _positive)},
+    "dynamics": {"grid_points": (int, 8192, _positive), "box_length": (float, 24.0, _positive),
+                 "dt": (float, 1e-3, _positive), "t_final": (float, 10.0, _positive),
+                 "sample_every": (int, 100, _positive),
+                 "window_halfwidth": (float, 0.5, _positive),
+                 "init_kind": (str, "atomic-bump", None),
+                 "packet_center": (float, -4.0, None), "packet_width": (float, 0.5, None),
+                 "packet_momentum": (float, 3.0, None)},
+    "asymptotics": {"approximation": (str, "expansion", None)},
 }
-
-_DEFAULTS = {
-    "out_dir": "out",
-    "numerics": {"radial_nodes": 64, "muller_tol": 1e-10,
-                 "max_iter": 50, "n_modes": 5, "mode_index": 1,
-                 "epsilon_grid": None},
-    "greens": {"dims": [1, 2, 3], "k_values": [-1.0 + 0j], "r_values": [0.5, 1.0, 2.0],
-               "branch": "negative"},
-    "bound_states": {"rho0": 1.0, "half_width": 1.0, "center": 0.0, "modes": 1},
-    "dynamics": {"grid_points": 8192, "box_length": 24.0, "dt": 1e-3,
-                 "t_final": 10.0, "sample_every": 100, "window_halfwidth": 0.5,
-                 "init_kind": "atomic-bump", "packet_center": -4.0,
-                 "packet_width": 0.5, "packet_momentum": 3.0},
-    "asymptotics": {"approximation": "expansion"},
-}
-
-
-# per-key value constraints checked at parse time, so violations carry the line
-_POSITIVE_KEYS = {
-    ("params", "c"), ("params", "g"), ("params", "epsilon"), ("params", "s0"),
-    ("params", "rho0"), ("numerics", "muller_tol"), ("numerics", "n_modes"),
-    ("numerics", "mode_index"), ("numerics", "max_iter"),
-    ("bound_states", "rho0"), ("bound_states", "half_width"), ("bound_states", "modes"),
-    ("dynamics", "grid_points"), ("dynamics", "box_length"), ("dynamics", "dt"),
-    ("dynamics", "t_final"), ("dynamics", "sample_every"), ("dynamics", "window_halfwidth"),
-}
-
-
-def _convert(raw, kind, where, section, key):
-    try:
-        if kind is str:
-            val = raw
-        elif kind is int:
-            val = int(raw)
-        elif kind is float:
-            val = float(raw)
-        elif kind == "ints":
-            val = [int(x) for x in raw.split(",") if x.strip()]
-        elif kind == "floats":
-            val = [float(x) for x in raw.split(",") if x.strip()]
-        elif kind == "complexes":
-            val = [complex(x.replace(" ", "")) for x in raw.split(",") if x.strip()]
-        else:
-            raise ConfigError(f"{where}: unknown value kind {kind}")
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse value {raw!r} ({exc})") from None
-    if (section, key) in _POSITIVE_KEYS and val <= 0:
-        raise ConfigError(f"{where}: {key} must be positive, got {val}")
-    if (section, key) == ("numerics", "radial_nodes") and val < 8:
-        raise ConfigError(f"{where}: radial_nodes must be at least 8, got {val}")
-    if (section, key) == ("numerics", "epsilon_grid"):
-        if any(e <= 0 for e in val):
-            raise ConfigError(f"{where}: epsilon_grid entries must be positive")
-        if any(b >= a for a, b in zip(val, val[1:])):
-            raise ConfigError(f"{where}: epsilon_grid must be strictly decreasing")
-    return val
 
 
 def parse_config(path):
@@ -153,47 +120,41 @@ def parse_config(path):
         if "=" not in body:
             raise ConfigError(f"{where}: expected key = value")
         key, raw = (s.strip() for s in body.split("=", 1))
-        schema = _SCHEMA[section]
-        if key not in schema:
+        if key not in _SCHEMA[section]:
             loc = f"[{section}]" if section else "top level"
             raise ConfigError(f"{where}: unknown key {key!r} in {loc}")
         if key in out.setdefault(section, {}):
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        out[section][key] = _convert(raw, schema[key], where, section, key)
+        parser, _, check = _SCHEMA[section][key]
+        try:
+            val = parser(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: cannot parse value {raw!r} ({exc})") from None
+        complaint = check and check(val)
+        if complaint:
+            raise ConfigError(f"{where}: {key} {complaint}")
+        out[section][key] = val
     return out
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description (defaults filled in)."""
+    """Fully resolved run description: every section other than the top
+    level and [params], defaults filled in, in `sections`."""
 
     experiment: str
     out_dir: str
     params: nystrom.PhysicalParams | None
-    numerics: dict
-    greens_block: dict = field(default_factory=dict)
-    bound_block: dict = field(default_factory=dict)
-    dynamics_block: dict = field(default_factory=dict)
-    asym_block: dict = field(default_factory=dict)
+    sections: dict
 
     def manifest(self):
-        p = None
-        if self.params is not None:
-            p = {"d": self.params.d, "c": self.params.c, "g": self.params.g,
-                 "omega_a": self.params.omega_a, "epsilon": self.params.epsilon,
-                 "s0": self.params.s0, "rho0": self.params.rho0}
-        return {
-            "version": __version__,
-            "experiment": self.experiment,
-            "out_dir": self.out_dir,
-            "params": p,
-            "numerics": self.numerics,
-            "greens": {k: [str(v) for v in vs] if isinstance(vs, list) else vs
-                       for k, vs in self.greens_block.items()},
-            "bound_states": self.bound_block,
-            "dynamics": self.dynamics_block,
-            "asymptotics": self.asym_block,
-        }
+        blocks = dict(self.sections)
+        # complex k has no JSON form: the [greens] lists are recorded as strings
+        blocks["greens"] = {k: [str(v) for v in vs] if isinstance(vs, list) else vs
+                            for k, vs in blocks["greens"].items()}
+        return {"version": __version__, "experiment": self.experiment,
+                "out_dir": self.out_dir,
+                "params": None if self.params is None else asdict(self.params), **blocks}
 
 
 def resolve_config(parsed, experiment=None, out_override=None):
@@ -202,24 +163,19 @@ def resolve_config(parsed, experiment=None, out_override=None):
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown or missing experiment {exp!r}; "
                           f"choose from {', '.join(EXPERIMENTS)}")
-    numerics = dict(_DEFAULTS["numerics"])
-    numerics.update(parsed.get("numerics", {}))
     params = None
-    if "params" in parsed and parsed["params"]:
+    if parsed.get("params"):
         try:
             params = nystrom.PhysicalParams(**parsed["params"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[params]: {exc}") from None
     elif exp != "greens-table":
         raise ConfigError(f"experiment {exp} requires a [params] section")
-    blocks = {}
-    for name in ("greens", "bound_states", "dynamics", "asymptotics"):
-        blk = dict(_DEFAULTS.get(name, {}))
-        blk.update(parsed.get(name, {}))
-        blocks[name] = blk
-    out_dir = out_override or top.get("out_dir") or _DEFAULTS["out_dir"]
-    return RunConfig(exp, out_dir, params, numerics, blocks["greens"],
-                     blocks["bound_states"], blocks["dynamics"], blocks["asymptotics"])
+    sections = {name: {key: parsed.get(name, {}).get(key, default)
+                       for key, (_, default, _) in keys.items()}
+                for name, keys in _SCHEMA.items() if name not in ("", "params")}
+    out_dir = out_override or top.get("out_dir") or _SCHEMA[""]["out_dir"][1]
+    return RunConfig(exp, out_dir, params, sections)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +200,7 @@ def write_csv(path, columns, rows):
 # ----------------------------------------------------------------------
 
 def _run_greens_table(cfg):
-    blk = cfg.greens_block
+    blk = cfg.sections["greens"]
     try:
         branch = greens.Branch(blk["branch"])
     except ValueError:
@@ -263,10 +219,10 @@ def _run_greens_table(cfg):
 
 
 def _run_resonances(cfg):
-    rule = nystrom.QuadratureRule.make(cfg.params.epsilon, n_radial=cfg.numerics["radial_nodes"])
-    res = eigensolver.find_resonances(
-        cfg.params, cfg.numerics["n_modes"], rule=rule,
-        tol=cfg.numerics["muller_tol"], max_iter=cfg.numerics["max_iter"])
+    num = cfg.sections["numerics"]
+    rule = nystrom.QuadratureRule.make(cfg.params.epsilon, n_radial=num["radial_nodes"])
+    res = eigensolver.find_resonances(cfg.params, num["n_modes"], rule=rule,
+                                      tol=num["muller_tol"], max_iter=num["max_iter"])
     rows = [(j, r.omega.real, r.omega.imag, r.residual, r.iterations)
             for j, r in enumerate(res, start=1)]
     if any(not r.converged for r in res):
@@ -275,23 +231,24 @@ def _run_resonances(cfg):
 
 
 def _trace(cfg, modes, grid, limit=None):
-    num = cfg.numerics
+    num = cfg.sections["numerics"]
     return eigensolver.trace_in_epsilon(
         cfg.params, modes, grid, n_radial=num["radial_nodes"], tol=num["muller_tol"],
         max_iter=num["max_iter"], limit=limit)
 
 
 def _run_trace(cfg):
-    grid = cfg.numerics["epsilon_grid"]
+    num = cfg.sections["numerics"]
+    grid = num["epsilon_grid"]
     if not grid:
         raise ConfigError("trace-epsilon requires numerics.epsilon_grid")
-    traces = _trace(cfg, range(1, cfg.numerics["n_modes"] + 1), grid)
+    traces = _trace(cfg, range(1, num["n_modes"] + 1), grid)
     return [(tr.mode_index, e, r.omega.real, r.omega.imag)
             for tr in traces for e, r in zip(tr.epsilons, tr.results)]
 
 
 def _run_bound_states(cfg):
-    blk = cfg.bound_block
+    blk = cfg.sections["bound_states"]
     prof = boundstates.DensityProfile.square(
         cfg.params.d, blk["rho0"], blk["half_width"], blk["center"])
     rows = []
@@ -299,7 +256,7 @@ def _run_bound_states(cfg):
     for n in range(1, blk["modes"] + 1):
         try:
             st = boundstates.solve_bound_state(
-                prof, cfg.params, n, n_nodes=cfg.numerics["radial_nodes"])
+                prof, cfg.params, n, n_nodes=cfg.sections["numerics"]["radial_nodes"])
         except (boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
             print(f"solver failure: mode {n}: {exc}", file=sys.stderr)
             failures = True
@@ -311,12 +268,12 @@ def _run_bound_states(cfg):
 
 
 def _run_asymptotics_compare(cfg):
-    grid = cfg.numerics["epsilon_grid"]
+    grid = cfg.sections["numerics"]["epsilon_grid"]
     if not grid:
         raise ConfigError("asymptotics-compare requires numerics.epsilon_grid")
     p = cfg.params
-    j = cfg.numerics["mode_index"]
-    kind = cfg.asym_block["approximation"]
+    j = cfg.sections["numerics"]["mode_index"]
+    kind = cfg.sections["asymptotics"]["approximation"]
     if kind not in ("expansion", "sphere"):
         raise ConfigError(f"[asymptotics]: unknown approximation {kind!r}")
     mode = limit = None
@@ -347,7 +304,7 @@ def _run_asymptotics_compare(cfg):
 
 
 def _run_dynamics(cfg):
-    blk = cfg.dynamics_block
+    blk = cfg.sections["dynamics"]
     p = cfg.params
     n = blk["grid_points"]
     L = blk["box_length"]
@@ -376,25 +333,29 @@ def _run_dynamics(cfg):
     return rows
 
 
+# experiment -> (runner, CSV columns): the one place an experiment is declared
+_EXPERIMENTS = {
+    "greens-table": (_run_greens_table, ("d", "re_k", "im_k", "r", "re_G", "im_G")),
+    "resonances": (_run_resonances, ("j", "re_omega", "im_omega", "residual", "iterations")),
+    "trace-epsilon": (_run_trace, ("j", "epsilon", "re_omega", "im_omega")),
+    "bound-states": (_run_bound_states, ("mode", "omega", "mu_check")),
+    "asymptotics-compare": (_run_asymptotics_compare,
+                            ("epsilon", "re_num", "im_num", "re_asym", "im_asym")),
+    "dynamics": (_run_dynamics, ("t", "mass", "window_mass", "survival")),
+}
+CSV_SCHEMAS = {name: columns for name, (_, columns) in _EXPERIMENTS.items()}
+EXPERIMENTS = tuple(CSV_SCHEMAS)
+
+
 def run(cfg: RunConfig):
     """Execute one experiment; returns (exit_code, csv_path)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     status = 0
+    runner, columns = _EXPERIMENTS[cfg.experiment]
     try:
-        if cfg.experiment == "greens-table":
-            rows = _run_greens_table(cfg)
-        elif cfg.experiment == "resonances":
-            rows = _run_resonances(cfg)
-        elif cfg.experiment == "trace-epsilon":
-            rows = _run_trace(cfg)
-        elif cfg.experiment == "bound-states":
-            rows = _run_bound_states(cfg)
-        elif cfg.experiment == "asymptotics-compare":
-            rows = _run_asymptotics_compare(cfg)
-        else:
-            rows = _run_dynamics(cfg)
+        rows = runner(cfg)
     except SolverFailure as exc:
         rows = exc.args[0] if exc.args else []
         status = 2
@@ -404,7 +365,7 @@ def run(cfg: RunConfig):
         print(f"solver failure: {exc}", file=sys.stderr)
         rows = []
         status = 2
-    write_csv(csv_path, CSV_SCHEMAS[cfg.experiment], rows)
+    write_csv(csv_path, columns, rows)
     manifest = cfg.manifest()
     manifest["output_csv"] = os.path.basename(csv_path)
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -422,12 +383,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(parse_config(args.config), args.experiment, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        status, csv_path = run(cfg)
+        status, csv_path = run(resolve_config(parse_config(args.config), args.experiment, args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

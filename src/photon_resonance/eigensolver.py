@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -30,6 +29,9 @@ log = logging.getLogger(__name__)
 IM_SLACK = 1e-9  # numerical slack on Im(omega) <= 0
 DEFLATION_RADIUS = 1e-8
 SEED_SPREAD = (1.0, 1.0 - 1e-3, 1.0 - 1e-3j)
+# a traced root that moves by more than this times its distance to Omega or
+# to another traced root is logged as a continuity break
+CONTINUITY_RTOL = 0.1
 
 
 class EigensolverError(RuntimeError):
@@ -129,13 +131,12 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int):
     if params.d == 1:
         if n_modes != 1:
             raise ValueError("the d=1 limiting operator is rank one: n_modes must be 1")
-        w1 = params.omega_a - params.g**2 * params.s0_effective * 2.0 / (np.pi * params.c)
+        w1 = asymptotics.limiting_frequency_1d(params)
         if w1 > 0:
             # resonance regime: the root sits O(1/log eps) below the real
             # axis, outside the basin of a purely real seed; start Muller at
-            # the known leading imaginary part
-            w1 = complex(w1, 2.0 * params.g**2 * params.s0_effective
-                         / (params.c * math.log(params.epsilon)))
+            # the leading terms of its expansion
+            w1 = asymptotics.resonance_expansion_1d(params, params.epsilon)
         return [w1]
     return [mode.omega_j for mode in asymptotics.limiting_modes(params, n_modes)]
 
@@ -232,7 +233,6 @@ class ResonanceTrace:
 
 def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Sequence[float],
                      n_radial: int = 64, tol: float = 1e-10, max_iter: int = 50,
-                     continuity_rtol: float = 0.1,
                      limit: Sequence[complex] = None) -> list[ResonanceTrace]:
     """Warm-started continuation of the given modes along decreasing eps.
 
@@ -241,7 +241,7 @@ def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Seq
     each eps one QuadratureRule.make(eps, n_radial) serves every mode, and
     the modes go through the shared mode loop from their roots at the
     previous eps, so they deflate against each other.  A mode that fails
-    raises EigensolverError; a jump larger than `continuity_rtol` times
+    raises EigensolverError; a jump larger than CONTINUITY_RTOL times
     the distance from the previous root to Omega or to another traced
     mode's previous root is logged and recorded in `continuity_breaks`.
     Returns one ResonanceTrace per mode, in the order of `modes`.
@@ -268,7 +268,7 @@ def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Seq
             if i > 0:  # seeds are the roots at the previous eps
                 scale = min(abs(seeds[n] - w) for w in [params.omega_a, *seeds[:n], *seeds[n + 1:]])
                 jump = abs(sr.omega - seeds[n]) / scale
-                if jump > continuity_rtol:
+                if jump > CONTINUITY_RTOL:
                     log.warning("mode %d jumps by %.3e relative at eps = %s", m, jump, e)
                     breaks[n].append(i)
             results[n].append(sr)

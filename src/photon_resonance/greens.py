@@ -86,6 +86,18 @@ class WaveNumber:
         return cls(0.0 + 0.0j, Branch.ZERO)
 
 
+def branch_for(k):
+    """Branch of a plain k: zero at 0, outgoing for Re k > 0, negative for Re k < 0."""
+    kc = complex(k)
+    if kc == 0:
+        return Branch.ZERO
+    if kc.real > 0:
+        return Branch.OUTGOING
+    if kc.real < 0:
+        return Branch.NEGATIVE
+    raise GreensDomainError("k on the punctured imaginary axis is outside the domain")
+
+
 def surface_measure(d):
     """|S^{d-1}|, the surface measure of the unit sphere in R^d."""
     return {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
@@ -162,13 +174,7 @@ def green(d, wave, r):
     if d not in (1, 2, 3):
         raise GreensDomainError("dimension must be 1, 2 or 3")
     if not isinstance(wave, WaveNumber):
-        kc = complex(wave)
-        if kc == 0:
-            wave = WaveNumber.zero()
-        elif kc.real > 0:
-            wave = WaveNumber.outgoing(kc)
-        else:
-            wave = WaveNumber.negative(kc)
+        wave = WaveNumber(complex(wave), branch_for(wave))
     ra = _check_r(r)
     out = _G_BY_DIM[d](wave.k, np.asarray(ra, dtype=float), wave.branch)
     return out[()] if np.ndim(r) == 0 else out

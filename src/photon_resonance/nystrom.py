@@ -128,10 +128,6 @@ class PhysicalParams:
             return -self.rho0 * self.epsilon * math.log(self.epsilon)
         return self.rho0 * self.epsilon
 
-    @property
-    def unit_ball_volume(self) -> float:
-        return greens.ball_volume(self.d, 1.0)
-
 
 _leggauss_cache: dict = {}
 
@@ -447,17 +443,6 @@ def _require_finite(val, r0, t, what):
         raise NystromError(f"non-finite {what} value at r={r!r}, r'={rp!r}")
 
 
-def _branch_for(k):
-    kc = complex(k)
-    if kc == 0:
-        return Branch.ZERO
-    if kc.real > 0:
-        return Branch.OUTGOING
-    if kc.real < 0:
-        return Branch.NEGATIVE
-    raise GreensDomainError("k on the punctured imaginary axis")
-
-
 def kernel_1d(k, branch):
     def f(r0, t):
         return greens._g1(k, np.abs(r0 - t), branch) + greens._g1(k, r0 + t, branch)
@@ -575,7 +560,7 @@ def kernel_a1_reduced(d, k):
 def reduced_kernel(d, k, r, rp):
     """Angular average of G^k over shells |x| = r, |y| = rp (surface measure
     of the unit sphere included), for r != rp."""
-    branch = _branch_for(k)
+    branch = greens.branch_for(k)
     kc = complex(k)
     r = float(r)
     rp = float(rp)
@@ -675,7 +660,8 @@ def weighted_symmetrize(matrix, weights):
     return 0.5 * (A + A.T), float(np.max(np.abs(A - A.T)))
 
 
-def _volume_weights(d, rule):
+def volume_weights(d, rule):
+    """Base weights of `rule` times the shell area |S^{d-1}| r^{d-1}."""
     return greens.surface_measure(d) * rule.weights * rule.nodes ** (d - 1)
 
 
@@ -703,10 +689,10 @@ def build_full_operator(params, omega, rule=None):
     if rule is None:
         rule = default_rule(params)
     k = omega / params.c
-    W = full_kernel_matrix(rule, params.d, k, _branch_for(k))
+    W = full_kernel_matrix(rule, params.d, k, greens.branch_for(k))
     pref = params.g**2 * params.density / params.c
     M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - pref * W
-    return RadialOperator(M, rule, omega, params, _volume_weights(params.d, rule))
+    return RadialOperator(M, rule, omega, params, volume_weights(params.d, rule))
 
 
 def unit_rule(n_radial=64):
@@ -722,7 +708,7 @@ def build_l0_operator(params, rule=None):
         rule = unit_rule()
     W = build_kernel_matrix(rule, kernel_a0_reduced(params.d), params.d - 1)
     pref = params.g**2 * params.s0_effective / params.c
-    return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, _volume_weights(params.d, rule))
+    return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, volume_weights(params.d, rule))
 
 
 def build_limiting_operator(params, omega, rule=None):
@@ -740,7 +726,7 @@ def build_a1_operator(params, omega_j, rule):
     W = build_kernel_matrix(rule, kernel_a1_reduced(params.d, k), params.d - 1)
     pref = -params.g**2 * params.s0_effective / params.c
     return RadialOperator(pref * W, rule, complex(omega_j), params,
-                          _volume_weights(params.d, rule))
+                          volume_weights(params.d, rule))
 
 
 def build_rank1_limit_1d(params, omega, rule=None):

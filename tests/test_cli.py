@@ -331,7 +331,7 @@ def test_bound_states_flush_rows_before_a_linalg_failure(tmp_path, monkeypatch, 
     monkeypatch.setattr(boundstates, "solve_bound_state", solve)
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
-    cfg.bound_block["modes"] = 2
+    cfg.sections["bound_states"]["modes"] = 2
     code, csv_path = cli.run(cfg)
     assert code == 2
     assert "solver failure: mode 2" in capsys.readouterr().err
@@ -347,3 +347,18 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))
 def test_shipped_configs_resolve(path, tmp_path):
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
     assert cfg.experiment in cli.EXPERIMENTS
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_manifest_records_every_schema_key(path, tmp_path):
+    parsed = cli.parse_config(path)
+    man = cli.resolve_config(parsed, None, str(tmp_path)).manifest()
+    for section, keys in cli._SCHEMA.items():
+        if section in ("", "params"):
+            continue
+        assert set(man[section]) == set(keys)
+        for key, (_, default, _) in keys.items():
+            want = parsed.get(section, {}).get(key, default)
+            if section == "greens" and isinstance(want, list):
+                want = [str(v) for v in want]
+            assert man[section][key] == want, (section, key)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,19 @@ def test_one_dimensional_bound_mode_real():
         es.find_resonances(p, 2)
 
 
+@pytest.mark.parametrize("omega_a", [0.3, 0.8, 1.0, 2.5])
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("epsilon", [1e-4, 0.01, 0.3])
+def test_1d_seed_is_the_log_limit_exactly(omega_a, g, epsilon):
+    # Omega - g^2 s0 |B1| / (pi c), pushed to 2 g^2 s0 / (c log eps) below
+    # the real axis in the resonance regime and left real in the negative one
+    p = PhysicalParams(d=1, c=1.3, g=g, omega_a=omega_a, epsilon=epsilon, s0=0.9)
+    re = omega_a - g**2 * 0.9 * 2.0 / (np.pi * 1.3)
+    want = complex(re, 2.0 * g**2 * 0.9 / (1.3 * math.log(epsilon))) if re > 0 else re
+    [seed] = es._limiting_frequencies(p, 1)
+    assert seed == want and type(seed) is type(want)
+
+
 def test_trace_requires_decreasing_grid():
     with pytest.raises(ValueError):
         es.trace_in_epsilon(params3(), [1], [0.1, 0.2])
@@ -227,10 +242,10 @@ def test_trace_shares_one_rule_per_eps_and_one_limit(monkeypatch):
     assert traces[0].omegas[-1].real < traces[1].omegas[-1].real
 
 
-def test_trace_logs_continuity_breaks(caplog):
+def test_trace_logs_continuity_breaks(caplog, monkeypatch):
+    monkeypatch.setattr(es, "CONTINUITY_RTOL", 1e-12)
     with caplog.at_level("WARNING", logger=es.__name__):
-        [tr] = es.trace_in_epsilon(params3(), [1], [4e-2, 2e-2], n_radial=16,
-                                   continuity_rtol=1e-12)
+        [tr] = es.trace_in_epsilon(params3(), [1], [4e-2, 2e-2], n_radial=16)
     assert tr.continuity_breaks == (1,)
     [rec] = [r for r in caplog.records if r.name == es.__name__]
     assert rec.levelname == "WARNING"
