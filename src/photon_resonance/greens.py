@@ -11,9 +11,12 @@ parameter:
 * ``zero``: the k = 0 power-law kernels.
 
 Also provides the Helmholtz splitting G^k = G^{-k} + 2k G_helm^k, the
-small-argument expansion coefficients, a far-field radiation-condition
-deficit, the fractional heat kernel, and a slow quadrature evaluation of
-the negative-branch kernel used as an independent cross-check.
+small-argument expansion coefficients, the closed-form coefficients of
+the series of G1(k, rho) - G1(0, rho) in rho^n and rho^2m log rho (which
+the 1D and 3D operator builds sum over cached moments instead of
+evaluating E1), a far-field radiation-condition deficit, the fractional
+heat kernel, and a slow quadrature evaluation of the negative-branch
+kernel used as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma
 
 from .specfun import EULER_GAMMA, _h0, exp_integral_e1, struve_k0
 
@@ -160,6 +164,45 @@ def _g3(k, r, branch):
     if branch is Branch.INCOMING:
         return core + k * np.exp(-1j * k * r) / (2 * np.pi * r)
     return core
+
+
+def g1_series(k, branch, order):
+    """Coefficients of G1(k, rho) - G1(0, rho) = sum a[n] rho^n + sum b[m] rho^2m log rho.
+
+    With kappa = k (outgoing, incoming) or -k (negative) and x = kappa rho,
+    the difference is [(1 - cos x)(gamma + log rho) - cos x log kappa
+    + (pi/2) sin x + cos x Cin x - sin x Si x] / pi, plus i e^{ix} on the
+    outgoing and -i e^{-ix} on the incoming branch (the E1, Si and Cin series
+    of DLMF 6.6).  Since cos x Cin x - sin x Si x = sum_j (-1)^j H_2j
+    x^2j / (2j)! with H_n the harmonic numbers, the coefficients are closed:
+
+        a[0] = -log kappa / pi,
+        a[2j] = (-1)^j kappa^2j / (2j)! (psi(2j + 1) - log kappa) / pi,
+        a[2j+1] = (-1)^j kappa^(2j+1) / (2 (2j+1)!),
+        b[m] = (-1)^(m+1) kappa^2m / ((2m)! pi),
+
+    plus i (i kappa)^n / n! or -i (-i kappa)^n / n! in a[n] on the radiating
+    branches.  Returns a[0..order] and b[0..order // 2] (b[0] = 0); on the
+    zero branch both are zero.  The series converges for every rho, but
+    loses digits to cancellation once |kappa| rho is large.
+    """
+    n = np.arange(order + 1)
+    if branch is Branch.ZERO:
+        return np.zeros(order + 1, dtype=complex), np.zeros(order // 2 + 1, dtype=complex)
+    kappa = -complex(k) if branch is Branch.NEGATIVE else complex(k)
+    log_kappa = np.log(kappa)
+    powers = np.cumprod(np.r_[1.0, kappa / n[1:]])  # kappa^n / n!
+    sign = np.where(n % 4 < 2, 1.0, -1.0)  # (-1)^(n // 2)
+    even = n % 2 == 0
+    a = sign * powers * np.where(even, (digamma(n + 1) - log_kappa) / np.pi, 0.5)
+    a[0] = -log_kappa / np.pi
+    if branch is Branch.OUTGOING:
+        a += 1j * 1j**n * powers
+    elif branch is Branch.INCOMING:
+        a -= 1j * (-1j) ** n * powers
+    b = -(sign * powers)[::2] / np.pi
+    b[0] = 0.0
+    return a, b
 
 
 _G_BY_DIM = {1: _g1, 2: _g2, 3: _g3}

@@ -29,9 +29,20 @@ dyadic levels, whose innermost panel is closed up to the singular point
 instead of dropping the last 2^-levels gap.  Its refined panels keep
 SING_POINTS Gauss points, as they must integrate the degree-23 panel
 interpolant exactly: with 10 points the error on an N = 96 interval rule
-was 3.4e-4.  By linearity W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)], so
-everything k-independent, W_sing - Q_reg[kernel(0)], is assembled once
-per rule and each build evaluates kernel(k) on the derived rule only.
+was 3.4e-4.  W_sing is assembled once per rule.
+
+For the kernels built from G1 (d = 1 and 3), the remainder is a series,
+G1(k, rho) - G1(0, rho) = sum_n a_n(k) rho^n + sum_m b_m(k) rho^2m log rho
+(`greens.g1_series`), so W_reg(k) = sum_n a_n U_n + sum_m b_m V_m with
+k-independent moment matrices U_n, V_m: the derived rule's integrals of
+the same reduction applied to rho^n and rho^2m log rho.  They are cached
+per rule and grown when a larger |k| needs more terms, and a build
+evaluates no kernel.  The series loses digits to cancellation as
+|k| rho_max grows (3e-15 of the max at 4, 1.8e-14 at 6, 8e-14 at 8 in
+1D, against the kernel route), so beyond G1_SERIES_RADIUS, and for the
+2D kernel, W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)] by linearity:
+W_sing - Q_reg[kernel(0)] is cached and each build evaluates kernel(k)
+on the derived rule only.
 
 Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
@@ -47,6 +58,7 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -65,6 +77,9 @@ SING_POINTS = 16  # Gauss points per dyadic panel
 PLAIN_POINTS = 28  # Gauss points on panels away from the singularity
 MAX_PANEL_NODES = 24  # interp degree cap; row quadratures must out-integrate it
 BOUNDARY_FRACTIONS = (0.5, 0.925, 0.98875, 0.9983125)  # graded panel breaks
+G1_SERIES_RADIUS = 4.0  # largest |k| rho_max of a G1 moment build
+G1_SERIES_MAX_ORDER = 64  # terms of greens.g1_series computed; ample up to the radius
+G1_SERIES_TAIL = 1e-17  # scaled series terms below this are dropped
 STRUVE_MAX_CANCELLATION = 1e7  # largest series term / sum: about 8 digits kept
 
 
@@ -169,9 +184,9 @@ class QuadratureRule:
     `regular_rule()` derives the rule for the bounded remainder of a split
     build: the same grid with REG_LEVELS levels and `close_gap` set, so
     that its innermost panel reaches the singular point.  The panel
-    batches, the derived rule, the k-independent part of each split build
-    and the 2D Struve moments are cached on the rule (`_cache`), so one
-    rule should serve all builds of one discretization.
+    batches, the derived rule, the k-independent parts of each split build
+    and the G1 and 2D Struve moments are cached on the rule (`_cache`), so
+    one rule should serve all builds of one discretization.
     """
 
     nodes: np.ndarray
@@ -281,12 +296,9 @@ class QuadratureRule:
                 out.append((b - edges[levels], b))
         return out
 
-    def row_quadrature(self, r0):
-        """Nodes and weights resolving log singularities at r0 (and at -r0,
-        which the image term of even one-dimensional kernels sees near the
-        origin).  Every base panel receives at least one piece.  Not cached:
-        `panel_batches` keeps the nodes' row quadratures, regrouped."""
-        ts, vs = [], []
+    def _row_pieces(self, r0):
+        """(lo, hi, Gauss points) of each piece of the row quadrature at r0."""
+        out = []
         sing = (float(r0), float(-r0))
         for p in range(len(self.panels) - 1):
             a, b = float(self.panels[p]), float(self.panels[p + 1])
@@ -304,11 +316,26 @@ class QuadratureRule:
                 else:
                     pieces = [(a, b)]
             for lo, hi in pieces:
-                n = SING_POINTS if (hi - lo) < 0.9 * width else PLAIN_POINTS
-                x, w = _gauss_panel(lo, hi, n)
-                ts.append(x)
-                vs.append(w)
-        return np.concatenate(ts), np.concatenate(vs)
+                out.append((lo, hi, SING_POINTS if (hi - lo) < 0.9 * width else PLAIN_POINTS))
+        return out
+
+    def row_quadrature(self, r0):
+        """Nodes and weights resolving log singularities at r0 (and at -r0,
+        which the image term of even one-dimensional kernels sees near the
+        origin).  Every base panel receives at least one piece; the pieces
+        of one Gauss order are mapped in one broadcast.  Not cached:
+        `panel_batches` keeps the nodes' row quadratures, regrouped."""
+        lo, hi, n = (np.array(c) for c in zip(*self._row_pieces(r0)))
+        ends = np.cumsum(n)
+        t, v = np.empty(ends[-1]), np.empty(ends[-1])
+        for order in np.unique(n):
+            sel = n == order
+            x, w = _leggauss(order)
+            half = 0.5 * (hi[sel] - lo[sel])
+            at = (ends[sel] - order)[:, None] + np.arange(order)
+            t[at] = half[:, None] * x + (0.5 * (hi[sel] + lo[sel]))[:, None]
+            v[at] = half[:, None] * w
+        return t, v
 
     def panel_batches(self):
         """The row quadratures of all nodes, regrouped by the base panel
@@ -467,6 +494,80 @@ def kernel_3d_reduced(k, branch):
     return f
 
 
+def _powers_and_logs(s):
+    """Yield (s^n, s^n log s for even n, else None) for n = 0, 1, ..."""
+    p, log_s = np.ones_like(s), np.log(s)
+    for n in itertools.count():
+        yield p, (p * log_s if n % 2 == 0 else None)
+        p = p * s
+
+
+def _basis_1d(rho_max):
+    """`_powers_and_logs` at s = |r - t| / rho_max plus at (r + t) / rho_max."""
+    def terms(r0, t):
+        for (a, log_a), (b, log_b) in zip(_powers_and_logs(np.abs(r0 - t) / rho_max),
+                                          _powers_and_logs((r0 + t) / rho_max)):
+            yield a + b, (None if log_a is None else log_a + log_b)
+    return terms
+
+
+def _basis_1d_interval(rho_max):
+    def terms(x0, t):
+        return _powers_and_logs(np.abs(x0 - t) / rho_max)
+    return terms
+
+
+def _basis_3d(rho_max):
+    """`_powers_and_logs` at s = |r - t| / rho_max minus at (r + t) /
+    rho_max, divided by r t, written without cancellation.
+
+    With D = rho_max, x = max(r, t) / D and y = min(r, t) / D, the powers
+    are -2 P_n / (x D^2), where P_n = ((x + y)^n - (x - y)^n) / (2y) and
+    Q_n = ((x + y)^n + (x - y)^n) / 2 obey P_n+1 = x P_n + Q_n,
+    Q_n+1 = x Q_n + y^2 P_n, sums of positive terms.  The logs split
+    log(x -+ y) = log x + log(1 -+ u), u = y / x, into -2 log x P_2m /
+    (x D^2) and x^(2m-2) [(1 - u)^2m log(1 - u) - (1 + u)^2m log1p(u)] /
+    (u D^2), whose two terms are both <= 0.
+    """
+    def terms(r0, t):
+        hi, lo = np.maximum(r0, t), np.minimum(r0, t)
+        x, y, u = hi / rho_max, lo / rho_max, lo / hi
+        minus = np.abs(r0 - t) / hi  # 1 - u, without its rounding
+        log_x, log_minus, log_plus = np.log(x), np.log(minus), np.log1p(u)
+        x2, minus2, plus2 = x * x, minus * minus, (1.0 + u) ** 2
+        xm, minus_m, plus_m = np.ones_like(x), minus2, plus2  # x^(n-2), (1 -+ u)^n at n = 2
+        p, q = np.zeros_like(x), np.ones_like(x)
+        scale = -2.0 / (x * rho_max**2)
+        for n in itertools.count():
+            log_row = None
+            if n >= 2 and n % 2 == 0:
+                log_row = (-2.0 * log_x * p / x
+                           + xm * (minus_m * log_minus - plus_m * log_plus) / u) / rho_max**2
+                xm, minus_m, plus_m = xm * x2, minus_m * minus2, plus_m * plus2
+            yield scale * p, log_row
+            p, q = x * p + q, x * q + y * y * p
+    return terms
+
+
+def _moment_kernel(terms, powers, logs):
+    """Kernel stacking the power rows n in `powers`, then the log rows
+    m in `logs` (row 2m of `terms`), of the reduced basis `terms`."""
+    def f(r0, t):
+        out = np.empty((len(powers) + len(logs), len(t)))
+        for n, (row, log_row) in zip(range(powers.stop), terms(r0, t)):
+            if n in powers:
+                out[n - powers.start] = row
+            if n % 2 == 0 and n // 2 in logs:
+                out[len(powers) + n // 2 - logs.start] = log_row
+        return out
+    return f
+
+
+# G1 family -> (its reduced basis, rho_max / rule width)
+_G1_MOMENTS = {kernel_1d: (_basis_1d, 2.0), kernel_1d_interval: (_basis_1d_interval, 1.0),
+               kernel_3d_reduced: (_basis_3d, 2.0)}
+
+
 def kernel_2d_singular(k, branch):
     """Closed-form part of the 2D angular reduction (everything except the
     entire Struve component)."""
@@ -584,18 +685,62 @@ def reduced_kernel(d, k, r, rp):
 def build_split_matrix(rule, family, k, branch, measure_power):
     """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
 
-    W_sing - Q_reg[family(0)] is k-independent and assembled once per
-    rule; each call then integrates family(k, branch) on the derived rule
-    only (see the module docstring).
+    W_sing = Q_sing[family(0)] is assembled once per rule.  For the G1
+    families, while |k| rho_max <= G1_SERIES_RADIUS, W_reg(k) is the sum
+    of the cached moments of their reduced basis times the coefficients of
+    `greens.g1_series`, and no kernel is evaluated.  Otherwise W_sing -
+    Q_reg[family(0)] is cached too, and each call integrates family(k,
+    branch) on the derived rule only (see the module docstring).
     """
+    sing_key = ("sing", family, measure_power)
+    sing = rule._cache.get(sing_key)
+    if sing is None:
+        sing = rule._cache[sing_key] = build_kernel_matrix(
+            rule, family(0.0, Branch.ZERO), measure_power)
+    if family in _G1_MOMENTS:
+        basis, reach = _G1_MOMENTS[family]
+        rho_max = reach * (rule.domain[1] - rule.domain[0])
+        if abs(k) * rho_max <= G1_SERIES_RADIUS:
+            return _g1_moment_sum(rule, family, measure_power, basis, rho_max, k, branch, sing)
     reg = rule.regular_rule()
     key = (family, measure_power)
     fixed = rule._cache.get(key)
     if fixed is None:
-        kernel0 = family(0.0, Branch.ZERO)
-        fixed = rule._cache[key] = (build_kernel_matrix(rule, kernel0, measure_power)
-                                    - build_kernel_matrix(reg, kernel0, measure_power))
+        fixed = rule._cache[key] = sing - build_kernel_matrix(
+            reg, family(0.0, Branch.ZERO), measure_power)
     return fixed + build_kernel_matrix(reg, family(k, branch), measure_power)
+
+
+def _g1_moment_sum(rule, family, measure_power, basis, rho_max, k, branch, sing):
+    """sing + sum_n a_n U_n + sum_m b_m V_m.  With rho = rho_max s, a_n and
+    b_m are the coefficients of s^n and s^2m log s in `greens.g1_series`,
+    and U_n, V_m the derived rule's integrals of those rows of the reduced
+    basis.  The moments are cached on the rule per (family, measure power)
+    and grown when a larger |k| needs more terms."""
+    a, b = greens.g1_series(k, branch, G1_SERIES_MAX_ORDER)
+    scale = rho_max ** np.arange(len(a))
+    a, b = a * scale, b * scale[::2]
+    a[2::2] += b[1:] * math.log(rho_max)  # log rho = log s + log rho_max
+    size = np.abs(a)
+    size[::2] += np.abs(b)
+    if size[-1] > G1_SERIES_TAIL:
+        raise NystromError(f"G1 series too short at |k| rho_max = {abs(k) * rho_max:.3g}")
+    order = max(np.flatnonzero(size > G1_SERIES_TAIL), default=0)
+    key = ("g1_moments", family, measure_power)
+    U, V = rule._cache.get(key, ((), ()))
+    if len(U) <= order:  # grown into new tuples, so a racing build sees one consistent pair
+        powers, logs = range(len(U), order + 1), range(len(V) + 1, order // 2 + 1)
+        stack = build_kernel_matrix(rule.regular_rule(),
+                                    _moment_kernel(basis(rho_max), powers, logs), measure_power)
+        U, V = rule._cache[key] = U + tuple(stack[:len(powers)]), V + tuple(stack[len(powers):])
+    W = sing.copy()
+    # elementwise on purpose: a BLAS contraction (tensordot) wakes a second
+    # OpenBLAS thread, which costs more CPU time than it saves wall time
+    for n in range(order + 1):
+        W += a[n] * U[n]
+    for m in range(1, order // 2 + 1):
+        W += b[m] * V[m - 1]
+    return W
 
 
 def build_kernel_matrix(rule, kernel, measure_power):
@@ -605,23 +750,27 @@ def build_kernel_matrix(rule, kernel, measure_power):
     The assembly goes panel by panel (`QuadratureRule.panel_batches`): one
     kernel call on the panel's points of every row, r0 given per point,
     then for each node j of the panel the row sums of the integrand times
-    the node's barycentric term fill column j.
+    the node's barycentric term fill column j.  A kernel that returns a
+    stack of shape (..., len(t)) gives the stack of matrices (..., N, N),
+    in the kernel's dtype, in the same pass.
     """
     nodes = rule.nodes
-    W = np.empty((len(nodes), len(nodes)), dtype=complex)
+    W = None
     for batch in rule.panel_batches():
         t = batch.t
         r0 = np.repeat(nodes, batch.counts)
-        kv = kernel(r0, t)
-        _require_finite(kv, r0, t, "kernel")
-        a = kv * batch.weights
+        a = kernel(r0, t)
+        _require_finite(a, r0, t, "kernel")
+        a = a * batch.weights
         if measure_power:
             a *= t**measure_power
+        if W is None:
+            W = np.empty(a.shape[:-1] + (len(nodes), len(nodes)), dtype=a.dtype)
         starts = np.cumsum(batch.counts) - batch.counts
         x = nodes[batch.nodes]
         for j in range(len(x)):
-            W[:, batch.nodes.start + j] = np.add.reduceat(
-                a * _bary_term(t, x, batch.exact, j), starts)
+            W[..., batch.nodes.start + j] = np.add.reduceat(
+                a * _bary_term(t, x, batch.exact, j), starts, axis=-1)
     return W
 
 

@@ -74,23 +74,26 @@ def _e1_series(z):
 
 
 def _e1_continued_fraction(z, maxit=10000):
-    # even-contracted Lentz form: E1 = e^{-z} / (z+1 - 1/(z+3 - 4/(z+5 - ...)))
+    # even-contracted Lentz form: E1 = e^{-z} / (z+1 - 1/(z+3 - 4/(z+5 - ...)));
+    # each point leaves the iteration once its |delta - 1| < 1e-16
     tiny = 1e-300
-    b = z + 1.0
-    c = np.full_like(z, 1.0 / tiny)
+    b = z.ravel() + 1.0
+    c = np.full_like(b, 1.0 / tiny)
     d = 1.0 / b
     h = d.copy()
-    active = np.ones(z.shape, dtype=bool)
+    live = np.arange(z.size)  # flat indices of the points still iterating
     for i in range(1, maxit):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h[active] = h[active] * delta[active]
-        active &= np.abs(delta - 1.0) >= 1e-16
-        if not np.any(active):
-            return np.exp(-z) * h
+        h[live] = h[live] * delta  # not *=: the in-place loop rounds differently
+        going = np.abs(delta - 1.0) >= 1e-16
+        if not going.all():
+            live, b, c, d = live[going], b[going], c[going], d[going]
+            if live.size == 0:
+                return np.exp(-z) * h.reshape(z.shape)
     raise RuntimeError("E1 continued fraction did not converge")
 
 

@@ -186,3 +186,48 @@ def test_fractional_heat_kernel():
     assert abs(val - 1.0) <= 1e-8
     with pytest.raises(GreensDomainError):
         gr.fractional_heat_kernel(1, -1.0, 0.5)
+
+
+# (kappa's phase, branch): k = kappa, or k = -kappa on the negative branch
+SERIES_BRANCHES = ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
+                   (1.0, Branch.NEGATIVE))
+
+
+def _series_sum(k, branch, rho):
+    a, b = gr.g1_series(k, branch, 64)
+    return (sum(a[n] * rho**n for n in range(len(a)))
+            + sum(b[m] * rho ** (2 * m) * np.log(rho) for m in range(1, len(b))))
+
+
+@pytest.mark.parametrize("phase, branch", SERIES_BRANCHES)
+def test_g1_series_matches_closed_form(phase, branch):
+    # G1(k, rho) - G1(0, rho) pointwise up to |kappa| rho = 4 (the moment builds' radius)
+    rho = np.geomspace(1e-6, 1.0, 61)
+    for kappa in (1e-6, 0.1, 1.0, 4.0):
+        k = -kappa * phase if branch is Branch.NEGATIVE else kappa * phase
+        diff = gr._g1(k, rho, branch) - gr._g1(0.0, rho, Branch.ZERO)
+        assert np.max(np.abs(_series_sum(k, branch, rho) - diff)) <= 5e-15 * max(1.0, np.max(np.abs(diff))), kappa
+
+
+@pytest.mark.parametrize("phase, branch", SERIES_BRANCHES)
+def test_g1_series_against_mpmath(phase, branch):
+    import mpmath as mp
+    for kappa, rho in ((0.8, 1e-3), (0.8, 0.3), (2.0, 2.0), (1.0, 4.0)):
+        k = -kappa * phase if branch is Branch.NEGATIVE else kappa * phase
+        kk, rr = mp.mpc(complex(k)), mp.mpf(rho)
+        z = 1j * kk * rr
+        ref = (mp.exp(z) * mp.e1(z) + mp.exp(-z) * mp.e1(-z)) / (2 * mp.pi) + (mp.log(rr) + mp.euler) / mp.pi
+        if branch is Branch.OUTGOING:
+            ref += 1j * mp.exp(z)
+        elif branch is Branch.INCOMING:
+            ref -= 1j * mp.exp(-z)
+        ref = complex(ref)
+        assert abs(_series_sum(k, branch, rho) - ref) <= 2e-15 * abs(ref), (kappa, rho)
+
+
+def test_g1_series_zero_branch_and_lengths():
+    a, b = gr.g1_series(0.0, Branch.ZERO, 9)
+    assert a.shape == (10,) and b.shape == (5,)
+    assert not a.any() and not b.any()
+    a, b = gr.g1_series(-0.5, Branch.NEGATIVE, 9)
+    assert b[0] == 0 and np.max(np.abs(a.imag)) == 0 and np.max(np.abs(b.imag)) == 0

@@ -433,3 +433,135 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
     monkeypatch.setattr(ny, "hyp2f1", counted)
     ny.build_full_operator(p, 0.7601 - 0.003j, rule)
     assert calls == []
+
+
+def test_row_quadrature_matches_per_piece_gauss_panels():
+    # one broadcast per Gauss order gives the per-piece panels bit for bit
+    for rule in (QuadratureRule.make(0.1, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
+        for r in (rule, rule.regular_rule()):
+            for r0 in r.nodes:
+                t, v = r.row_quadrature(r0)
+                pieces = [ny._gauss_panel(lo, hi, n) for lo, hi, n in r._row_pieces(r0)]
+                assert np.array_equal(t, np.concatenate([x for x, _ in pieces]))
+                assert np.array_equal(v, np.concatenate([w for _, w in pieces]))
+
+
+G1_CASES = ("1d-even", "1d-interval", "3d")
+
+
+def _rho_max(family, rule):
+    return ny._G1_MOMENTS[family][1] * (rule.domain[1] - rule.domain[0])
+
+
+def _kernel_route(rule, family, k, branch, power):
+    # the build above G1_SERIES_RADIUS: W_sing - Q_reg[kernel(0)] + Q_reg[kernel(k)]
+    reg = rule.regular_rule()
+    kernel0 = family(0.0, Branch.ZERO)
+    return (ny.build_kernel_matrix(rule, kernel0, power) - ny.build_kernel_matrix(reg, kernel0, power)
+            + ny.build_kernel_matrix(reg, family(k, branch), power))
+
+
+@pytest.mark.parametrize("case", G1_CASES)
+def test_g1_moment_route_matches_kernel_route(case):
+    # In 3D the kernel route is the less accurate one: its (G1(|r-t|) -
+    # G1(r+t)) / (r t) cancels for min/max(r, t) -> 0 (4e-9 relative at
+    # r = 1e-4 against mpmath, where the moment basis keeps 1e-15, see
+    # test_3d_moment_basis_against_mpmath), which reaches 1.1e-13 of the
+    # max at N = 96; hence 2e-13 there.
+    family, power, make = SPLIT_CASES[case]
+    tol = 2e-13 if case == "3d" else 1e-13
+    for n in (48, 96):
+        rule = make(n)
+        rho_max = _rho_max(family, rule)
+        for z in (0.1, 1.0, ny.G1_SERIES_RADIUS * (1 - 1e-12)):
+            for phase, branch in ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
+                                  (-1.0, Branch.NEGATIVE)):
+                k = z / rho_max * phase
+                moments = ny.build_split_matrix(rule, family, k, branch, power)
+                direct = _kernel_route(rule, family, k, branch, power)
+                assert np.max(np.abs(moments - direct)) <= tol * np.max(np.abs(direct)), (n, z, branch)
+
+
+def test_3d_moment_basis_against_mpmath():
+    # the moment series of the 3D remainder kernel at rows with
+    # min/max(r, t) <= 1e-3, where the kernel route cancels
+    import mpmath as mp
+    rho_max, k = 0.2, 0.8 - 0.01j
+    a, b = greens.g1_series(k, Branch.OUTGOING, 40)
+    scale = rho_max ** np.arange(41)
+    a, b = a * scale, b * scale[::2]
+    a[2::2] += b[1:] * np.log(rho_max)
+    r0 = np.array([1e-4, 1e-4, 0.1, 0.05, 3e-7])
+    t = np.array([0.1, 3e-7, 1e-5, 2e-5, 1e-4])
+    rows = ny._moment_kernel(ny._basis_3d(rho_max), range(41), range(1, 21))(r0, t)
+    series = a @ rows[:41] + b[1:] @ rows[41:]
+
+    def g1_diff(rho):  # G1(k, rho) - G1(0, rho), outgoing
+        z = 1j * mp.mpc(k) * rho
+        return ((mp.exp(z) * mp.e1(z) + mp.exp(-z) * mp.e1(-z)) / (2 * mp.pi) + 1j * mp.exp(z)
+                + (mp.log(rho) + mp.euler) / mp.pi)
+    for i in range(len(t)):
+        r, tt = mp.mpf(r0[i]), mp.mpf(t[i])
+        ref = complex((g1_diff(abs(r - tt)) - g1_diff(r + tt)) / (r * tt))
+        assert abs(series[i] - ref) <= 1e-14 * abs(ref), (r0[i], t[i])
+
+
+def _counting(monkeypatch):
+    e1_calls, kernel_calls = [], []
+    e1, build = greens.exp_integral_e1, ny.build_kernel_matrix
+
+    def counted_e1(z):
+        e1_calls.append(np.size(z))
+        return e1(z)
+
+    def counted_build(rule, kernel, *args):
+        def kern(r0, t):
+            kernel_calls.append(len(t))
+            return kernel(r0, t)
+        return build(rule, kern, *args)
+
+    monkeypatch.setattr(greens, "exp_integral_e1", counted_e1)
+    monkeypatch.setattr(ny, "build_kernel_matrix", counted_build)
+    return e1_calls, kernel_calls
+
+
+def test_warm_3d_resonance_build_evaluates_no_kernel(monkeypatch):
+    rule = QuadratureRule.make(0.1, n_radial=48)
+    ny.build_full_operator(params3(0.1), 0.9 - 0.01j, rule)
+    e1_calls, kernel_calls = _counting(monkeypatch)
+    ny.build_full_operator(params3(0.1), 0.7 - 0.02j, rule)
+    assert e1_calls == [] and kernel_calls == []
+
+
+def test_build_above_radius_takes_kernel_route(monkeypatch):
+    rule = QuadratureRule.make_interval(-1.0, 1.0, 48)
+    family = ny.kernel_1d_interval
+    k_edge = -ny.G1_SERIES_RADIUS / _rho_max(family, rule)
+    e1_calls, kernel_calls = _counting(monkeypatch)
+    ny.build_split_matrix(rule, family, k_edge, Branch.NEGATIVE, 0)
+    assert e1_calls == []
+    kernel_calls.clear()
+    W = ny.build_split_matrix(rule, family, 1.01 * k_edge, Branch.NEGATIVE, 0)
+    assert sum(e1_calls) > 0 and sum(kernel_calls) > 0
+    assert np.array_equal(W, _kernel_route(rule, family, 1.01 * k_edge, Branch.NEGATIVE, 0))
+
+
+def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
+    rule = QuadratureRule.make(0.1, n_radial=48)
+    ny.build_full_operator(params3(0.1), 0.5 - 0.001j, rule)
+    key = ("g1_moments", ny.kernel_3d_reduced, 2)
+    n_powers, n_logs = (len(m) for m in rule._cache[key])
+    k0_calls = []
+    a0 = ny.kernel_a0_reduced
+
+    def counted_a0(d):
+        k0_calls.append(d)
+        return a0(d)
+
+    monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
+    grown = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, rule).matrix
+    assert k0_calls == []
+    U, V = rule._cache[key]
+    assert len(U) > n_powers and len(V) > n_logs
+    fresh = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, QuadratureRule.make(0.1, n_radial=48))
+    assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass

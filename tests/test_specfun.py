@@ -194,3 +194,37 @@ def test_vectorized_matches_scalar():
     vec = sf.bessel_j0(zs)
     for i, z in enumerate(zs):
         assert vec[i] == sf.bessel_j0(z)
+
+
+def _e1_continued_fraction_all_points(z, maxit=10000):
+    # the loop that iterates every point until the slowest one converges
+    tiny = 1e-300
+    b = z + 1.0
+    c = np.full_like(z, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    active = np.ones(z.shape, dtype=bool)
+    for i in range(1, maxit):
+        a = -float(i * i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h[active] = h[active] * delta[active]
+        active &= np.abs(delta - 1.0) >= 1e-16
+        if not np.any(active):
+            return np.exp(-z) * h
+    raise RuntimeError("did not converge")
+
+
+def test_e1_continued_fraction_drops_converged_points_bit_identically():
+    # imaginary-axis arguments i kappa rho as the 1D kernels pass them, plus
+    # a scattered 2D array off the axis
+    rng = np.random.default_rng(5)
+    rho = np.concatenate([rng.uniform(0.0, 2.0, 3000), np.geomspace(1e-6, 2.0, 200)])
+    for kappa in (1024.0, 100.0, 5.0):
+        z = 1j * kappa * rho
+        z = z[np.abs(z) >= sf.E1_SERIES_RADIUS]
+        assert np.array_equal(sf._e1_continued_fraction(z), _e1_continued_fraction_all_points(z))
+    z = rng.uniform(4.0, 60.0, (20, 30)) * np.exp(1j * rng.uniform(-2.0, 2.0, (20, 30)))
+    assert np.array_equal(sf._e1_continued_fraction(z), _e1_continued_fraction_all_points(z))
