@@ -46,10 +46,18 @@ def characteristic_value(op: RadialOperator) -> complex:
     return complex(ev[np.argmin(np.abs(ev))])
 
 
-def _smallest_eigenpair(M):
-    ev, V = np.linalg.eig(M)
-    i = int(np.argmin(np.abs(ev)))
-    return complex(ev[i]), V[:, i]
+def _smallest_eigenpair(M, ev):
+    """Eigenvector of M for its eigenvalue ev of smallest magnitude, which
+    a Muller root's characteristic value already is: two solves of inverse
+    iteration shifted to ev, one LU each, instead of a full `eig`.  The
+    shift is moved off ev by one rounding unit of M, as ev can be exact
+    (a diagonal M) and the solve would then hit a zero pivot."""
+    A = M - (ev + np.finfo(float).eps * np.max(np.abs(M))) * np.eye(len(M))
+    v = np.ones(len(M), dtype=complex)
+    for _ in range(2):
+        v = np.linalg.solve(A, v)
+        v /= np.linalg.norm(v)
+    return v
 
 
 class MullerResult(NamedTuple):
@@ -165,8 +173,8 @@ def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
             return MullerResult(res.root, res.fvalue, res.iterations, False), None
         bump = (1e-3 * 2**attempt) * max(abs(omega_seed), 1e-3)
         seeds = [s + bump * (1 + 0.3j * attempt) for s in seeds]
-    op = evals[res.root][0]
-    _, v = _smallest_eigenpair(op.matrix)
+    op, ev = evals[res.root]
+    v = _smallest_eigenpair(op.matrix, ev)
     residual = float(np.linalg.norm(op.matrix @ v) / np.linalg.norm(v))
     v = v / op.weighted_norm(v)
     return res, (v, residual)

@@ -14,9 +14,8 @@ Also provides the Helmholtz splitting G^k = G^{-k} + 2k G_helm^k, the
 small-argument expansion coefficients, the closed-form coefficients of
 the series of G1(k, rho) - G1(0, rho) in rho^n and rho^2m log rho (which
 the 1D and 3D operator builds sum over cached moments instead of
-evaluating E1), a far-field radiation-condition deficit, the fractional
-heat kernel, and a slow quadrature evaluation of the negative-branch
-kernel used as an independent cross-check.
+evaluating E1), a far-field radiation-condition deficit and the
+fractional heat kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma
 
 from .specfun import EULER_GAMMA, _h0, exp_integral_e1, struve_k0
@@ -242,32 +240,6 @@ def green_helmholtz(d, k, r, sign=+1):
     else:
         raise GreensDomainError("dimension must be 1, 2 or 3")
     return out[()] if np.ndim(r) == 0 else out
-
-
-def green_negk_quadrature_oracle(d, k, r, abs_tol=1e-12):
-    """Slow independent evaluation of the negative-branch kernel.
-
-    Integrates c_d * int_0^inf e^{kt} t (t^2+r^2)^{-(d+1)/2} dt for real
-    k < 0.  Used to cross-check the closed forms, never in the solvers.
-    """
-    if d not in (1, 2, 3):
-        raise GreensDomainError("dimension must be 1, 2 or 3")
-    k = float(k)
-    if k >= 0:
-        raise GreensDomainError("quadrature oracle requires real k < 0")
-    r = float(r)
-    if r <= R_MIN:
-        raise GreensDomainError(f"radius must exceed {R_MIN}")
-    cd = heat_constant(d)
-    p = (d + 1) / 2
-
-    def integrand(t):
-        return math.exp(k * t) * t / (t * t + r * r) ** p
-
-    val, err = quad(integrand, 0.0, np.inf, epsabs=abs_tol, epsrel=1e-13, limit=400)
-    if err > max(100 * abs_tol, 1e-8 * abs(val)):
-        raise RuntimeError(f"quadrature did not converge: estimate {val}, error {err}")
-    return cd * val
 
 
 def fourier_dc_value(d, k):

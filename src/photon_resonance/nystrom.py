@@ -31,18 +31,26 @@ SING_POINTS Gauss points, as they must integrate the degree-23 panel
 interpolant exactly: with 10 points the error on an N = 96 interval rule
 was 3.4e-4.  W_sing is assembled once per rule.
 
-For the kernels built from G1 (d = 1 and 3), the remainder is a series,
-G1(k, rho) - G1(0, rho) = sum_n a_n(k) rho^n + sum_m b_m(k) rho^2m log rho
-(`greens.g1_series`), so W_reg(k) = sum_n a_n U_n + sum_m b_m V_m with
-k-independent moment matrices U_n, V_m: the derived rule's integrals of
-the same reduction applied to rho^n and rho^2m log rho.  They are cached
-per rule and grown when a larger |k| needs more terms, and a build
-evaluates no kernel.  The series loses digits to cancellation as
-|k| rho_max grows (3e-15 of the max at 4, 1.8e-14 at 6, 8e-14 at 8 in
-1D, against the kernel route), so beyond G1_SERIES_RADIUS, and for the
-2D kernel, W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)] by linearity:
-W_sing - Q_reg[kernel(0)] is cached and each build evaluates kernel(k)
-on the derived rule only.
+In the resonance regime the remainder is a series with closed-form
+coefficients in k times k-independent rows, so W_reg(k) is the same
+series over moment matrices, the derived rule's integrals of those rows
+(`_moment_sum`).  They are cached per rule and grown when a larger |k|
+needs more terms, and a build evaluates no kernel:
+
+* d = 1, 3: G1(k, rho) - G1(0, rho) = sum_n a_n(k) rho^n + sum_m b_m(k)
+  rho^2m log rho (`greens.g1_series`), with moments U_n, V_m of the same
+  reduction applied to rho^n and rho^2m log rho;
+* d = 2: the k-dependent part (pi kappa / 2) J0(kappa lo) h(kappa hi) of
+  `kernel_2d_singular`, from the power series of J0 and Y0, is a sum over
+  total degree n of three rows in lo / R and hi / R (`_j0y0_series`).
+
+The series lose digits to cancellation as |k| grows.  Against the kernel
+route the G1 sum stays within 3e-15 of the max at |k| rho_max = 4
+(1.8e-14 at 6, 8e-14 at 8 in 1D), the 2D sum within 2e-15 at |k| R = 2,
+1.5e-14 at 3 and 4e-14 at 4.  So beyond G1_SERIES_RADIUS and
+J0Y0_SERIES_RADIUS, W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)] by
+linearity: W_sing - Q_reg[kernel(0)] is cached and each build evaluates
+kernel(k) on the derived rule only.
 
 Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
@@ -58,6 +66,7 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -78,8 +87,9 @@ PLAIN_POINTS = 28  # Gauss points on panels away from the singularity
 MAX_PANEL_NODES = 24  # interp degree cap; row quadratures must out-integrate it
 BOUNDARY_FRACTIONS = (0.5, 0.925, 0.98875, 0.9983125)  # graded panel breaks
 G1_SERIES_RADIUS = 4.0  # largest |k| rho_max of a G1 moment build
-G1_SERIES_MAX_ORDER = 64  # terms of greens.g1_series computed; ample up to the radius
-G1_SERIES_TAIL = 1e-17  # scaled series terms below this are dropped
+J0Y0_SERIES_RADIUS = 3.0  # largest |k| R of a 2D moment build
+SERIES_MAX_ORDER = 64  # series terms computed; ample up to both radii
+SERIES_TAIL = 1e-17  # scaled series terms below this are dropped
 STRUVE_MAX_CANCELLATION = 1e7  # largest series term / sum: about 8 digits kept
 
 
@@ -185,8 +195,9 @@ class QuadratureRule:
     build: the same grid with REG_LEVELS levels and `close_gap` set, so
     that its innermost panel reaches the singular point.  The panel
     batches, the derived rule, the k-independent parts of each split build
-    and the G1 and 2D Struve moments are cached on the rule (`_cache`), so
-    one rule should serve all builds of one discretization.
+    and the series moments (G1, 2D J0 Y0 and Struve) are cached on the
+    rule (`_cache`), so one rule should serve all builds of one
+    discretization.
     """
 
     nodes: np.ndarray
@@ -570,7 +581,9 @@ _G1_MOMENTS = {kernel_1d: (_basis_1d, 2.0), kernel_1d_interval: (_basis_1d_inter
 
 def kernel_2d_singular(k, branch):
     """Closed-form part of the 2D angular reduction (everything except the
-    entire Struve component)."""
+    entire Struve component).  A split build evaluates it only above
+    J0Y0_SERIES_RADIUS; below, its k-dependent part is a moment sum
+    (`_j0y0_series`)."""
     base = kernel_a0_reduced(2)
     if branch is Branch.ZERO:
         return base
@@ -685,23 +698,23 @@ def reduced_kernel(d, k, r, rp):
 def build_split_matrix(rule, family, k, branch, measure_power):
     """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
 
-    W_sing = Q_sing[family(0)] is assembled once per rule.  For the G1
-    families, while |k| rho_max <= G1_SERIES_RADIUS, W_reg(k) is the sum
-    of the cached moments of their reduced basis times the coefficients of
-    `greens.g1_series`, and no kernel is evaluated.  Otherwise W_sing -
-    Q_reg[family(0)] is cached too, and each call integrates family(k,
-    branch) on the derived rule only (see the module docstring).
+    W_sing = Q_sing[family(0)] is assembled once per rule.  In the
+    resonance regime (`_moment_series`: |k| rho_max <= G1_SERIES_RADIUS
+    for the G1 families, |k| R <= J0Y0_SERIES_RADIUS for
+    kernel_2d_singular), W_reg(k) is a sum of the rule's cached moment
+    matrices times closed-form coefficients, and no kernel is evaluated.
+    Otherwise W_sing - Q_reg[family(0)] is cached too, and each call
+    integrates family(k, branch) on the derived rule only (see the module
+    docstring).
     """
     sing_key = ("sing", family, measure_power)
     sing = rule._cache.get(sing_key)
     if sing is None:
         sing = rule._cache[sing_key] = build_kernel_matrix(
             rule, family(0.0, Branch.ZERO), measure_power)
-    if family in _G1_MOMENTS:
-        basis, reach = _G1_MOMENTS[family]
-        rho_max = reach * (rule.domain[1] - rule.domain[0])
-        if abs(k) * rho_max <= G1_SERIES_RADIUS:
-            return _g1_moment_sum(rule, family, measure_power, basis, rho_max, k, branch, sing)
+    series = _moment_series(rule, family, k, branch)
+    if series is not None:
+        return _moment_sum(rule, ("moments", family, measure_power), measure_power, *series, sing)
     reg = rule.regular_rule()
     key = (family, measure_power)
     fixed = rule._cache.get(key)
@@ -711,35 +724,114 @@ def build_split_matrix(rule, family, k, branch, measure_power):
     return fixed + build_kernel_matrix(reg, family(k, branch), measure_power)
 
 
-def _g1_moment_sum(rule, family, measure_power, basis, rho_max, k, branch, sing):
-    """sing + sum_n a_n U_n + sum_m b_m V_m.  With rho = rho_max s, a_n and
-    b_m are the coefficients of s^n and s^2m log s in `greens.g1_series`,
-    and U_n, V_m the derived rule's integrals of those rows of the reduced
-    basis.  The moments are cached on the rule per (family, measure power)
-    and grown when a larger |k| needs more terms."""
-    a, b = greens.g1_series(k, branch, G1_SERIES_MAX_ORDER)
+def _moment_series(rule, family, k, branch):
+    """(coefficients, rows) of the moment route of family(k, branch) on
+    the rule, or None where the build takes the kernel route.
+
+    `coefficients` is a tuple of arrays, one per kind of moment, and
+    rows(orders) the kernel stacking the reduced basis rows of each kind
+    for the index ranges in `orders`, kind after kind (`_moment_sum`)."""
+    if family is kernel_2d_singular:
+        radius = rule.domain[1]
+        if branch is Branch.ZERO or abs(k) * radius > J0Y0_SERIES_RADIUS:
+            return None
+        return _j0y0_series(k, branch, radius), lambda orders: _j0y0_rows(radius, orders[0])
+    if family not in _G1_MOMENTS:
+        return None
+    basis, reach = _G1_MOMENTS[family]
+    rho_max = reach * (rule.domain[1] - rule.domain[0])
+    if abs(k) * rho_max > G1_SERIES_RADIUS:
+        return None
+    a, b = greens.g1_series(k, branch, SERIES_MAX_ORDER)
     scale = rho_max ** np.arange(len(a))
     a, b = a * scale, b * scale[::2]
     a[2::2] += b[1:] * math.log(rho_max)  # log rho = log s + log rho_max
     size = np.abs(a)
     size[::2] += np.abs(b)
-    if size[-1] > G1_SERIES_TAIL:
-        raise NystromError(f"G1 series too short at |k| rho_max = {abs(k) * rho_max:.3g}")
-    order = max(np.flatnonzero(size > G1_SERIES_TAIL), default=0)
-    key = ("g1_moments", family, measure_power)
-    U, V = rule._cache.get(key, ((), ()))
-    if len(U) <= order:  # grown into new tuples, so a racing build sees one consistent pair
-        powers, logs = range(len(U), order + 1), range(len(V) + 1, order // 2 + 1)
-        stack = build_kernel_matrix(rule.regular_rule(),
-                                    _moment_kernel(basis(rho_max), powers, logs), measure_power)
-        U, V = rule._cache[key] = U + tuple(stack[:len(powers)]), V + tuple(stack[len(powers):])
+    order = _series_order(size, abs(k) * rho_max)
+    return ((a[:order + 1], b[1:order // 2 + 1]),
+            lambda orders: _moment_kernel(basis(rho_max), orders[0],
+                                          range(orders[1].start + 1, orders[1].stop + 1)))
+
+
+def _series_order(size, kr):
+    """Last order n whose scaled series term size[n] exceeds SERIES_TAIL."""
+    if size[-1] > SERIES_TAIL:
+        raise NystromError(f"moment series too short at |k| rho_max = {kr:.3g}")
+    return max(np.flatnonzero(size > SERIES_TAIL), default=0)
+
+
+_HARMONIC = np.r_[0.0, np.cumsum(1.0 / np.arange(1, SERIES_MAX_ORDER + 1))]  # H_n
+_J0Y0_ROW_BOUND = np.array([math.comb(2 * n, n) / math.factorial(n) ** 2  # U_n(1, 1)
+                            for n in range(SERIES_MAX_ORDER + 1)])
+
+
+def _j0y0_series(k, branch, radius):
+    """Coefficients (c_U, c_L, c_H) of the k-dependent part of
+    `kernel_2d_singular` in the rows of `_j0y0_rows`:
+
+        (pi kappa / 2) J0(kappa lo) h(kappa hi)
+            = sum_n c_U[n] U_n + c_L[n] U_n log y + c_H[n] H_n.
+
+    With z = kappa R / 2 and lambda = log z + gamma, the power series of
+    J0 and the series Y0(x) = (2/pi) [(log(x/2) + gamma) J0(x) - sum_b
+    (-1)^b H_b (x/2)^2b / b!^2] (DLMF 10.8.2), grouped by total degree n,
+    give kappa (-1)^n z^2n times (lambda, 1, -1) on the negative branch,
+    where h = Y0; (i pi - lambda, -1, 1) on the outgoing branch, where
+    h = 2i J0 - Y0; and (-i pi - lambda, -1, 1) on the incoming branch,
+    where h = -2i J0 - Y0."""
+    kappa = -complex(k) if branch is Branch.NEGATIVE else complex(k)
+    z = kappa * radius / 2.0
+    lam = cmath.log(z) + EULER_GAMMA
+    c = {Branch.NEGATIVE: (lam, 1.0, -1.0), Branch.OUTGOING: (1j * np.pi - lam, -1.0, 1.0),
+         Branch.INCOMING: (-1j * np.pi - lam, -1.0, 1.0)}[branch]
+    scale = kappa * (-z * z) ** np.arange(SERIES_MAX_ORDER + 1)
+    # U_n <= U_n(1, 1) = C(2n, n) / n!^2 and H_n(1, 1) <= H_n U_n(1, 1)
+    size = (np.abs(scale * radius) * _J0Y0_ROW_BOUND
+            * (abs(c[0]) + abs(c[1]) + abs(c[2]) * _HARMONIC))
+    order = _series_order(size, abs(kappa) * radius)
+    return tuple(scale[:order + 1] * cj for cj in c)
+
+
+def _j0y0_rows(radius, orders):
+    """Kernel stacking the rows U_n, then U_n log y, then H_n, n in
+    `orders`, of the 2D remainder: with x = min(r, t) / R and y = max(r,
+    t) / R, U_n = sum_{a+b=n} x^2a y^2b / (a! b!)^2 and H_n is the same
+    sum with each term weighted by the harmonic number H_b.  All terms are
+    positive, so the rows do not cancel."""
+    def f(r0, t):
+        x2, y = (np.minimum(r0, t) / radius) ** 2, np.maximum(r0, t) / radius
+        p, q = [np.ones_like(y)], [np.ones_like(y)]  # x^2a / a!^2, y^2b / b!^2
+        for j in range(1, orders.stop):
+            p.append(p[-1] * x2 / j**2)
+            q.append(q[-1] * (y * y) / j**2)
+        U = [sum(p[a] * q[n - a] for a in range(n + 1)) for n in orders]
+        H = [sum(p[a] * q[n - a] * _HARMONIC[n - a] for a in range(n + 1)) for n in orders]
+        log_y = np.log(y)
+        return np.array(U + [u * log_y for u in U] + H)
+    return f
+
+
+def _moment_sum(rule, key, measure_power, coefficients, rows, sing):
+    """sing + sum_f sum_i coefficients[f][i] M_f[i], the moment route of
+    every series build (d = 1, 2, 3).
+
+    M_f[i] is the derived rule's integral of row i of kind f of the
+    reduced basis.  The moments are cached on the rule under `key` and
+    grown, in one stacked build of the missing rows (`rows`), when a
+    larger |k| needs more terms."""
+    moments = rule._cache.get(key, ((),) * len(coefficients))
+    missing = [range(len(M), max(len(M), len(c))) for M, c in zip(moments, coefficients)]
+    if any(missing):  # grown into new tuples, so a racing build sees one consistent set
+        stack = iter(build_kernel_matrix(rule.regular_rule(), rows(missing), measure_power))
+        moments = rule._cache[key] = tuple(M + tuple(itertools.islice(stack, len(r)))
+                                           for M, r in zip(moments, missing))
     W = sing.copy()
     # elementwise on purpose: a BLAS contraction (tensordot) wakes a second
     # OpenBLAS thread, which costs more CPU time than it saves wall time
-    for n in range(order + 1):
-        W += a[n] * U[n]
-    for m in range(1, order // 2 + 1):
-        W += b[m] * V[m - 1]
+    for c, M in zip(coefficients, moments):
+        for cn, Mn in zip(c, M):
+            W += cn * Mn
     return W
 
 

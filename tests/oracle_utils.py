@@ -5,9 +5,13 @@ use scipy's adaptive integrator.  These deliberately avoid the library's
 own evaluation paths.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+
+from photon_resonance import greens as gr
 
 mp.mp.dps = 60  # Hankel/Struve references need headroom off the real axis
 
@@ -64,6 +68,32 @@ def green_reduced_3d_oracle(k, branch_green, r, rp):
     re, _ = quad(f_re, 0, np.pi, epsabs=1e-12, limit=400)
     im, _ = quad(f_im, 0, np.pi, epsabs=1e-12, limit=400)
     return complex(re, im)
+
+
+def green_negk_quadrature_oracle(d, k, r, abs_tol=1e-12):
+    """Slow independent evaluation of the negative-branch kernel.
+
+    Integrates c_d * int_0^inf e^{kt} t (t^2+r^2)^{-(d+1)/2} dt for real
+    k < 0, to cross-check the closed forms of `greens`.
+    """
+    if d not in (1, 2, 3):
+        raise gr.GreensDomainError("dimension must be 1, 2 or 3")
+    k = float(k)
+    if k >= 0:
+        raise gr.GreensDomainError("quadrature oracle requires real k < 0")
+    r = float(r)
+    if r <= gr.R_MIN:
+        raise gr.GreensDomainError(f"radius must exceed {gr.R_MIN}")
+    cd = gr.heat_constant(d)
+    p = (d + 1) / 2
+
+    def integrand(t):
+        return math.exp(k * t) * t / (t * t + r * r) ** p
+
+    val, err = quad(integrand, 0.0, np.inf, epsabs=abs_tol, epsrel=1e-13, limit=400)
+    if err > max(100 * abs_tol, 1e-8 * abs(val)):
+        raise RuntimeError(f"quadrature did not converge: estimate {val}, error {err}")
+    return cd * val
 
 
 def radial_integral(f, d, r_max=1e7, n_decades_start=1e-6):

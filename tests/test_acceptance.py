@@ -44,7 +44,7 @@ def test_criterion_01_greens_cross_validation():
         for k in (-0.2, -0.5, -1.0, -2.0, -5.0):
             for r in (0.05, 0.3, 1.0, 3.0, 12.0):
                 cf = gr.green(d, WaveNumber.negative(k), r)
-                oracle = gr.green_negk_quadrature_oracle(d, k, r)
+                oracle = orc.green_negk_quadrature_oracle(d, k, r)
                 worst = max(worst, abs(cf.real - oracle) / abs(oracle))
     dt = time.time() - t0
     assert worst <= 1e-8

@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -362,3 +364,12 @@ def test_manifest_records_every_schema_key(path, tmp_path):
             if section == "greens" and isinstance(want, list):
                 want = [str(v) for v in want]
             assert man[section][key] == want, (section, key)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # start-up: the test-only quadrature oracles live in tests/oracle_utils.py
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, photon_resonance.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

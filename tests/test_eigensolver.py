@@ -124,6 +124,35 @@ def test_find_resonances_builds_each_omega_once(monkeypatch):
     assert len(omegas) == len(set(omegas))
 
 
+def _aligned_distance(v, ref):
+    # distance between two vectors up to phase and scale
+    v, ref = v / np.linalg.norm(v), ref / np.linalg.norm(ref)
+    phase = np.vdot(v, ref)
+    return np.linalg.norm(v * phase / abs(phase) - ref)
+
+
+def test_smallest_eigenpair_matches_eig(res3):
+    rule = QuadratureRule.make(0.1, n_radial=48)
+    p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.1, s0=1.0)
+    for params, omega in ((params3(), res3[0].omega), (params3(), 0.7 - 0.01j), (p2, 0.108 - 0.014j)):
+        op = ny.build_full_operator(params, omega, rule)
+        v = es._smallest_eigenpair(op.matrix, es.characteristic_value(op))
+        ev, V = np.linalg.eig(op.matrix)
+        assert _aligned_distance(v, V[:, np.argmin(np.abs(ev))]) <= 1e-10, omega
+    # an eigenvalue that is exact in floating point still gives its vector
+    v = es._smallest_eigenpair(np.diag([3.0, -0.1, 2.0j]), -0.1)
+    assert _aligned_distance(v, np.array([0.0, 1.0, 0.0])) <= 1e-10
+
+
+def test_find_resonances_makes_no_eig_call(monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    res = es.find_resonances(params3(), 2, rule=QuadratureRule.make(0.1, n_radial=32))
+    assert all(r.converged and r.residual <= 1e-8 for r in res)
+
+
 def test_seed_robustness(res3):
     # 1% seed perturbation reproduces the first mode to 1e-8
     p = params3()

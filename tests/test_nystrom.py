@@ -549,7 +549,7 @@ def test_build_above_radius_takes_kernel_route(monkeypatch):
 def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
     rule = QuadratureRule.make(0.1, n_radial=48)
     ny.build_full_operator(params3(0.1), 0.5 - 0.001j, rule)
-    key = ("g1_moments", ny.kernel_3d_reduced, 2)
+    key = ("moments", ny.kernel_3d_reduced, 2)
     n_powers, n_logs = (len(m) for m in rule._cache[key])
     k0_calls = []
     a0 = ny.kernel_a0_reduced
@@ -564,4 +564,73 @@ def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
     U, V = rule._cache[key]
     assert len(U) > n_powers and len(V) > n_logs
     fresh = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, QuadratureRule.make(0.1, n_radial=48))
+    assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
+
+
+def params2(eps=0.2):
+    return PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=1.0)
+
+
+@pytest.mark.parametrize("n", (48, 96))
+def test_j0y0_moment_route_matches_kernel_route(n):
+    rule = QuadratureRule.make(0.2, n_radial=n)
+    radius = rule.domain[1]
+    for z in (0.1, 1.0, ny.J0Y0_SERIES_RADIUS * (1 - 1e-12)):
+        for phase, branch in ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
+                              (-1.0, Branch.NEGATIVE)):
+            k = z / radius * phase
+            moments = ny.build_split_matrix(rule, ny.kernel_2d_singular, k, branch, 1)
+            direct = _kernel_route(rule, ny.kernel_2d_singular, k, branch, 1)
+            assert np.max(np.abs(moments - direct)) <= 1e-13 * np.max(np.abs(direct)), (z, branch)
+
+
+def _counting_bessel(monkeypatch):
+    calls = []
+    for name in ("jv", "yv", "_h0"):
+        def counted(*args, fn=getattr(ny, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(ny, name, counted)
+    return calls
+
+
+def test_warm_2d_resonance_build_evaluates_no_bessel(monkeypatch):
+    rule = QuadratureRule.make(0.2, n_radial=48)
+    ny.build_full_operator(params2(), 0.76 - 0.003j, rule)
+    bessel_calls = _counting_bessel(monkeypatch)
+    _, kernel_calls = _counting(monkeypatch)
+    ny.build_full_operator(params2(), 0.09 - 0.02j, rule)
+    assert bessel_calls == [] and kernel_calls == []
+
+
+def test_2d_build_above_radius_takes_kernel_route(monkeypatch):
+    rule = QuadratureRule.make(0.2, n_radial=48)
+    family = ny.kernel_2d_singular
+    k_edge = ny.J0Y0_SERIES_RADIUS / rule.domain[1] * np.exp(-0.01j)
+    bessel_calls = _counting_bessel(monkeypatch)
+    ny.build_split_matrix(rule, family, k_edge, Branch.OUTGOING, 1)
+    assert bessel_calls == []
+    W = ny.build_split_matrix(rule, family, 1.01 * k_edge, Branch.OUTGOING, 1)
+    assert {"jv", "_h0"} <= set(bessel_calls)
+    assert np.array_equal(W, _kernel_route(rule, family, 1.01 * k_edge, Branch.OUTGOING, 1))
+
+
+def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
+    rule = QuadratureRule.make(0.2, n_radial=48)
+    ny.build_full_operator(params2(), 0.1 - 0.02j, rule)
+    key = ("moments", ny.kernel_2d_singular, 1)
+    before = [len(m) for m in rule._cache[key]]
+    k0_calls = []
+    a0 = ny.kernel_a0_reduced
+
+    def counted_a0(d):
+        k0_calls.append(d)
+        return a0(d)
+
+    monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
+    grown = ny.build_full_operator(params2(), 12.0 - 0.01j, rule).matrix  # |k| R = 2.4
+    assert k0_calls == []
+    after = [len(m) for m in rule._cache[key]]
+    assert all(a > b for a, b in zip(after, before)) and len(set(after)) == 1
+    fresh = ny.build_full_operator(params2(), 12.0 - 0.01j, QuadratureRule.make(0.2, n_radial=48))
     assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
