@@ -29,7 +29,7 @@ def main():
     args = ap.parse_args()
 
     p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=args.eps, s0=args.s0)
-    res = es.find_resonances(p, 1, rule=QuadratureRule.make(args.eps, n_radial=48))
+    res = es.find_resonances(p, 1, QuadratureRule.make(1.0, n_radial=48))
     w = res[0].omega
     print(f"resonance omega* = {w:.8f}", file=sys.stderr)
 

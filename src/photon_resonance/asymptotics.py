@@ -52,7 +52,13 @@ class LimitingMode:
         return float(np.real(np.sum(a1.norm_weights * self.psi * (a1.matrix @ self.psi))))
 
 
-def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule = None) -> list[LimitingMode]:
+def require_unit_domain(rule: QuadratureRule):
+    """ValueError unless the rule is on [0, 1], where L0, psi and A1 live."""
+    if rule.domain != (0.0, 1.0):
+        raise ValueError(f"limiting operators need a rule on [0, 1], got {rule.domain}")
+
+
+def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list[LimitingMode]:
     """Top-n eigenpairs of the limiting operator, shifted by Omega.
 
     Eigenvectors are normalized in the quadrature-weighted norm and
@@ -63,6 +69,7 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule = None) 
         raise AsymptoticsError("limiting modes are defined for d in {2, 3}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    require_unit_domain(rule)
     op = nystrom.build_l0_operator(params, rule)
     W = op.norm_weights
     B, _ = nystrom.weighted_symmetrize(op.matrix.real, W)

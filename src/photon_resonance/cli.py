@@ -218,10 +218,21 @@ def _run_greens_table(cfg):
     return rows
 
 
+def _unit_rule(cfg, count_key):
+    """The run's one unit-domain rule, for the limiting operator and every
+    eps, once numerics[count_key] is checked against that operator's modes:
+    one in 1D (rank one), radial_nodes in 2D and 3D."""
+    n, nodes = cfg.sections["numerics"][count_key], cfg.sections["numerics"]["radial_nodes"]
+    most = 1 if cfg.params.d == 1 else nodes
+    if n > most:
+        raise ConfigError(f"numerics.{count_key} = {n} exceeds the {most} limiting mode(s) "
+                          f"of d = {cfg.params.d} with numerics.radial_nodes = {nodes}")
+    return nystrom.QuadratureRule.make(1.0, n_radial=nodes)
+
+
 def _run_resonances(cfg):
     num = cfg.sections["numerics"]
-    rule = nystrom.QuadratureRule.make(cfg.params.epsilon, n_radial=num["radial_nodes"])
-    res = eigensolver.find_resonances(cfg.params, num["n_modes"], rule=rule,
+    res = eigensolver.find_resonances(cfg.params, num["n_modes"], _unit_rule(cfg, "n_modes"),
                                       tol=num["muller_tol"], max_iter=num["max_iter"])
     rows = [(j, r.omega.real, r.omega.imag, r.residual, r.iterations)
             for j, r in enumerate(res, start=1)]
@@ -230,11 +241,11 @@ def _run_resonances(cfg):
     return rows
 
 
-def _trace(cfg, modes, grid, limit=None):
+def _trace(cfg, modes, grid, rule, limit=None):
     num = cfg.sections["numerics"]
     return eigensolver.trace_in_epsilon(
-        cfg.params, modes, grid, n_radial=num["radial_nodes"], tol=num["muller_tol"],
-        max_iter=num["max_iter"], limit=limit)
+        cfg.params, modes, grid, rule, tol=num["muller_tol"], max_iter=num["max_iter"],
+        limit=limit)
 
 
 def _run_trace(cfg):
@@ -242,7 +253,7 @@ def _run_trace(cfg):
     grid = num["epsilon_grid"]
     if not grid:
         raise ConfigError("trace-epsilon requires numerics.epsilon_grid")
-    traces = _trace(cfg, range(1, num["n_modes"] + 1), grid)
+    traces = _trace(cfg, range(1, num["n_modes"] + 1), grid, _unit_rule(cfg, "n_modes"))
     return [(tr.mode_index, e, r.omega.real, r.omega.imag)
             for tr in traces for e, r in zip(tr.epsilons, tr.results)]
 
@@ -276,9 +287,10 @@ def _run_asymptotics_compare(cfg):
     kind = cfg.sections["asymptotics"]["approximation"]
     if kind not in ("expansion", "sphere"):
         raise ConfigError(f"[asymptotics]: unknown approximation {kind!r}")
+    rule = _unit_rule(cfg, "mode_index")
     mode = limit = None
     if p.d in (2, 3):
-        modes = asymptotics.limiting_modes(p, j)  # also the trace's seeds: one L0 build
+        modes = asymptotics.limiting_modes(p, j, rule)  # also the trace's seeds: one L0 build
         mode = modes[j - 1]
         limit = [m.omega_j for m in modes]
     else:
@@ -295,7 +307,7 @@ def _run_asymptotics_compare(cfg):
             return asymptotics.resonance_expansion_2d(mode, pe, eps)
         return asymptotics.resonance_expansion_3d(mode, pe, eps)
 
-    [trace] = _trace(cfg, [j], grid, limit)
+    [trace] = _trace(cfg, [j], grid, rule, limit)
     rows = []
     for e, r in zip(trace.epsilons, trace.results):
         a = asym_at(e)

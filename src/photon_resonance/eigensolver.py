@@ -135,7 +135,8 @@ class SpectrumResult:
             )
 
 
-def _limiting_frequencies(params: PhysicalParams, n_modes: int):
+def _limiting_frequencies(params: PhysicalParams, n_modes: int, rule: QuadratureRule):
+    asymptotics.require_unit_domain(rule)
     if params.d == 1:
         if n_modes != 1:
             raise ValueError("the d=1 limiting operator is rank one: n_modes must be 1")
@@ -146,7 +147,7 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int):
             # the leading terms of its expansion
             w1 = asymptotics.resonance_expansion_1d(params, params.epsilon)
         return [w1]
-    return [mode.omega_j for mode in asymptotics.limiting_modes(params, n_modes)]
+    return [mode.omega_j for mode in asymptotics.limiting_modes(params, n_modes, rule)]
 
 
 def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
@@ -208,20 +209,20 @@ def _solve_modes(params: PhysicalParams, seeds: Sequence[complex], rule: Quadrat
     return results
 
 
-def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule = None,
+def find_resonances(params: PhysicalParams, n_modes: int, rule: QuadratureRule,
                     tol: float = 1e-10, max_iter: int = 50) -> list[SpectrumResult]:
     """Locate the nonlinear eigenvalues seeded from the limiting spectrum.
 
-    Returns one entry per requested mode, sorted by Re(omega).  The modes
-    go through the shared mode loop (`_solve_modes`), so converged entries
-    are distinct, and modes whose Muller iteration fails are returned with
-    converged=False rather than aborting the rest.
+    One rule on the unit domain (ValueError otherwise) builds the limiting
+    operator and every operator of the solve.  Returns one entry per
+    requested mode, sorted by Re(omega).  The modes go through the shared
+    mode loop (`_solve_modes`), so converged entries are distinct, and
+    modes whose Muller iteration fails are returned with converged=False
+    rather than aborting the rest.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    if rule is None:
-        rule = nystrom.default_rule(params)
-    results = _solve_modes(params, _limiting_frequencies(params, n_modes), rule, tol, max_iter)
+    results = _solve_modes(params, _limiting_frequencies(params, n_modes, rule), rule, tol, max_iter)
     return sorted(results, key=lambda s: s.omega.real)
 
 
@@ -240,15 +241,15 @@ class ResonanceTrace:
 
 
 def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Sequence[float],
-                     n_radial: int = 64, tol: float = 1e-10, max_iter: int = 50,
+                     rule: QuadratureRule, tol: float = 1e-10, max_iter: int = 50,
                      limit: Sequence[complex] = None) -> list[ResonanceTrace]:
     """Warm-started continuation of the given modes along decreasing eps.
 
+    One rule on the unit domain serves the limit and every eps and mode.
     The limiting frequencies seed the first eps: `limit`, mode 1 first, if
-    the caller already has them, else computed once here.  At
-    each eps one QuadratureRule.make(eps, n_radial) serves every mode, and
-    the modes go through the shared mode loop from their roots at the
-    previous eps, so they deflate against each other.  A mode that fails
+    the caller already has them, else computed once here.  At each eps the
+    modes go through the shared mode loop from their roots at the previous
+    eps, so they deflate against each other.  A mode that fails
     raises EigensolverError; a jump larger than CONTINUITY_RTOL times
     the distance from the previous root to Omega or to another traced
     mode's previous root is logged and recorded in `continuity_breaks`.
@@ -263,12 +264,11 @@ def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Seq
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     if limit is None:
-        limit = _limiting_frequencies(params, max(modes))
+        limit = _limiting_frequencies(params, max(modes), rule)
     seeds = [limit[m - 1] for m in modes]
     results = [[] for _ in modes]
     breaks = [[] for _ in modes]
     for i, e in enumerate(eps):
-        rule = QuadratureRule.make(e, n_radial=n_radial)
         step = _solve_modes(replace(params, epsilon=e), seeds, rule, tol, max_iter, modes)
         for n, (m, sr) in enumerate(zip(modes, step)):
             if not sr.converged:

@@ -52,6 +52,14 @@ J0Y0_SERIES_RADIUS, W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)] by
 linearity: W_sing - Q_reg[kernel(0)] is cached and each build evaluates
 kernel(k) on the derived rule only.
 
+As G^k(rho) = rho^(1-d) F_d(k rho), W(k; eps) = s W(s k; R) with s =
+eps / R, so one unit-domain rule and its caches serve every eps and the
+limiting operators (`build_full_operator`).  At N = 48 the rescaled
+build matches an eps rule to 3.6e-14 of max |W| for d = 2, 3, and to
+1.5e-10 for d = 1: there the k = 0 kernel's log eps sits in W_sing on an
+eps rule, whose open 2^-SING_LEVELS gap drops part of it, but in the
+closed-gap W_reg(s k) on the unit rule.
+
 Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
 * d = 3: exact, via the antiderivative identity
@@ -196,8 +204,8 @@ class QuadratureRule:
     that its innermost panel reaches the singular point.  The panel
     batches, the derived rule, the k-independent parts of each split build
     and the series moments (G1, 2D J0 Y0 and Struve) are cached on the
-    rule (`_cache`), so one rule should serve all builds of one
-    discretization.
+    rule (`_cache`).  One rule of radius 1 serves every eps of one
+    discretization and its limiting operators (module docstring).
     """
 
     nodes: np.ndarray
@@ -671,26 +679,6 @@ def kernel_a1_reduced(d, k):
     raise ValueError("A1 reduction applies to d in {2, 3}")
 
 
-def reduced_kernel(d, k, r, rp):
-    """Angular average of G^k over shells |x| = r, |y| = rp (surface measure
-    of the unit sphere included), for r != rp."""
-    branch = greens.branch_for(k)
-    kc = complex(k)
-    r = float(r)
-    rp = float(rp)
-    if r <= 0 or rp <= 0:
-        raise NystromError("shell radii must be positive")
-    if d == 1:
-        return complex(kernel_1d(kc, branch)(r, np.asarray([rp]))[0])
-    if d == 3:
-        return complex(kernel_3d_reduced(kc, branch)(r, np.asarray([rp]))[0])
-    if d == 2:
-        tt = np.asarray([rp])
-        struve = kernel_2d_struve(kc, branch, np.asarray([r]), tt, [])
-        return complex(kernel_2d_singular(kc, branch)(r, tt)[0] + struve[0, 0])
-    raise ValueError("dimension must be 1, 2 or 3")
-
-
 # ----------------------------------------------------------------------
 # matrix assembly
 # ----------------------------------------------------------------------
@@ -698,11 +686,12 @@ def reduced_kernel(d, k, r, rp):
 def build_split_matrix(rule, family, k, branch, measure_power):
     """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
 
-    W_sing = Q_sing[family(0)] is assembled once per rule.  In the
-    resonance regime (`_moment_series`: |k| rho_max <= G1_SERIES_RADIUS
-    for the G1 families, |k| R <= J0Y0_SERIES_RADIUS for
-    kernel_2d_singular), W_reg(k) is a sum of the rule's cached moment
-    matrices times closed-form coefficients, and no kernel is evaluated.
+    W_sing = Q_sing[family(0)] is assembled once per rule, and is the
+    whole build on Branch.ZERO.  In the resonance regime (`_moment_series`:
+    |k| rho_max <= G1_SERIES_RADIUS for the G1 families, |k| R <=
+    J0Y0_SERIES_RADIUS for kernel_2d_singular), W_reg(k) is a sum of the
+    rule's cached moment matrices times closed-form coefficients, and no
+    kernel is evaluated.
     Otherwise W_sing - Q_reg[family(0)] is cached too, and each call
     integrates family(k, branch) on the derived rule only (see the module
     docstring).
@@ -712,6 +701,8 @@ def build_split_matrix(rule, family, k, branch, measure_power):
     if sing is None:
         sing = rule._cache[sing_key] = build_kernel_matrix(
             rule, family(0.0, Branch.ZERO), measure_power)
+    if branch is Branch.ZERO:
+        return sing.copy()
     series = _moment_series(rule, family, k, branch)
     if series is not None:
         return _moment_sum(rule, ("moments", family, measure_power), measure_power, *series, sing)
@@ -733,7 +724,7 @@ def _moment_series(rule, family, k, branch):
     for the index ranges in `orders`, kind after kind (`_moment_sum`)."""
     if family is kernel_2d_singular:
         radius = rule.domain[1]
-        if branch is Branch.ZERO or abs(k) * radius > J0Y0_SERIES_RADIUS:
+        if abs(k) * radius > J0Y0_SERIES_RADIUS:
             return None
         return _j0y0_series(k, branch, radius), lambda orders: _j0y0_rows(radius, orders[0])
     if family not in _G1_MOMENTS:
@@ -906,53 +897,46 @@ def volume_weights(d, rule):
     return greens.surface_measure(d) * rule.weights * rule.nodes ** (d - 1)
 
 
-def default_rule(params, n_radial=64):
-    return QuadratureRule.make(params.epsilon, n_radial=n_radial)
+_FAMILIES = {1: kernel_1d, 2: kernel_2d_singular, 3: kernel_3d_reduced}  # by dimension
 
 
 def full_kernel_matrix(rule, d, k, branch):
     """Split build of the reduced resolvent kernel in dimension d; in 2D
     the entire Struve component is added with the plain rule."""
-    family = {1: kernel_1d, 2: kernel_2d_singular, 3: kernel_3d_reduced}[d]
-    W = build_split_matrix(rule, family, k, branch, d - 1)
+    W = build_split_matrix(rule, _FAMILIES[d], k, branch, d - 1)
     if d == 2:
         moments = rule._cache.setdefault("struve_moments", [])
         W += kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments) * rule.weights * rule.nodes
     return W
 
 
-def build_full_operator(params, omega, rule=None):
+def build_full_operator(params, omega, rule):
     """Matrix of the nonlinear-eigenvalue operator at frequency omega:
-    M = -(omega - Omega) I - (g^2 rho0 / c) W."""
+    M = -(omega - Omega) I - (g^2 rho0 / c) s W(s k; R), k = omega / c, on
+    a rule of any radius R, s = eps / R.  The norm weights are those of
+    B_eps, volume_weights(d, rule) s^d."""
     omega = complex(omega)
     if omega.real == 0.0:
         raise GreensDomainError("omega on the imaginary axis is outside the domain")
-    if rule is None:
-        rule = default_rule(params)
     k = omega / params.c
-    W = full_kernel_matrix(rule, params.d, k, greens.branch_for(k))
-    pref = params.g**2 * params.density / params.c
+    s = params.epsilon / rule.domain[1]
+    W = full_kernel_matrix(rule, params.d, s * k, greens.branch_for(k))
+    pref = params.g**2 * params.density / params.c * s
     M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - pref * W
-    return RadialOperator(M, rule, omega, params, volume_weights(params.d, rule))
+    return RadialOperator(M, rule, omega, params, volume_weights(params.d, rule) * s**params.d)
 
 
-def unit_rule(n_radial=64):
-    """Rule on the unit domain, for the limiting operators."""
-    return QuadratureRule.make(1.0, n_radial=n_radial)
-
-
-def build_l0_operator(params, rule=None):
-    """Positive compact operator L0 on the unit domain (kernel-only kind)."""
+def build_l0_operator(params, rule):
+    """Positive compact operator L0 on the unit domain: (g^2 s0 / c) times
+    the rule's cached k = 0 matrix W_sing."""
     if params.d not in (2, 3):
         raise ValueError("L0 is defined for d in {2, 3}; use the rank-1 form in 1D")
-    if rule is None:
-        rule = unit_rule()
-    W = build_kernel_matrix(rule, kernel_a0_reduced(params.d), params.d - 1)
+    W = build_split_matrix(rule, _FAMILIES[params.d], 0.0, Branch.ZERO, params.d - 1)
     pref = params.g**2 * params.s0_effective / params.c
     return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, volume_weights(params.d, rule))
 
 
-def build_limiting_operator(params, omega, rule=None):
+def build_limiting_operator(params, omega, rule):
     """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
     l0 = build_l0_operator(params, rule)
     M = -(complex(omega) - params.omega_a) * np.eye(len(l0.rule.nodes)) - l0.matrix
@@ -968,20 +952,3 @@ def build_a1_operator(params, omega_j, rule):
     pref = -params.g**2 * params.s0_effective / params.c
     return RadialOperator(pref * W, rule, complex(omega_j), params,
                           volume_weights(params.d, rule))
-
-
-def build_rank1_limit_1d(params, omega, rule=None):
-    """d=1 limiting operator: rank-1 perturbation of -(omega - Omega) I.
-
-    Its single nontrivial eigenvalue sits at Omega - g^2 s0 |B1| / (pi c),
-    with the constant function as eigenvector.
-    """
-    if params.d != 1:
-        raise ValueError("rank-1 limit applies to d = 1 only")
-    if rule is None:
-        rule = unit_rule()
-    w_even = 2.0 * rule.weights  # int over [-1, 1] of even samples
-    pref = params.g**2 * params.s0_effective / (np.pi * params.c)
-    N = len(rule.nodes)
-    M = -(complex(omega) - params.omega_a) * np.eye(N) - pref * np.tile(w_even, (N, 1))
-    return RadialOperator(M.astype(complex), rule, complex(omega), params, 2.0 * rule.weights)

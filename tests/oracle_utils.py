@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from photon_resonance import greens as gr
+from photon_resonance import greens as gr, nystrom as ny
 
 mp.mp.dps = 60  # Hankel/Struve references need headroom off the real axis
 
@@ -94,6 +94,45 @@ def green_negk_quadrature_oracle(d, k, r, abs_tol=1e-12):
     if err > max(100 * abs_tol, 1e-8 * abs(val)):
         raise RuntimeError(f"quadrature did not converge: estimate {val}, error {err}")
     return cd * val
+
+
+def reduced_kernel(d, k, r, rp):
+    """Angular average of G^k over shells |x| = r, |y| = rp (surface measure
+    of the unit sphere included), for r != rp, from the library's reduced
+    kernels at one point."""
+    branch = gr.branch_for(k)
+    kc = complex(k)
+    r = float(r)
+    rp = float(rp)
+    if r <= 0 or rp <= 0:
+        raise ny.NystromError("shell radii must be positive")
+    if d == 1:
+        return complex(ny.kernel_1d(kc, branch)(r, np.asarray([rp]))[0])
+    if d == 3:
+        return complex(ny.kernel_3d_reduced(kc, branch)(r, np.asarray([rp]))[0])
+    if d == 2:
+        tt = np.asarray([rp])
+        struve = ny.kernel_2d_struve(kc, branch, np.asarray([r]), tt, [])
+        return complex(ny.kernel_2d_singular(kc, branch)(r, tt)[0] + struve[0, 0])
+    raise ValueError("dimension must be 1, 2 or 3")
+
+
+def build_rank1_limit_1d(params, omega, rule=None):
+    """d=1 limiting operator: rank-1 perturbation of -(omega - Omega) I.
+
+    Its single nontrivial eigenvalue sits at Omega - g^2 s0 |B1| / (pi c),
+    with the constant function as eigenvector.  Without a rule, a 64-node
+    rule on the unit interval.
+    """
+    if params.d != 1:
+        raise ValueError("rank-1 limit applies to d = 1 only")
+    if rule is None:
+        rule = ny.QuadratureRule.make(1.0, n_radial=64)
+    w_even = 2.0 * rule.weights  # int over [-1, 1] of even samples
+    pref = params.g**2 * params.s0_effective / (np.pi * params.c)
+    N = len(rule.nodes)
+    M = -(complex(omega) - params.omega_a) * np.eye(N) - pref * np.tile(w_even, (N, 1))
+    return ny.RadialOperator(M.astype(complex), rule, complex(omega), params, 2.0 * rule.weights)
 
 
 def radial_integral(f, d, r_max=1e7, n_decades_start=1e-6):

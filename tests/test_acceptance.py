@@ -26,7 +26,7 @@ def P3(eps, **kw):
 
 @pytest.fixture(scope="module")
 def resonances_3d():
-    return es.find_resonances(P3(0.1), 5, rule=QuadratureRule.make(0.1, n_radial=64))
+    return es.find_resonances(P3(0.1), 5, rule=QuadratureRule.make(1.0, n_radial=64))
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ def test_criterion_07_log_limit_consistency_1d():
     devs, re_gaps = [], []
     for eps in eps_list:
         p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=1.0)
-        res = es.find_resonances(p, 1, rule=QuadratureRule.make(eps, n_radial=48))
+        res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=48))
         assert res[0].converged
         w = res[0].omega
         devs.append(abs(w.imag * np.log(eps) - target) / target)
@@ -257,7 +257,7 @@ def test_criterion_10_dynamics():
     assert all(1.7 <= q <= 2.3 for q in orders)
     # (iii) decay rate vs resonance within 20% on the joint scenario
     pd = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=0.05, s0=0.3)
-    res = es.find_resonances(pd, 1, rule=QuadratureRule.make(0.05, n_radial=48))
+    res = es.find_resonances(pd, 1, rule=QuadratureRule.make(1.0, n_radial=48))
     w_star = res[0].omega
     Lb, Nb = 24.0, 8192
     xb = -Lb / 2 + (Lb / Nb) * np.arange(Nb)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from photon_resonance import asymptotics as asym, eigensolver as es, nystrom as ny
+from photon_resonance import asymptotics as asym, eigensolver as es
 from photon_resonance.asymptotics import AsymptoticsError
 from photon_resonance.nystrom import PhysicalParams, QuadratureRule
+
+import oracle_utils as orc
 
 
 def params(d=3, omega_a=1.0, s0=1.0, eps=0.1):
@@ -29,7 +31,12 @@ def test_limiting_modes_structure(modes3):
 
 def test_limiting_modes_rejects_1d():
     with pytest.raises(AsymptoticsError):
-        asym.limiting_modes(params(d=1, eps=0.1), 1)
+        asym.limiting_modes(params(d=1, eps=0.1), 1, QuadratureRule.make(1.0, n_radial=16))
+
+
+def test_limiting_modes_rejects_a_non_unit_rule():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        asym.limiting_modes(params(), 1, QuadratureRule.make(0.1, n_radial=16))
 
 
 def test_expansion_3d_base_point_and_sign(modes3):
@@ -94,7 +101,7 @@ def test_bound_state_exponent():
 
 def test_rank1_limit_matches_formula_exactly():
     p = params(d=1, eps=0.1, s0=0.7)
-    op = ny.build_rank1_limit_1d(p, 0.0 + 0j, QuadratureRule.make(1.0, n_radial=24))
+    op = orc.build_rank1_limit_1d(p, 0.0 + 0j, QuadratureRule.make(1.0, n_radial=24))
     ev = np.linalg.eigvals(op.matrix)
     target = p.omega_a - 0.7 * 2.0 / np.pi
     nontrivial = ev[np.argmax(np.abs(ev - p.omega_a))]

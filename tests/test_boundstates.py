@@ -194,7 +194,7 @@ def test_3d_bound_state_two_routes_agree():
     # axis; the Muller continuation and the Birman-Schwinger crossing are
     # independent solve paths and must land on the same frequency
     p = PhysicalParams(d=3, c=1.0, g=1.0, omega_a=0.3, epsilon=0.1, s0=1.0)
-    res = es.find_resonances(p, 1, rule=QuadratureRule.make(0.1, n_radial=40))
+    res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=40))
     assert res[0].converged
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9  # bound modes carry no width

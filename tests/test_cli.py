@@ -296,6 +296,24 @@ epsilon_grid = 0.01, 0.005
     assert "regime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, edit, key", (
+    ("resonances", {"d = 3": "d = 1"}, "numerics.n_modes"),
+    ("trace-epsilon", {"radial_nodes = 24": "radial_nodes = 8", "n_modes = 2": "n_modes = 9"},
+     "numerics.n_modes"),
+    ("asymptotics-compare", {"radial_nodes = 24": "radial_nodes = 8", "n_modes = 2": "mode_index = 70"},
+     "numerics.mode_index"),
+))
+def test_mode_count_beyond_the_limiting_operator_exits_1(tmp_path, capsys, experiment, edit, key):
+    # d = 1 has one limiting mode, d = 2, 3 radial_nodes of them
+    cfg = RES_CFG + "epsilon_grid = 0.1, 0.05\n"
+    for old, new in edit.items():
+        cfg = cfg.replace(old, new)
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_2d_bound_state_solver_failure_exits_2(tmp_path, capsys):
     # the deep bracket end puts the 2D Struve series far past its reach
     cfg = """
@@ -364,6 +382,26 @@ def test_manifest_records_every_schema_key(path, tmp_path):
             if section == "greens" and isinstance(want, list):
                 want = [str(v) for v in want]
             assert man[section][key] == want, (section, key)
+
+
+@pytest.mark.parametrize("path", [p for p in SHIPPED_CONFIGS if os.path.basename(p).startswith(
+    ("resonances", "trace", "asymptotics"))], ids=os.path.basename)
+def test_solve_configs_build_one_unit_rule(path, tmp_path, monkeypatch):
+    # the limiting operator and every eps share the run's one unit-domain rule
+    rules = []
+    post_init = nystrom.QuadratureRule.__post_init__
+
+    def counted(rule):
+        rules.append(rule)
+        post_init(rule)
+
+    monkeypatch.setattr(nystrom.QuadratureRule, "__post_init__", counted)
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
+    assert cli.run(cfg)[0] == 0
+    n = cfg.sections["numerics"]["radial_nodes"]
+    # the rule and its derived rule for the regular part
+    assert [(r.domain, len(r.nodes), r.close_gap) for r in rules] == [
+        ((0.0, 1.0), n, False), ((0.0, 1.0), n, True)]
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -82,7 +82,7 @@ def params3(eps=0.1):
 @pytest.fixture(scope="module")
 def res3():
     p = params3()
-    return es.find_resonances(p, 3, rule=QuadratureRule.make(0.1, n_radial=32))
+    return es.find_resonances(p, 3, rule=QuadratureRule.make(1.0, n_radial=32))
 
 
 def test_first_mode_regression_pin(res3):
@@ -119,7 +119,7 @@ def test_find_resonances_builds_each_omega_once(monkeypatch):
         return build(params, omega, rule)
 
     monkeypatch.setattr(ny, "build_full_operator", recorded)
-    res = es.find_resonances(params3(), 3, rule=QuadratureRule.make(0.1, n_radial=32))
+    res = es.find_resonances(params3(), 3, rule=QuadratureRule.make(1.0, n_radial=32))
     assert all(r.converged for r in res)
     assert len(omegas) == len(set(omegas))
 
@@ -149,7 +149,7 @@ def test_find_resonances_makes_no_eig_call(monkeypatch):
         raise AssertionError("np.linalg.eig called")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
-    res = es.find_resonances(params3(), 2, rule=QuadratureRule.make(0.1, n_radial=32))
+    res = es.find_resonances(params3(), 2, rule=QuadratureRule.make(1.0, n_radial=32))
     assert all(r.converged and r.residual <= 1e-8 for r in res)
 
 
@@ -169,14 +169,14 @@ def test_seed_robustness(res3):
 
 def test_tiny_eps_roots_stay_near_seeds():
     p = params3(1e-4)
-    res = es.find_resonances(p, 2, rule=QuadratureRule.make(1e-4, n_radial=32))
+    res = es.find_resonances(p, 2, rule=QuadratureRule.make(1.0, n_radial=32))
     for r in res:
         assert abs(r.omega - r.seed) < 50 * p.epsilon  # O(eps) displacement
 
 
 def test_find_resonances_2d_smoke():
     p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.1, s0=1.0)
-    res = es.find_resonances(p, 2, rule=QuadratureRule.make(0.1, n_radial=28))
+    res = es.find_resonances(p, 2, rule=QuadratureRule.make(1.0, n_radial=28))
     assert all(r.converged for r in res)
     assert res[0].omega.real < res[1].omega.real < 1.0
     assert all(r.omega.imag < 0 for r in res)
@@ -184,7 +184,7 @@ def test_find_resonances_2d_smoke():
 
 def test_nonconvergence_reported_not_raised():
     p = params3()
-    res = es.find_resonances(p, 1, rule=QuadratureRule.make(0.1, n_radial=16),
+    res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=16),
                              tol=1e-18, max_iter=2)
     assert len(res) == 1
     assert not res[0].converged
@@ -193,12 +193,12 @@ def test_nonconvergence_reported_not_raised():
 
 def test_one_dimensional_bound_mode_real():
     p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=0.3, epsilon=0.01, s0=1.0)
-    res = es.find_resonances(p, 1, rule=QuadratureRule.make(0.01, n_radial=32))
+    res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=32))
     assert res[0].converged
     assert res[0].omega.real < 0
     assert abs(res[0].omega.imag) <= 1e-9
     with pytest.raises(ValueError):
-        es.find_resonances(p, 2)
+        es.find_resonances(p, 2, rule=QuadratureRule.make(1.0, n_radial=32))
 
 
 @pytest.mark.parametrize("omega_a", [0.3, 0.8, 1.0, 2.5])
@@ -210,19 +210,19 @@ def test_1d_seed_is_the_log_limit_exactly(omega_a, g, epsilon):
     p = PhysicalParams(d=1, c=1.3, g=g, omega_a=omega_a, epsilon=epsilon, s0=0.9)
     re = omega_a - g**2 * 0.9 * 2.0 / (np.pi * 1.3)
     want = complex(re, 2.0 * g**2 * 0.9 / (1.3 * math.log(epsilon))) if re > 0 else re
-    [seed] = es._limiting_frequencies(p, 1)
+    [seed] = es._limiting_frequencies(p, 1, QuadratureRule.make(1.0, n_radial=8))
     assert seed == want and type(seed) is type(want)
 
 
 def test_trace_requires_decreasing_grid():
     with pytest.raises(ValueError):
-        es.trace_in_epsilon(params3(), [1], [0.1, 0.2])
+        es.trace_in_epsilon(params3(), [1], [0.1, 0.2], QuadratureRule.make(1.0, n_radial=16))
 
 
 def test_trace_warm_start_and_limit():
     p = params3()
     eps = [4e-2, 2e-2, 1e-2, 5e-3]
-    [tr] = es.trace_in_epsilon(p, [1], eps, n_radial=32)
+    [tr] = es.trace_in_epsilon(p, [1], eps, QuadratureRule.make(1.0, n_radial=32))
     assert tr.continuity_breaks == ()
     w_seed = tr.results[0].seed
     gaps = [abs(r.omega - w_seed) for r in tr.results]
@@ -236,7 +236,7 @@ def test_smooth_2d_trace_logs_no_continuity_break(caplog):
     # yet by a few percent of its distance to Omega and to mode 2
     p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.2, s0=1.0)
     with caplog.at_level("WARNING", logger=es.__name__):
-        traces = es.trace_in_epsilon(p, [1, 2], [0.2, 0.1], n_radial=48)
+        traces = es.trace_in_epsilon(p, [1, 2], [0.2, 0.1], QuadratureRule.make(1.0, n_radial=48))
     assert [tr.continuity_breaks for tr in traces] == [(), ()]
     assert not [r for r in caplog.records if r.name == es.__name__]
 
@@ -244,10 +244,10 @@ def test_smooth_2d_trace_logs_no_continuity_break(caplog):
 def test_trace_rejects_bad_modes():
     for modes in ([], [0, 1], [1, 1]):
         with pytest.raises(ValueError):
-            es.trace_in_epsilon(params3(), modes, [0.1, 0.05])
+            es.trace_in_epsilon(params3(), modes, [0.1, 0.05], QuadratureRule.make(1.0, n_radial=16))
 
 
-def test_trace_shares_one_rule_per_eps_and_one_limit(monkeypatch):
+def test_trace_shares_one_rule_and_one_limit(monkeypatch):
     radii, l0_builds = [], []
     make, build_l0 = QuadratureRule.make.__func__, ny.build_l0_operator
 
@@ -259,22 +259,29 @@ def test_trace_shares_one_rule_per_eps_and_one_limit(monkeypatch):
         l0_builds.append(1)
         return build_l0(*args, **kwargs)
 
+    rule = QuadratureRule.make(1.0, n_radial=16)
     monkeypatch.setattr(QuadratureRule, "make", classmethod(counted_make))
     monkeypatch.setattr(ny, "build_l0_operator", counted_l0)
     eps = [4e-2, 2e-2]
-    traces = es.trace_in_epsilon(params3(), (1, 2), eps, n_radial=16)
-    # the unit rule of the limiting operator, then one rule per eps for both modes
-    assert radii == [1.0, *eps]
+    traces = es.trace_in_epsilon(params3(), (1, 2), eps, rule)
+    # the caller's unit rule seeds and solves every eps: no rule is made here
+    assert radii == []
     assert len(l0_builds) == 1
     assert [tr.mode_index for tr in traces] == [1, 2]
     assert all(r.converged for tr in traces for r in tr.results)
     assert traces[0].omegas[-1].real < traces[1].omegas[-1].real
 
 
+def test_find_resonances_rejects_a_non_unit_rule():
+    for p in (params3(), PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=0.1, s0=0.3)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            es.find_resonances(p, 1, rule=QuadratureRule.make(p.epsilon, n_radial=16))
+
+
 def test_trace_logs_continuity_breaks(caplog, monkeypatch):
     monkeypatch.setattr(es, "CONTINUITY_RTOL", 1e-12)
     with caplog.at_level("WARNING", logger=es.__name__):
-        [tr] = es.trace_in_epsilon(params3(), [1], [4e-2, 2e-2], n_radial=16)
+        [tr] = es.trace_in_epsilon(params3(), [1], [4e-2, 2e-2], QuadratureRule.make(1.0, n_radial=16))
     assert tr.continuity_breaks == (1,)
     [rec] = [r for r in caplog.records if r.name == es.__name__]
     assert rec.levelname == "WARNING"
