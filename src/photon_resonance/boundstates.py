@@ -10,7 +10,14 @@ having an eigenvalue >= 1: the number of Hamiltonian eigenvalues in
 (-infty, omega] equals the number of eigenvalues of K_omega in [1, infty).
 Its eigenvalues mu_n(omega) increase monotonically as omega increases
 toward 0-, so bound states are located by solving mu_n(omega) = 1 with
-Brent's method.
+Brent's method (zeroin; Brent 1973, *Algorithms for Minimization without
+Derivatives*, ch. 4), ported step for step from scipy.optimize.brentq.
+
+Since rho <= rho0 and the multiplier (c|xi| + |omega|)^{-1} has norm
+1/|omega|, every mu_n(omega) <= ||K_omega|| <= g^2 rho0 / (|omega| (Omega +
+|omega|)) in every d; G^0 need not be positive.  The solve's deep bracket
+end sits where this bound is 1/2, so mu_n < 1 there is proven, not
+guessed, and the bracket stays at moderate |omega|.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import greens, nystrom
 from .greens import Branch
 from .nystrom import PhysicalParams, QuadratureRule
 
 BRACKET_EXPONENTS = (-20, 10)  # omega = -c 2^j from just below 0 to the deepest
+DEEP_END_BOUND = 0.5  # the norm bound on mu at the deep end; 2x margin for discretization
 MU_ROUNDOFF = 4 * np.finfo(float).eps  # |error| of a computed mu near 1 (+-2 ulp measured)
 MIN_SLOPE = 0.1  # |d mu / d j| at the root, for roots with |omega| >= 0.17 Omega
 # Brent's smallest step, xtol / 2, moves mu by at least twice its round-off
@@ -160,20 +167,90 @@ def _mu_n(profile, omega, params, n, n_nodes, rule=None):
     return float(mu_spectrum(op, n)[n - 1])
 
 
+def deep_end_exponent(profile: DensityProfile, params: PhysicalParams) -> float:
+    """Scan exponent j of the deep bracket end omega = -c 2^j: where the norm
+    bound g^2 rho0 / (|omega| (Omega + |omega|)) on every mu_n equals
+    DEEP_END_BOUND, capped at the deep end of BRACKET_EXPONENTS."""
+    omega_a = params.omega_a
+    q = params.g**2 * profile.sup_density / DEEP_END_BOUND
+    depth = 0.5 * (math.sqrt(omega_a**2 + 4.0 * q) - omega_a)
+    return min(math.log2(depth / params.c), BRACKET_EXPONENTS[1])
+
+
+def brentq(f, a, b, xtol):
+    """Root of f on [a, b] (f(a), f(b) of opposite signs) by Brent's zeroin.
+
+    A port of scipy.optimize.brentq with its default rtol = 4 eps and
+    maxiter = 100: the same interpolate, extrapolate and bisect tests,
+    steps of at least delta = (xtol + rtol |x|) / 2, and the same stop once
+    the bracket half-width is below delta.  On the functions the tests try,
+    it returns the same root and evaluates f at the same points.  After 100
+    steps it returns the last point, as brentq(disp=False).
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the smaller |f| at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4 * np.finfo(float).eps * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur
+
+
 def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: int = 1,
                       tol: float = 1e-10, n_nodes: int = 64) -> BoundState:
     """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*).
 
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
-    decreases in the scan exponent j.  Once f changes sign over
-    BRACKET_EXPONENTS, Brent's method (scipy.optimize.brentq) refines the
-    crossing down to BRENT_XTOL in j, and omega* is returned only if
-    |mu_n(omega*) - 1| <= tol.  (d ln mu_n / d ln|omega| is at most
-    -|omega| / (Omega + |omega|), which gives MIN_SLOPE its range.)
-    The returned mu is the one computed there, so it equals a rebuild's.
+    decreases in the scan exponent j.  The bracket runs from the shallow
+    end of BRACKET_EXPONENTS to the deep end j_deep, where the norm bound
+    puts mu_n at DEEP_END_BOUND (deep_end_exponent), capped at the deep end
+    of BRACKET_EXPONENTS.  Once f changes sign over it, Brent's method
+    (brentq) refines the crossing down to BRENT_XTOL in j, and omega* is
+    returned only if |mu_n(omega*) - 1| <= tol.  (d ln mu_n / d ln|omega|
+    is at most -|omega| / (Omega + |omega|), which gives MIN_SLOPE its
+    range.)  The returned mu is the one computed there, so it equals a
+    rebuild's.
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
+    j_shallow = BRACKET_EXPONENTS[0]
+    j_deep = deep_end_exponent(profile, params)
+    if j_deep <= j_shallow:
+        raise BoundStateNotFound(
+            f"no bound state detected for mode {mode_n}: the norm bound keeps "
+            f"mu_{mode_n} below 1 on the scanned bracket"
+        )
     rule = _bs_rule(profile, n_nodes)
     seen: dict = {}  # j -> mu_n(-c 2^j)
 
@@ -182,7 +259,6 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
             seen[j] = _mu_n(profile, -params.c * 2.0**j, params, mode_n, n_nodes, rule)
         return seen[j] - 1.0
 
-    j_shallow, j_deep = BRACKET_EXPONENTS
     if f(j_shallow) < 0.0:
         raise BoundStateNotFound(
             f"no bound state detected for mode {mode_n}: "
@@ -193,7 +269,7 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
             f"mu_{mode_n} >= 1 already at the deepest scanned omega = "
             f"{-params.c * 2.0**j_deep}; bracket does not cover the crossing"
         )
-    j_star = brentq(f, j_shallow, j_deep, xtol=BRENT_XTOL, disp=False)
+    j_star = brentq(f, j_shallow, j_deep, BRENT_XTOL)
     if abs(f(j_star)) > tol:
         raise BoundStateNotFound(
             f"root refinement stalled for mode {mode_n}: "

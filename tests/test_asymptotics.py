@@ -103,7 +103,7 @@ def test_rank1_limit_matches_formula_exactly():
     p = params(d=1, eps=0.1, s0=0.7)
     op = orc.build_rank1_limit_1d(p, 0.0 + 0j, QuadratureRule.make(1.0, n_radial=24))
     ev = np.linalg.eigvals(op.matrix)
-    target = p.omega_a - 0.7 * 2.0 / np.pi
+    target = asym.limiting_frequency_1d(p)
     nontrivial = ev[np.argmax(np.abs(ev - p.omega_a))]
     assert abs(nontrivial - target) <= 1e-12
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,8 @@ def test_density_monotonicity():
 def test_tiny_coupling_has_no_bound_states(square1):
     weak = PhysicalParams(d=1, c=1.0, g=1e-4, omega_a=1.0, epsilon=1.0, rho0=1.0)
     assert bs.count_bound_states_below(square1, -0.5, weak, n_nodes=32) == 0
-    with pytest.raises(BoundStateNotFound):
+    # the norm bound already keeps mu below 1/2 at the shallow end
+    with pytest.raises(BoundStateNotFound, match="norm bound"):
         bs.solve_bound_state(square1, weak, 1, n_nodes=32)
 
 
@@ -91,7 +94,7 @@ def test_one_dimensional_square_always_binds(square1, omega_star):
 
 
 def test_bound_state_build_count(square1, monkeypatch):
-    # Brent on the scan exponent needs 11 operator builds here (bracket ends included)
+    # Brent on the scan exponent needs 9 operator builds here (bracket ends included)
     calls = []
     build = bs.build_bs_operator
 
@@ -137,6 +140,79 @@ def test_crossing_below_deepest_bracket_end_rejected():
         bs.solve_bound_state(dense, p1d(rho0=1e7), 1, n_nodes=32)
 
 
+@pytest.mark.parametrize("omega_a", (1.0, 0.3))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_mu_at_deep_bracket_end_below_half(d, omega_a):
+    # mu_n <= g^2 rho0 / (|omega| (Omega + |omega|)) = 1/2 at the deep end
+    for rho0 in (0.5, 1.0, 4.0, 20.0):
+        p = PhysicalParams(d=d, c=1.0, g=1.0, omega_a=omega_a, epsilon=1.0, rho0=rho0)
+        prof = DensityProfile.square(d, rho0, 1.0)
+        omega = -p.c * 2.0 ** bs.deep_end_exponent(prof, p)
+        assert bs._mu_n(prof, omega, p, 1, 32) <= 0.5
+
+
+def test_deep_bracket_end_of_the_unit_square(square1):
+    # |omega| (Omega + |omega|) = 2 g^2 rho0 at |omega| = 1; 2^10 caps dense profiles
+    assert bs.deep_end_exponent(square1, p1d()) == 0.0
+    dense = DensityProfile.square(1, 1e7, 1.0)
+    assert bs.deep_end_exponent(dense, p1d(rho0=1e7)) == bs.BRACKET_EXPONENTS[1]
+
+
+def _recorded(f, points):
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g
+
+
+ANALYTIC_ROOTS = (
+    (lambda x: x * x - 2.0, 0.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 3.0),
+    (lambda x: math.exp(x) - 5.0, -1.0, 4.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 3.0),
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),  # triple root: runs out of steps
+    (lambda x: math.atan(x - 0.3), -1.0, 4.0),
+    # the bracket half-width meets delta exactly (at xtol = 1)
+    (lambda x: math.atan(x - 0.3), 0.0, 1.0),
+    # an extrapolated step rejected only by 3 |sbis| - delta (at xtol = 0.2)
+    (lambda x: 0.5 - x - x * x - 0.5 * x**3, -2.0, 2.0),
+    # |f| ties: no swap at |f(a)| = |f(b)|, and bisection where interpolation would stall
+    (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+)
+
+
+@pytest.mark.parametrize("xtol", (2e-12, 1e-3, bs.BRENT_XTOL, 0.2, 1.0),
+                         ids=("2e-12", "1e-3", "BRENT_XTOL", "0.2", "1"))
+@pytest.mark.parametrize("case", range(len(ANALYTIC_ROOTS)))
+def test_brentq_port_matches_scipy(case, xtol):
+    from scipy.optimize import brentq
+
+    f, a, b = ANALYTIC_ROOTS[case]
+    want, got = [], []
+    ref = brentq(_recorded(f, want), a, b, xtol=xtol, disp=False)
+    root = bs.brentq(_recorded(f, got), a, b, xtol)
+    assert root.hex() == ref.hex()
+    assert got == want
+
+
+def test_brentq_port_matches_scipy_on_the_bound_state(square1):
+    from scipy.optimize import brentq
+
+    seen = {}
+
+    def f(j):
+        if j not in seen:
+            seen[j] = bs._mu_n(square1, -2.0**j, p1d(), 1, 48) - 1.0
+        return seen[j]
+
+    a, b = bs.BRACKET_EXPONENTS[0], bs.deep_end_exponent(square1, p1d())
+    want, got = [], []
+    ref = brentq(_recorded(f, want), a, b, xtol=bs.BRENT_XTOL, disp=False)
+    root = bs.brentq(_recorded(f, got), a, b, bs.BRENT_XTOL)
+    assert root.hex() == ref.hex()
+    assert got == want and len(want) == 9
+
+
 def test_necessary_condition(square1, omega_star):
     p = p1d()
     lhs = p.g**2 * square1.sup_density
@@ -158,6 +234,8 @@ def test_subcritical_2d_has_no_crossings():
     assert 2 * 0.5 * 1.0 < bs.sobolev_threshold(2)
     for w in (-0.02, -0.2, -1.0, -5.0):
         assert bs.count_bound_states_below(prof, w, p, n_nodes=32) == 0
+    with pytest.raises(BoundStateNotFound, match="stays below 1"):
+        bs.solve_bound_state(prof, p, 1, n_nodes=32)
 
 
 def test_sobolev_threshold_values():
@@ -198,6 +276,19 @@ def test_3d_bound_state_two_routes_agree():
     assert res[0].converged
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9  # bound modes carry no width
+    assert w_muller.real < 0
+    w_bisect = bs.solve_bound_state(bs.DensityProfile.from_params(p), p, 1, n_nodes=40).omega
+    assert abs(w_muller.real - w_bisect) <= 1e-6
+
+
+def test_2d_bound_state_two_routes_agree():
+    # the 2D twin of the 3D check: the deep bracket end keeps the Struve
+    # series of the Birman-Schwinger builds within reach
+    p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=0.3, epsilon=0.1, s0=1.0)
+    res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=40))
+    assert res[0].converged
+    w_muller = res[0].omega
+    assert abs(w_muller.imag) <= 1e-9
     assert w_muller.real < 0
     w_bisect = bs.solve_bound_state(bs.DensityProfile.from_params(p), p, 1, n_nodes=40).omega
     assert abs(w_muller.real - w_bisect) <= 1e-6

@@ -166,7 +166,24 @@ def test_bound_states_builds_only_for_the_solve(tmp_path, monkeypatch):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
     assert cli.run(cfg)[0] == 0
-    assert calls["all"] == calls["solve"] == 11
+    assert calls["all"] == calls["solve"] == 9
+
+
+def test_bound_states_1d_solve_evaluates_no_e1(tmp_path, monkeypatch):
+    # the proven deep bracket end |omega| = 1 keeps |kappa| rho_max = 2 within
+    # G1_SERIES_RADIUS, so every build of the solve is a moment sum
+    points = []
+    e1 = greens.exp_integral_e1
+
+    def counted(z):
+        points.append(np.size(z))
+        return e1(z)
+
+    monkeypatch.setattr(greens, "exp_integral_e1", counted)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    assert cli.run(cfg)[0] == 0
+    assert points == []
 
 
 def test_asymptotics_compare_builds_l0_once(tmp_path, monkeypatch):
@@ -315,7 +332,8 @@ def test_mode_count_beyond_the_limiting_operator_exits_1(tmp_path, capsys, exper
 
 
 def test_2d_bound_state_solver_failure_exits_2(tmp_path, capsys):
-    # the deep bracket end puts the 2D Struve series far past its reach
+    # at rho0 = 100 the deep bracket end puts the 2D Struve series past its
+    # reach: it cancels at |kappa| (r + t)_max = 30.8
     cfg = """
 experiment = bound-states
 
@@ -331,7 +349,7 @@ s0 = 1.0
 radial_nodes = 32
 
 [bound_states]
-rho0 = 4.0
+rho0 = 100.0
 half_width = 1.0
 """
     path = write_cfg(tmp_path, cfg)
@@ -405,9 +423,12 @@ def test_solve_configs_build_one_unit_rule(path, tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # start-up: the test-only quadrature oracles live in tests/oracle_utils.py
+    # start-up: the test-only quadrature oracles live in tests/oracle_utils.py,
+    # and the bound-state solve carries its own Brent, so neither
+    # scipy.optimize nor the scipy.linalg it pulls in is imported
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, photon_resonance.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, photon_resonance.cli; "
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photon_resonance import greens, nystrom as ny
+from photon_resonance import asymptotics, greens, nystrom as ny
 from photon_resonance.greens import Branch, WaveNumber
 from photon_resonance.nystrom import PhysicalParams, QuadratureRule
 
@@ -213,7 +213,7 @@ def test_rank1_limit_1d():
     op = orc.build_rank1_limit_1d(p, 0.0 + 0j, rule)
     ev, V = np.linalg.eig(op.matrix)
     # single nontrivial eigenvalue at -(0 - Omega) - g^2 s0 |B1|/(pi c)
-    target = p.omega_a - 2.0 / np.pi
+    target = asymptotics.limiting_frequency_1d(p)
     nontriv = ev[np.argmax(np.abs(ev - p.omega_a))]
     assert abs(nontriv - target) < 1e-12
     # constant vector is the eigenvector
