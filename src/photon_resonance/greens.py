@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .specfun import EULER_GAMMA, _h0, exp_integral_e1, struve_k0
 
@@ -176,6 +175,7 @@ def g1_series(k, branch, order):
 
         a[0] = -log kappa / pi,
         a[2j] = (-1)^j kappa^2j / (2j)! (psi(2j + 1) - log kappa) / pi,
+            with psi(n + 1) = H_n - gamma,
         a[2j+1] = (-1)^j kappa^(2j+1) / (2 (2j+1)!),
         b[m] = (-1)^(m+1) kappa^2m / ((2m)! pi),
 
@@ -192,7 +192,8 @@ def g1_series(k, branch, order):
     powers = np.cumprod(np.r_[1.0, kappa / n[1:]])  # kappa^n / n!
     sign = np.where(n % 4 < 2, 1.0, -1.0)  # (-1)^(n // 2)
     even = n % 2 == 0
-    a = sign * powers * np.where(even, (digamma(n + 1) - log_kappa) / np.pi, 0.5)
+    psi = np.cumsum(np.r_[0.0, 1.0 / n[1:]]) - EULER_GAMMA  # psi(n + 1)
+    a = sign * powers * np.where(even, (psi - log_kappa) / np.pi, 0.5)
     a[0] = -log_kappa / np.pi
     if branch is Branch.OUTGOING:
         a += 1j * 1j**n * powers

@@ -1,10 +1,16 @@
-"""Complex special functions: E1, J0, Y0, Hankel H0, and the Struve combination K0.
+"""Complex special functions: E1, J0, Y0, Hankel H0, the Struve combination
+K0, and the complete elliptic integrals K and E.
 
-Everything here is double precision and vectorized over numpy arrays of
-complex arguments.  J0, Y0 and H0^(1,2) are thin wrappers around the AMOS
-routines in ``scipy.special``.  E1 and K0 are evaluated here, switching
-between regimes at fixed crossover radii chosen by sweeping relative
-accuracy against extended-precision oracles on dense grids:
+Everything here is double precision and vectorized over numpy arrays.
+J0, Y0 and H0^(1,2) are thin wrappers around the AMOS routines in
+``scipy.special``, imported inside the functions that call them: the
+operator builds of the resonance regime need none of them (only a 2D
+build above the series radius, the Green's-function tables and K0 do),
+so a run that stays in that regime never loads ``scipy.special``.  K and
+E are the arithmetic-geometric mean (``elliptic_ke``).  E1 and K0 are
+evaluated here, switching between regimes at fixed crossover radii chosen
+by sweeping relative accuracy against extended-precision oracles on dense
+grids:
 
 * ``exp_integral_e1``: Maclaurin-type series for |z| < 4, modified-Lentz
   continued fraction for |z| >= 4.  ``scipy.special.exp1`` is not used: its
@@ -24,7 +30,6 @@ E1, Y0, H0 and K0) are rejected rather than continued from one side.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import hankel1, hankel2, jv, yv
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -114,27 +119,32 @@ def exp_integral_e1(z):
 
 
 # ----------------------------------------------------------------------
-# Bessel J0 / Y0 and Hankel functions (AMOS, through scipy.special)
+# Bessel J0 / Y0 and Hankel functions (AMOS, through scipy.special, which
+# is imported on the first call only)
 # ----------------------------------------------------------------------
 
 def _jy0(z):
     """J0 and Y0 of a complex array."""
+    from scipy.special import jv, yv
     return jv(0, z), yv(0, z)
 
 
 def _h0(z, kind):
     """Hankel function H0^(1) or H0^(2) of a complex array."""
+    from scipy.special import hankel1, hankel2
     return hankel1(0, z) if kind == 1 else hankel2(0, z)
 
 
 def bessel_j0(z):
     """J0(z) for any finite complex z (entire function, no cut)."""
+    from scipy.special import jv
     za = _asfarray_complex(z)
     return _maybe_scalar(jv(0, za), z)
 
 
 def bessel_y0(z):
     """Principal-branch Y0(z) for z off the closed negative real axis."""
+    from scipy.special import yv
     za = _asfarray_complex(z)
     _reject_cut(za, "bessel_y0")
     return _maybe_scalar(yv(0, za), z)
@@ -214,7 +224,7 @@ def _k0_right_half(z):
     mid = ~(small | large)
     if np.any(small):
         zs = z[small]
-        out[small] = _struve_h0_series(zs) - yv(0, zs)
+        out[small] = _struve_h0_series(zs) - bessel_y0(zs)
     if np.any(mid):
         vals = [_k0_laplace(zz) for zz in z[mid].ravel()]
         out[mid] = np.asarray(vals).reshape(z[mid].shape)
@@ -257,3 +267,54 @@ def struve_k0(z):
 def struve_h0(z):
     """Struve function H0(z), via the K0 combination plus Y0."""
     return struve_k0(z) + bessel_y0(z)
+
+
+# ----------------------------------------------------------------------
+# complete elliptic integrals
+# ----------------------------------------------------------------------
+
+def _agm(b, c2=None):
+    """Limit of the arithmetic-geometric mean a_n+1 = (a_n + b_n) / 2,
+    b_n+1 = sqrt(a_n b_n) of a_0 = 1 and b_0 = b, 0 < b <= 1 (DLMF 19.8.1).
+
+    Given c2 = c_0^2 = 1 - b^2, also returns sum_n 2^(n-1) c_n^2, with
+    c_n+1 = c_n^2 / (4 a_n+1), the half-difference (a_n - b_n) / 2 without
+    its cancellation; otherwise None.
+    """
+    a = np.ones_like(b)
+    weight, total = 0.5, None if c2 is None else 0.5 * c2
+    while np.any(a - b > 2.0**-52 * a):
+        if c2 is not None:
+            c2 = (c2 / (2.0 * (a + b))) ** 2
+            weight *= 2.0
+            total = total + weight * c2
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return a, total
+
+
+def elliptic_k(mc):
+    """Complete elliptic integral K(m) at m = 1 - mc, 0 <= mc <= 1:
+    pi / (2 AGM(1, sqrt(mc))) (DLMF 19.8.5), inf at mc = 0.  Taking mc
+    rather than m keeps the logarithmic end m -> 1 at full relative
+    accuracy."""
+    mc = np.asarray(mc, dtype=float)
+    at_one = mc == 0.0
+    a, _ = _agm(np.sqrt(np.where(at_one, 1.0, mc)))
+    return np.where(at_one, np.inf, 0.5 * np.pi / a)
+
+
+def elliptic_ke(mc):
+    """Complete elliptic integrals K(m) and E(m) at m = 1 - mc, 0 <= mc <= 1.
+
+    K is `elliptic_k`.  E follows from Legendre's relation E K' + E' K -
+    K K' = pi / 2 and the AGM of the complementary parameter mc, for which
+    K' = pi / (2 a') and E' = K' (1 - S'), S' = sum_n 2^(n-1) c'_n^2 with
+    c'_0^2 = mc (DLMF 19.7.1, 19.8.6): E = a' + K S', a sum of positive
+    terms, so E keeps full relative accuracy at both ends, where the
+    direct K (1 - S) cancels.  mc = 0 gives K = inf and E = 1.
+    """
+    mc = np.asarray(mc, dtype=float)
+    K = elliptic_k(mc)
+    # the AGM of 1 and 0 never ends; at mc = 1 the tiny floor stands in for it
+    a, total = _agm(np.sqrt(np.maximum(1.0 - mc, np.finfo(float).tiny)), mc)
+    return K, a + np.where(mc > 0.0, K, 0.0) * total

@@ -135,6 +135,13 @@ def build_rank1_limit_1d(params, omega, rule=None):
     return ny.RadialOperator(M.astype(complex), rule, complex(omega), params, 2.0 * rule.weights)
 
 
+def build_limiting_operator(params, omega, rule):
+    """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
+    l0 = ny.build_l0_operator(params, rule)
+    M = -(complex(omega) - params.omega_a) * np.eye(len(l0.rule.nodes)) - l0.matrix
+    return ny.RadialOperator(M, l0.rule, complex(omega), params, l0.norm_weights)
+
+
 def radial_integral(f, d, r_max=1e7, n_decades_start=1e-6):
     """integral over R^d of a radial function via geometric panels."""
     import warnings

@@ -432,3 +432,25 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
             "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[False, False, False]"
+    # nor any scipy module at all: the special functions load scipy.special on first use
+    code = "import sys, photon_resonance.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_resonance_regime_runs_load_no_scipy_special(tmp_path):
+    # the 3D resonances, the 1D and 2D bound states and the 2D trace build every
+    # operator on the moment route, so neither scipy.special nor numpy.ma loads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    paths = [os.path.join(ROOT, *p) for p in (("configs", "resonances_3d.cfg"), ("configs", "bound_states_1d.cfg"),
+                                              ("perfbench", "configs", "trace_2d.cfg"),
+                                              ("configs", "bound_states_2d.cfg"))]
+    code = ("import sys; from photon_resonance import cli\n"
+            "for i, path in enumerate(sys.argv[2:]):\n"
+            "    cfg = cli.resolve_config(cli.parse_config(path), None, f'{sys.argv[1]}/{i}')\n"
+            "    assert cli.run(cfg)[0] == 0, path\n"
+            "print([m in sys.modules for m in ('scipy.special', 'numpy.ma')])")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[False, False]"

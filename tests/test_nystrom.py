@@ -161,7 +161,7 @@ def test_scaled_operator_approaches_limit():
     n = 32
     unit = QuadratureRule.make(1.0, n_radial=n)
     omega = 0.5 + 0j
-    m_limit = ny.build_limiting_operator(p0, omega, unit).matrix
+    m_limit = orc.build_limiting_operator(p0, omega, unit).matrix
     S = np.sqrt(greens.surface_measure(3) * unit.weights * unit.nodes**2)
     norms = []
     eps_list = (2e-2, 1e-2, 5e-3)
@@ -419,6 +419,37 @@ def test_struve_moments_against_mpmath():
                 assert abs(moments[j][a, b] - ref) <= 1e-13 * ref, (j, a, b)
 
 
+def test_struve_moments_against_mpmath_to_j60():
+    # the recurrence keeps 1e-12 relative far past the terms a build needs
+    # (about 30 at |kappa| (r + t)_max = 30); same pairs as above, every 4th j
+    import mpmath as mp
+    r = QuadratureRule.make(1.0, n_radial=48).nodes
+    n = len(r)
+    moments = []
+    while len(moments) <= 60:
+        ny._grow_struve_moments(r, r, moments)
+    pairs = ({(a, a) for a in range(n)} | {(a, a + 1) for a in range(n - 1)}
+             | {(a, b) for a in (0, n // 3, 2 * n // 3, n - 1) for b in range(n)})
+    D = mp.mpf(2 * r.max())
+    with mp.workdps(20):
+        for j in range(24, 61, 4):
+            for a, b in pairs:
+                s = mp.mpf(r[a]) + mp.mpf(r[b])
+                m = 4 * mp.mpf(r[a]) * mp.mpf(r[b]) / s**2
+                ref = (s / D) ** (2 * j + 1) * mp.hyp2f1(-j - mp.mpf(0.5), 0.5, 1, m)
+                assert abs(moments[j][a, b] - ref) <= 1e-12 * ref, (j, a, b)
+
+
+def test_2d_build_raises_no_warning_on_the_diagonal():
+    # mc = 0 where r = t: K is infinite there, and delta M_-1 is set to 0
+    import warnings
+    rule = QuadratureRule.make(1.0, n_radial=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = ny.full_kernel_matrix(rule, 2, 1.5 - 0.01j, Branch.OUTGOING)
+    assert np.all(np.isfinite(W))
+
+
 def _struve_reference(kappa, r):
     # -(kappa/4) int_0^2pi H0_struve(kappa rho) dtheta by adaptive quadrature,
     # split where rho stops being close to |r - t|
@@ -463,13 +494,13 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
     p = PhysicalParams(d=2, c=1, g=1, omega_a=1, epsilon=0.2, s0=1)
     ny.build_full_operator(p, 0.76 - 0.003j, rule)
     calls = []
-    hyp2f1 = ny.hyp2f1
+    grow = ny._grow_struve_moments
 
     def counted(*args):
         calls.append(1)
-        return hyp2f1(*args)
+        return grow(*args)
 
-    monkeypatch.setattr(ny, "hyp2f1", counted)
+    monkeypatch.setattr(ny, "_grow_struve_moments", counted)
     ny.build_full_operator(p, 0.7601 - 0.003j, rule)
     assert calls == []
 
@@ -624,12 +655,13 @@ def test_j0y0_moment_route_matches_kernel_route(n):
 
 
 def _counting_bessel(monkeypatch):
+    # records J0, Y0 and H0 calls as "jv", "yv" and "_h0"
     calls = []
-    for name in ("jv", "yv", "_h0"):
-        def counted(*args, fn=getattr(ny, name), name=name):
+    for name, attr in (("jv", "bessel_j0"), ("yv", "bessel_y0"), ("_h0", "_h0")):
+        def counted(*args, fn=getattr(ny, attr), name=name):
             calls.append(name)
             return fn(*args)
-        monkeypatch.setattr(ny, name, counted)
+        monkeypatch.setattr(ny, attr, counted)
     return calls
 
 

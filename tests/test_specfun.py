@@ -228,3 +228,23 @@ def test_e1_continued_fraction_drops_converged_points_bit_identically():
         assert np.array_equal(sf._e1_continued_fraction(z), _e1_continued_fraction_all_points(z))
     z = rng.uniform(4.0, 60.0, (20, 30)) * np.exp(1j * rng.uniform(-2.0, 2.0, (20, 30)))
     assert np.array_equal(sf._e1_continued_fraction(z), _e1_continued_fraction_all_points(z))
+
+
+def test_elliptic_ke_against_mpmath():
+    # K to 1e-15 and E to 2e-14 relative over mc = 1e-30 ... 1, by the AGM;
+    # mc = 0 (m = 1) gives K = inf and E = 1 without a warning
+    import warnings
+
+    import mpmath as mp
+    mc = np.r_[10.0 ** np.arange(-30, 0.01, 0.5), np.linspace(0.0, 1.0, 41)[1:], 1 - 1e-16]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K, E = sf.elliptic_ke(mc)
+        k1, e1 = sf.elliptic_ke(0.0)
+    assert k1 == np.inf and e1 == 1.0
+    assert np.array_equal(sf.elliptic_k(mc), K)
+    with mp.workdps(60):  # m = 1 - mc keeps 30 digits of mc = 1e-30
+        for x, k, e in zip(mc, K, E):
+            m = 1 - mp.mpf(x)
+            assert abs(k - mp.ellipk(m)) <= 1e-15 * mp.ellipk(m), x
+            assert abs(e - mp.ellipe(m)) <= 2e-14 * mp.ellipe(m), x
