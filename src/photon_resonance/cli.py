@@ -103,7 +103,8 @@ def parse_config(path):
     out = {"": {}}
     section = ""
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):

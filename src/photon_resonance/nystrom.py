@@ -11,11 +11,12 @@ is discretized with product integration: each row's integration domain is
 split at its collocation radius, panels are refined dyadically toward the
 logarithmic diagonal singularity of the reduced kernel, and integrand
 values are pulled back onto the grid through piecewise barycentric
-interpolation.  The rows' quadrature points are regrouped once per rule by
-the base panel they fall in, so a build makes one kernel call per base
-panel, on that panel's points of every row, and contracts the integrand
-with the panel's interpolation basis one node at a time.  For smooth kernel
-components a plain Nyström rule (kernel times base weights) is used instead.
+interpolation.  Each rule builds its quadrature points panel by panel,
+every row's pieces on one base panel together, so a build makes one kernel
+call per base panel, on that panel's points of every row, and contracts the
+integrand with the panel's interpolation basis one node at a time.  For
+smooth kernel components a plain Nyström rule (kernel times base weights) is
+used instead.
 
 Every operator build is split by singularity subtraction,
 
@@ -173,9 +174,20 @@ def _leggauss(n):
     return _leggauss_cache[n]
 
 
-def _gauss_panel(a, b, n):
-    x, w = _leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
+def _gauss_pieces(pieces):
+    """Gauss points and weights of (lo, hi, order) pieces, in piece order;
+    the pieces of one order are mapped in one broadcast."""
+    lo, hi, n = (np.array(c) for c in zip(*pieces))
+    ends = np.cumsum(n)
+    t, v = np.empty(ends[-1]), np.empty(ends[-1])
+    for order in sorted(set(n.tolist())):  # np.unique would import numpy.ma
+        sel = n == order
+        x, w = _leggauss(order)
+        half = 0.5 * (hi[sel] - lo[sel])
+        at = (ends[sel] - order)[:, None] + np.arange(order)
+        t[at] = half[:, None] * x + (0.5 * (hi[sel] + lo[sel]))[:, None]
+        v[at] = half[:, None] * w
+    return t, v
 
 
 def _graded_breakpoints(a, b, grade_start, grade_end):
@@ -195,11 +207,12 @@ class QuadratureRule:
 
     `nodes`/`weights` form the base rule used for norms and for smooth
     kernels; the per-node singular corrections live in the row quadratures
-    produced by `row_quadrature`, which replace the base weights near the
-    diagonal (dyadically graded panels, truncated at relative width
-    2^-sing_levels where the remaining logarithmic mass is negligible).
-    `panel_batches()` regroups every node's row quadrature by base panel,
-    the layout `build_kernel_matrix` assembles from.
+    (`row_quadrature`), which replace the base weights near the diagonal:
+    dyadically graded panels, truncated at relative width 2^-sing_levels.
+    The dropped gap is not negligible: at 36 levels it leaves about 7e-10
+    relative error in the k = 0 part of W.  `panel_batches()` holds the
+    same pieces split by base panel, the layout `build_kernel_matrix`
+    assembles from.
 
     `regular_rule()` derives the rule for the bounded remainder of a split
     build: the same grid with REG_LEVELS levels and `close_gap` set, so
@@ -265,19 +278,8 @@ class QuadratureRule:
                 new_brk.append(sub[j])
                 new_counts.append(base + (1 if j < extra else 0))
         brk = np.asarray(new_brk, dtype=float)
-        counts = np.asarray(new_counts, dtype=int)
-        n_pan = len(counts)
-        nodes, weights = [], []
-        for i in range(n_pan):
-            x, w = _gauss_panel(brk[i], brk[i + 1], int(counts[i]))
-            nodes.append(x)
-            weights.append(w)
-        return cls(
-            nodes=np.concatenate(nodes),
-            weights=np.concatenate(weights),
-            panels=np.asarray(brk, dtype=float),
-            counts=tuple(int(c) for c in counts),
-        )
+        nodes, weights = _gauss_pieces(zip(brk[:-1], brk[1:], new_counts))
+        return cls(nodes=nodes, weights=weights, panels=brk, counts=tuple(new_counts))
 
     # -- geometry helpers ------------------------------------------------
 
@@ -317,75 +319,52 @@ class QuadratureRule:
                 out.append((b - edges[levels], b))
         return out
 
-    def _row_pieces(self, r0):
-        """(lo, hi, Gauss points) of each piece of the row quadrature at r0."""
-        out = []
-        sing = (float(r0), float(-r0))
-        for p in range(len(self.panels) - 1):
-            a, b = float(self.panels[p]), float(self.panels[p + 1])
-            width = b - a
-            inside = a < r0 < b
-            if inside:
-                pieces = self._dyadic(a, r0, False, 0.0) + self._dyadic(r0, b, True, 0.0)
+    def _pieces(self, p, r0):
+        """(lo, hi, Gauss points) of each piece of the row quadrature at r0
+        on base panel p; every panel receives at least one piece."""
+        a, b = float(self.panels[p]), float(self.panels[p + 1])
+        width = b - a
+        if a < r0 < b:
+            pieces = self._dyadic(a, r0, False, 0.0) + self._dyadic(r0, b, True, 0.0)
+        else:
+            sing = (float(r0), float(-r0))
+            dist = min(abs(s - a) if s <= a else abs(s - b) for s in sing
+                       if not (a < s < b))
+            near_lo = any(0 <= a - s < 0.75 * width for s in sing)
+            near_hi = any(0 <= s - b < 0.75 * width for s in sing)
+            if near_lo or near_hi:
+                pieces = self._dyadic(a, b, near_lo, max(dist, 1e-300))
             else:
-                dist = min(abs(s - a) if s <= a else abs(s - b) for s in sing
-                           if not (a < s < b))
-                near_lo = any(0 <= a - s < 0.75 * width for s in sing)
-                near_hi = any(0 <= s - b < 0.75 * width for s in sing)
-                if near_lo or near_hi:
-                    pieces = self._dyadic(a, b, near_lo, max(dist, 1e-300))
-                else:
-                    pieces = [(a, b)]
-            for lo, hi in pieces:
-                out.append((lo, hi, SING_POINTS if (hi - lo) < 0.9 * width else PLAIN_POINTS))
-        return out
+                pieces = [(a, b)]
+        return [(lo, hi, SING_POINTS if (hi - lo) < 0.9 * width else PLAIN_POINTS)
+                for lo, hi in pieces]
 
     def row_quadrature(self, r0):
         """Nodes and weights resolving log singularities at r0 (and at -r0,
         which the image term of even one-dimensional kernels sees near the
-        origin).  Every base panel receives at least one piece; the pieces
-        of one Gauss order are mapped in one broadcast.  Not cached:
-        `panel_batches` keeps the nodes' row quadratures, regrouped."""
-        lo, hi, n = (np.array(c) for c in zip(*self._row_pieces(r0)))
-        ends = np.cumsum(n)
-        t, v = np.empty(ends[-1]), np.empty(ends[-1])
-        for order in sorted(set(n.tolist())):  # np.unique would import numpy.ma
-            sel = n == order
-            x, w = _leggauss(order)
-            half = 0.5 * (hi[sel] - lo[sel])
-            at = (ends[sel] - order)[:, None] + np.arange(order)
-            t[at] = half[:, None] * x + (0.5 * (hi[sel] + lo[sel]))[:, None]
-            v[at] = half[:, None] * w
-        return t, v
+        origin): the pieces of every base panel in order.  Not cached; the
+        per-row reference for `panel_batches`."""
+        return _gauss_pieces(piece for p in range(len(self.counts))
+                             for piece in self._pieces(p, r0))
 
     def panel_batches(self):
-        """The row quadratures of all nodes, regrouped by the base panel
-        their points fall in: one PanelBatch per panel, cached on the rule.
+        """The row quadratures of all nodes, split by base panel: one
+        PanelBatch per panel, cached on the rule.
 
-        A batch holds row 0's points in the panel, then row 1's, and so on.
-        Its weights carry the barycentric normalizer of the panel's
-        interpolant (`_bary_basis`), so that a build only multiplies by the
-        node terms w_j / (t - x_j)."""
+        A batch holds row 0's pieces on the panel, then row 1's, and so on,
+        mapped to Gauss points together.  Its weights carry the barycentric
+        normalizer of the panel's interpolant (`_bary_basis`), so that a
+        build only multiplies by the node terms w_j / (t - x_j)."""
         hit = self._cache.get("batches")
         if hit is not None:
             return hit
-        slices = self._panel_slices()
-        per_panel = [([], [], []) for _ in slices]
-        for r0 in self.nodes:
-            t, v = self.row_quadrature(r0)
-            idx = self._panel_index(t)
-            order = np.argsort(idx, kind="stable")
-            ends = np.cumsum(np.bincount(idx, minlength=len(slices)))
-            for p, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
-                per_panel[p][0].append(t[order[lo:hi]])
-                per_panel[p][1].append(v[order[lo:hi]])
-                per_panel[p][2].append(hi - lo)
         batches = []
-        for sl, (ts, vs, counts) in zip(slices, per_panel):
-            t = np.concatenate(ts)
+        for p, sl in enumerate(self._panel_slices()):
+            rows = [self._pieces(p, r0) for r0 in self.nodes]
+            t, v = _gauss_pieces(itertools.chain.from_iterable(rows))
             scale, exact = _bary_basis(t, self.nodes[sl])
-            batches.append(PanelBatch(sl, t, np.concatenate(vs) * scale,
-                                      np.asarray(counts), exact))
+            counts = np.array([sum(n for _, _, n in row) for row in rows])
+            batches.append(PanelBatch(sl, t, v * scale, counts, exact))
         self._cache["batches"] = batches
         return batches
 
@@ -399,15 +378,12 @@ class QuadratureRule:
 
     # -- interpolation ----------------------------------------------------
 
-    def _panel_index(self, t):
-        return np.clip(np.searchsorted(self.panels, t, side="right") - 1, 0, len(self.counts) - 1)
-
     def interp_matrix(self, t):
         """(len(t), N) matrix mapping node values to values at points t,
         by barycentric interpolation within each panel."""
         t = np.asarray(t, dtype=float)
         B = np.zeros((len(t), len(self.nodes)))
-        idx = self._panel_index(t)
+        idx = np.clip(np.searchsorted(self.panels, t, side="right") - 1, 0, len(self.counts) - 1)
         for p, sl in enumerate(self._panel_slices()):
             rows = np.flatnonzero(idx == p)
             tp, x = t[rows], self.nodes[sl]

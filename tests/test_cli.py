@@ -1,8 +1,11 @@
+import gc
 import glob
 import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +55,15 @@ def test_unknown_key_is_line_anchored(tmp_path):
     assert "bogus" in str(exc.value)
 
 
+def test_parse_config_closes_the_file(tmp_path):
+    path = write_cfg(tmp_path, GREENS_CFG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.parse_config(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_unknown_section_rejected(tmp_path):
     path = write_cfg(tmp_path, "[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError) as exc:
@@ -91,7 +103,7 @@ def test_nonconvergence_exits_2_with_partial_rows(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     code = cli.main(["resonances", "--config", path, "--out", out])
     assert code == 2
-    lines = open(os.path.join(out, "resonances.csv")).read().splitlines()
+    lines = Path(out, "resonances.csv").read_text().splitlines()
     assert len(lines) == 3  # header + both rows flushed before the failure exit
 
 
@@ -106,7 +118,7 @@ def test_greens_table_values_and_schema(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(["greens-table", "--config", path, "--out", out])
     assert code == 0
-    lines = open(os.path.join(out, "greens-table.csv")).read().splitlines()
+    lines = Path(out, "greens-table.csv").read_text().splitlines()
     assert lines[0] == "d,re_k,im_k,r,re_G,im_G"
     assert len(lines) == 1 + 3 * 2 * 2
     first = lines[1].split(",")
@@ -127,8 +139,8 @@ def test_determinism_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     cli.main(["greens-table", "--config", path, "--out", out1])
     cli.main(["greens-table", "--config", path, "--out", out2])
-    c1 = open(os.path.join(out1, "greens-table.csv"), "rb").read()
-    c2 = open(os.path.join(out2, "greens-table.csv"), "rb").read()
+    c1 = Path(out1, "greens-table.csv").read_bytes()
+    c2 = Path(out2, "greens-table.csv").read_bytes()
     assert c1 == c2
 
 
@@ -136,7 +148,7 @@ def test_manifest_records_defaults(tmp_path):
     path = write_cfg(tmp_path, RES_CFG)
     out = str(tmp_path / "out")
     assert cli.main(["resonances", "--config", path, "--out", out]) == 0
-    man = json.load(open(os.path.join(out, "manifest.json")))
+    man = json.loads(Path(out, "manifest.json").read_text())
     assert man["version"]
     assert man["experiment"] == "resonances"
     # defaults the user never set are resolved and recorded
@@ -205,7 +217,7 @@ def test_asymptotics_compare_builds_l0_once(tmp_path, monkeypatch):
         cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / out))
         status, csv_path = cli.run(cfg)
         assert status == 0
-        return open(csv_path, "rb").read()
+        return Path(csv_path).read_bytes()
 
     shared = run("shared")
     assert len(l0_builds) == 1
@@ -219,7 +231,7 @@ def test_resonances_csv(tmp_path):
     path = write_cfg(tmp_path, RES_CFG)
     out = str(tmp_path / "out")
     assert cli.main(["resonances", "--config", path, "--out", out]) == 0
-    lines = open(os.path.join(out, "resonances.csv")).read().splitlines()
+    lines = Path(out, "resonances.csv").read_text().splitlines()
     assert lines[0] == "j,re_omega,im_omega,residual,iterations"
     assert len(lines) == 3
     rows = [ln.split(",") for ln in lines[1:]]
@@ -250,7 +262,7 @@ window_halfwidth = 0.5
     path = write_cfg(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert cli.main(["dynamics", "--config", path, "--out", out]) == 0
-    lines = open(os.path.join(out, "dynamics.csv")).read().splitlines()
+    lines = Path(out, "dynamics.csv").read_text().splitlines()
     assert lines[0] == "t,mass,window_mass,survival"
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert rows.shape[0] == 6
@@ -278,7 +290,7 @@ epsilon_grid = 0.04, 0.02, 0.01
     path = write_cfg(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert cli.main(["trace-epsilon", "--config", path, "--out", out]) == 0
-    lines = open(os.path.join(out, "trace-epsilon.csv")).read().splitlines()
+    lines = Path(out, "trace-epsilon.csv").read_text().splitlines()
     assert lines[0] == "j,epsilon,re_omega,im_omega"
     assert len(lines) == 4
     eps = [float(ln.split(",")[1]) for ln in lines[1:]]
@@ -356,7 +368,7 @@ half_width = 1.0
     out = str(tmp_path / "o")
     assert cli.main(["bound-states", "--config", path, "--out", out]) == 2
     assert "solver failure" in capsys.readouterr().err
-    lines = open(os.path.join(out, "bound-states.csv")).read().splitlines()
+    lines = Path(out, "bound-states.csv").read_text().splitlines()
     assert lines == ["mode,omega,mu_check"]
 
 
@@ -373,7 +385,7 @@ def test_bound_states_flush_rows_before_a_linalg_failure(tmp_path, monkeypatch, 
     code, csv_path = cli.run(cfg)
     assert code == 2
     assert "solver failure: mode 2" in capsys.readouterr().err
-    assert open(csv_path).read().splitlines() == ["mode,omega,mu_check", "1,-0.5,1"]
+    assert Path(csv_path).read_text().splitlines() == ["mode,omega,mu_check", "1,-0.5,1"]
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)

@@ -81,13 +81,14 @@ def test_build_with_a_point_on_a_node(monkeypatch):
 
     rule = QuadratureRule.make(1.0, n_radial=16)
     plain = ny.build_kernel_matrix(rule, kernel, 0)
-    row_quadrature = QuadratureRule.row_quadrature
+    pieces = QuadratureRule._pieces
 
-    def with_node(self, r0):
-        t, v = row_quadrature(self, r0)
-        return np.append(t, self.nodes[3]), np.append(v, 0.01)
+    def with_node(self, p, r0):
+        # on panel 0, one more piece: a one-point Gauss rule centred on node 3
+        extra = [(self.nodes[3] - 0.005, self.nodes[3] + 0.005, 1)] if p == 0 else []
+        return pieces(self, p, r0) + extra
 
-    monkeypatch.setattr(QuadratureRule, "row_quadrature", with_node)
+    monkeypatch.setattr(QuadratureRule, "_pieces", with_node)
     rule = QuadratureRule.make(1.0, n_radial=16)
     W = ny.build_kernel_matrix(rule, kernel, 0)
     assert rule.panel_batches()[0].exact is not None
@@ -507,13 +508,32 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
 
 def test_row_quadrature_matches_per_piece_gauss_panels():
     # one broadcast per Gauss order gives the per-piece panels bit for bit
+    from numpy.polynomial.legendre import leggauss
     for rule in (QuadratureRule.make(0.1, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
         for r in (rule, rule.regular_rule()):
             for r0 in r.nodes:
                 t, v = r.row_quadrature(r0)
-                pieces = [ny._gauss_panel(lo, hi, n) for lo, hi, n in r._row_pieces(r0)]
+                pieces = [(0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w)
+                          for p in range(len(r.counts)) for lo, hi, n in r._pieces(p, r0)
+                          for x, w in [leggauss(n)]]
                 assert np.array_equal(t, np.concatenate([x for x, _ in pieces]))
                 assert np.array_equal(v, np.concatenate([w for _, w in pieces]))
+
+
+def test_panel_batches_split_the_row_quadratures():
+    # row i's slices of the batches, in panel order, are its row quadrature
+    # bit for bit, with each weight times its panel's barycentric normalizer
+    for rule in (QuadratureRule.make(1.0, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
+        for r in (rule, rule.regular_rule()):
+            batches = r.panel_batches()
+            starts = [np.r_[0, np.cumsum(b.counts)] for b in batches]
+            scales = [ny._bary_basis(b.t, r.nodes[b.nodes])[0] for b in batches]
+            for i, r0 in enumerate(r.nodes):
+                t, v = r.row_quadrature(r0)
+                rows = [slice(s[i], s[i + 1]) for s in starts]
+                assert np.array_equal(t, np.concatenate([b.t[sl] for b, sl in zip(batches, rows)]))
+                assert np.array_equal(v * np.concatenate([s[sl] for s, sl in zip(scales, rows)]),
+                                      np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
 
 
 G1_CASES = ("1d-even", "1d-interval", "3d")
