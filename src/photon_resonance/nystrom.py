@@ -884,9 +884,6 @@ class RadialOperator:
         v = np.asarray(v)
         return float(np.sqrt(np.sum(self.norm_weights * np.abs(v) ** 2)))
 
-    def weighted_dot(self, u, v):
-        return complex(np.sum(self.norm_weights * np.conj(u) * v))
-
 
 def weighted_symmetrize(matrix, weights):
     """Symmetric part of the similarity transform S M S^-1, S = diag(sqrt(w)).

@@ -264,11 +264,6 @@ def struve_k0(z):
     return _maybe_scalar(out, z)
 
 
-def struve_h0(z):
-    """Struve function H0(z), via the K0 combination plus Y0."""
-    return struve_k0(z) + bessel_y0(z)
-
-
 # ----------------------------------------------------------------------
 # complete elliptic integrals
 # ----------------------------------------------------------------------

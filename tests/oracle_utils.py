@@ -135,6 +135,13 @@ def build_rank1_limit_1d(params, omega, rule=None):
     return ny.RadialOperator(M.astype(complex), rule, complex(omega), params, 2.0 * rule.weights)
 
 
+def characteristic_value_eigvals(op):
+    """Eigenvalue of smallest magnitude of the operator matrix, picked from
+    its full spectrum (`np.linalg.eigvals`)."""
+    ev = np.linalg.eigvals(op.matrix)
+    return complex(ev[np.argmin(np.abs(ev))])
+
+
 def build_limiting_operator(params, omega, rule):
     """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
     l0 = ny.build_l0_operator(params, rule)

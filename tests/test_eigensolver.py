@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,11 +147,72 @@ def test_smallest_eigenpair_matches_eig(res3):
 
 def test_find_resonances_makes_no_eig_call(monkeypatch):
     def no_eig(*args, **kwargs):
-        raise AssertionError("np.linalg.eig called")
+        raise AssertionError("np.linalg.eig or eigvals called")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eig)
     res = es.find_resonances(params3(), 2, rule=QuadratureRule.make(1.0, n_radial=32))
     assert all(r.converged and r.residual <= 1e-8 for r in res)
+    p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.2, s0=1.0)
+    traces = es.trace_in_epsilon(p2, [1, 2], [0.2, 0.1], QuadratureRule.make(1.0, n_radial=16))
+    assert all(r.converged and r.residual <= 1e-8 for tr in traces for r in tr.results)
+
+
+N32_CASES = {"3d": params3(),
+             "2d": PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.1, s0=1.0)}
+
+
+@pytest.fixture(scope="module", params=sorted(N32_CASES))
+def n32_solves(request):
+    """A 2-mode N = 32 solve: every (operator, characteristic value) Muller
+    asked for, seeds included, its roots, and the roots again with the
+    eigvals-based f of the oracle."""
+    p, rule = N32_CASES[request.param], QuadratureRule.make(1.0, n_radial=32)
+    evals, cv = [], es.characteristic_value
+
+    def recorded(op):
+        evals.append((op, cv(op)))
+        return evals[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "characteristic_value", recorded)
+        roots = [r.omega for r in es.find_resonances(p, 2, rule)]
+        mp.setattr(es, "characteristic_value", orc.characteristic_value_eigvals)
+        oracle_roots = [r.omega for r in es.find_resonances(p, 2, rule)]
+    return evals, roots, oracle_roots
+
+
+def test_characteristic_value_matches_eigvals(n32_solves):
+    evals, _, _ = n32_solves
+    assert len(evals) >= 6  # three seeds per mode, then the Muller steps
+    for op, lam in evals:
+        scale = np.finfo(float).eps * np.max(np.abs(op.matrix))
+        assert abs(lam - orc.characteristic_value_eigvals(op)) <= 8 * scale, op.omega
+
+
+def test_muller_roots_match_the_eigvals_f(n32_solves):
+    _, roots, oracle_roots = n32_solves
+    for w, ref in zip(roots, oracle_roots):
+        assert abs(w - ref) <= 1e-13 * abs(ref)
+
+
+def _with_spectrum(eigenvalues):
+    # a non-normal matrix with these eigenvalues: a fixed random similarity
+    rng = np.random.default_rng(7)
+    n = len(eigenvalues)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return SimpleNamespace(matrix=X @ np.diag(eigenvalues) @ np.linalg.inv(X))
+
+
+def test_characteristic_value_at_its_step_bound():
+    rest = list(1.5 + np.arange(30) / 10)
+    # |lambda_1 / lambda_2| = 0.9 still settles within MAX_STEPS
+    lam1 = 0.9 * np.exp(0.3j)
+    assert abs(es.characteristic_value(_with_spectrum([lam1, 1j, *rest])) - lam1) <= 1e-12
+    # near-tied and tied magnitudes do not settle: EigensolverError
+    for tied in (0.999 * np.exp(0.3j), -1j):
+        with pytest.raises(es.EigensolverError, match="near-tied"):
+            es.characteristic_value(_with_spectrum([tied, 1j, *rest]))
 
 
 def test_seed_robustness(res3):
@@ -182,13 +244,25 @@ def test_find_resonances_2d_smoke():
     assert all(r.omega.imag < 0 for r in res)
 
 
-def test_nonconvergence_reported_not_raised():
+def test_nonconvergence_reported_not_raised(monkeypatch):
     p = params3()
     res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=16),
                              tol=1e-18, max_iter=2)
     assert len(res) == 1
     assert not res[0].converged
     assert np.isnan(res[0].residual)
+    # an f that does not settle (near-tied magnitudes) fails its own mode only
+    cv = es.characteristic_value
+
+    def unsettled_above(op):
+        if op.omega.real > 0.65:
+            raise es.EigensolverError("near-tied smallest eigenvalues")
+        return cv(op)
+
+    monkeypatch.setattr(es, "characteristic_value", unsettled_above)
+    res = es.find_resonances(p, 2, rule=QuadratureRule.make(1.0, n_radial=16))
+    assert [r.converged for r in res] == [True, False]
+    assert np.isnan(res[1].residual)
 
 
 def test_one_dimensional_bound_mode_real():
@@ -269,7 +343,7 @@ def test_trace_shares_one_rule_and_one_limit(monkeypatch):
     assert len(l0_builds) == 1
     assert [tr.mode_index for tr in traces] == [1, 2]
     assert all(r.converged for tr in traces for r in tr.results)
-    assert traces[0].omegas[-1].real < traces[1].omegas[-1].real
+    assert traces[0].results[-1].omega.real < traces[1].results[-1].omega.real
 
 
 def test_find_resonances_rejects_a_non_unit_rule():
