@@ -58,12 +58,14 @@ def require_unit_domain(rule: QuadratureRule):
         raise ValueError(f"limiting operators need a rule on [0, 1], got {rule.domain}")
 
 
-def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list[LimitingMode]:
-    """Top-n eigenpairs of the limiting operator, shifted by Omega.
+def limiting_spectrum(params: PhysicalParams, n: int, rule: QuadratureRule):
+    """omega_j = Omega - mu_j of the top-n eigenvalues mu_j of the limiting
+    operator L0, increasing toward Omega, with L0 and its weighted
+    symmetrization B.
 
-    Eigenvectors are normalized in the quadrature-weighted norm and
-    sign-fixed so the mass is nonnegative; frequencies omega_j = Omega - mu_j
-    increase toward Omega.
+    L0 is built once and the mu_j come from `np.linalg.eigvalsh(B)`, which
+    computes no eigenvector: the Muller seeds and `limiting_modes` take
+    their omega_j from here, so both are the same numbers.
     """
     if params.d not in (2, 3):
         raise AsymptoticsError("limiting modes are defined for d in {2, 3}")
@@ -71,23 +73,33 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list
         raise ValueError("n must be >= 1")
     require_unit_domain(rule)
     op = nystrom.build_l0_operator(params, rule)
-    W = op.norm_weights
-    B, _ = nystrom.weighted_symmetrize(op.matrix.real, W)
-    mu, U = np.linalg.eigh(B)
+    B, _ = nystrom.weighted_symmetrize(op.matrix.real, op.norm_weights)
+    mu = np.linalg.eigvalsh(B)  # ascending
     if n > len(mu):
         raise ValueError(f"requested {n} modes from an N={len(mu)} grid")
+    return [params.omega_a - float(m) for m in mu[::-1][:n]], op, B
+
+
+def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list[LimitingMode]:
+    """Top-n eigenpairs of the limiting operator, shifted by Omega.
+
+    The frequencies are those of `limiting_spectrum`; the eigenvectors, for
+    the masses and quadratic forms of the expansions, come from
+    `np.linalg.eigh` of the same symmetrized matrix.  They are normalized in
+    the quadrature-weighted norm and sign-fixed so the mass is nonnegative.
+    """
+    omegas, op, B = limiting_spectrum(params, n, rule)
+    W = op.norm_weights
+    U = np.linalg.eigh(B)[1]  # columns in ascending order of the eigenvalue
     S = np.sqrt(W)
-    order = np.argsort(mu)[::-1]
     out = []
-    for j in range(n):
-        idx = order[j]
-        psi = U[:, idx] / S  # back to function values; automatically unit weighted norm
+    for j, omega_j in enumerate(omegas):
+        psi = U[:, -1 - j] / S  # back to function values; automatically unit weighted norm
         mass = float(np.sum(W * psi))
         if mass < 0:
             psi = -psi
             mass = -mass
-        out.append(LimitingMode(j + 1, params.omega_a - float(mu[idx]), psi, mass,
-                                op.rule, params))
+        out.append(LimitingMode(j + 1, omega_j, psi, mass, op.rule, params))
     return out
 
 

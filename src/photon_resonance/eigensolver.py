@@ -5,8 +5,11 @@ matrix M(omega) built by the quadrature module is singular.  We track
 f(omega) = eigenvalue of M(omega) of smallest magnitude, by inverse
 iteration on one inverse of M(omega) (0.5 ms at N = 48 against 1.5 ms for
 `eigvals`, 2-core VM), and drive it to zero with Muller's method, seeded
-from the spectrum of the limiting operator.  Physically admissible roots
-have Im omega <= 0; a small positive slack absorbs roundoff.
+from the spectrum of the limiting operator.  The seeds are its eigenvalues
+only (`asymptotics.limiting_spectrum`, one `eigvalsh`): at N = 48 an `eigh`
+took about three times as long and woke a second OpenBLAS thread, which
+then spun through the rest of the solve.  Physically admissible roots have
+Im omega <= 0; a small positive slack absorbs roundoff.
 
 `find_resonances` and `trace_in_epsilon` share one mode loop,
 `_solve_modes`: the modes of one parameter set are solved in turn on one
@@ -155,7 +158,7 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int, rule: Quadrature
             # the leading terms of its expansion
             w1 = asymptotics.resonance_expansion_1d(params, params.epsilon)
         return [w1]
-    return [mode.omega_j for mode in asymptotics.limiting_modes(params, n_modes, rule)]
+    return asymptotics.limiting_spectrum(params, n_modes, rule)[0]
 
 
 def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):

@@ -11,12 +11,12 @@ is discretized with product integration: each row's integration domain is
 split at its collocation radius, panels are refined dyadically toward the
 logarithmic diagonal singularity of the reduced kernel, and integrand
 values are pulled back onto the grid through piecewise barycentric
-interpolation.  Each rule builds its quadrature points panel by panel,
-every row's pieces on one base panel together, so a build makes one kernel
-call per base panel, on that panel's points of every row, and contracts the
-integrand with the panel's interpolation basis one node at a time.  For
-smooth kernel components a plain Nyström rule (kernel times base weights) is
-used instead.
+interpolation.  Each rule builds its quadrature points panel by panel:
+one array pass makes the pieces of every row on a base panel, so a build
+makes one kernel call per base panel, on that panel's points of every row,
+and contracts the integrand with the panel's interpolation basis one node
+at a time.  For smooth kernel components a plain Nyström rule (kernel times
+base weights) is used instead.
 
 Every operator build is split by singularity subtraction,
 
@@ -174,10 +174,9 @@ def _leggauss(n):
     return _leggauss_cache[n]
 
 
-def _gauss_pieces(pieces):
-    """Gauss points and weights of (lo, hi, order) pieces, in piece order;
-    the pieces of one order are mapped in one broadcast."""
-    lo, hi, n = (np.array(c) for c in zip(*pieces))
+def _gauss_pieces(lo, hi, n):
+    """Gauss points and weights of the pieces [lo, hi] of orders n (arrays),
+    in piece order; the pieces of one order are mapped in one broadcast."""
     ends = np.cumsum(n)
     t, v = np.empty(ends[-1]), np.empty(ends[-1])
     for order in sorted(set(n.tolist())):  # np.unique would import numpy.ma
@@ -212,7 +211,9 @@ class QuadratureRule:
     The dropped gap is not negligible: at 36 levels it leaves about 7e-10
     relative error in the k = 0 part of W.  `panel_batches()` holds the
     same pieces split by base panel, the layout `build_kernel_matrix`
-    assembles from.
+    assembles from.  Both take their pieces from `_row_pieces`, which lays
+    out the pieces of many (panel, row) cells in one pass of array
+    operations.
 
     `regular_rule()` derives the rule for the bounded remainder of a split
     build: the same grid with REG_LEVELS levels and `close_gap` set, so
@@ -278,7 +279,7 @@ class QuadratureRule:
                 new_brk.append(sub[j])
                 new_counts.append(base + (1 if j < extra else 0))
         brk = np.asarray(new_brk, dtype=float)
-        nodes, weights = _gauss_pieces(zip(brk[:-1], brk[1:], new_counts))
+        nodes, weights = _gauss_pieces(brk[:-1], brk[1:], np.array(new_counts))
         return cls(nodes=nodes, weights=weights, panels=brk, counts=tuple(new_counts))
 
     # -- geometry helpers ------------------------------------------------
@@ -297,73 +298,82 @@ class QuadratureRule:
 
     # -- singular row quadrature -----------------------------------------
 
-    def _dyadic(self, a, b, toward_start, min_width):
-        """Panels on [a, b] geometrically refined toward one endpoint."""
-        h = b - a
-        if h <= 0:
-            return []
-        levels = min(self.sing_levels, max(1, int(math.ceil(math.log2(max(h / max(min_width, 1e-300), 2.0))))))
-        edges = h * 2.0 ** (-np.arange(levels + 1, dtype=float))
-        out = []
-        for j in range(levels):
-            lo, hi = edges[j + 1], edges[j]
-            if toward_start:
-                out.append((a + lo, a + hi))
-            else:
-                out.append((b - hi, b - lo))
-        if self.close_gap or (min_width > 0 and min_width >= h * 2.0 ** (-levels)):
-            # integrand bounded there, or singularity beyond it: keep the gap
-            if toward_start:
-                out.append((a, a + edges[levels]))
-            else:
-                out.append((b - edges[levels], b))
-        return out
+    def _row_pieces(self, p, r0):
+        """(lo, hi, Gauss order) of the row-quadrature pieces of the rows at
+        r0 on base panels p, broadcast together into cells, cell after cell,
+        with each cell's number of pieces (at least one).
 
-    def _pieces(self, p, r0):
-        """(lo, hi, Gauss points) of each piece of the row quadrature at r0
-        on base panel p; every panel receives at least one piece."""
-        a, b = float(self.panels[p]), float(self.panels[p + 1])
+        A cell whose panel holds r0 is split there and each side refined
+        dyadically toward r0.  A panel that r0 or -r0 (which the image term
+        of even one-dimensional kernels sees near the origin) lies within
+        0.75 panel widths of is refined toward that end, only until the
+        pieces are as narrow as the distance, whose gap piece is then kept.
+        Any other panel is one piece.  Refinement stops at sing_levels;
+        the innermost gap at a singular point is kept only with close_gap.
+        Pieces narrower than 0.9 of the panel get SING_POINTS points, the
+        others PLAIN_POINTS."""
+        p, r0 = (c.ravel() for c in np.broadcast_arrays(p, np.asarray(r0, dtype=float)))
+        a, b = self.panels[p], self.panels[p + 1]
         width = b - a
-        if a < r0 < b:
-            pieces = self._dyadic(a, r0, False, 0.0) + self._dyadic(r0, b, True, 0.0)
-        else:
-            sing = (float(r0), float(-r0))
-            dist = min(abs(s - a) if s <= a else abs(s - b) for s in sing
-                       if not (a < s < b))
-            near_lo = any(0 <= a - s < 0.75 * width for s in sing)
-            near_hi = any(0 <= s - b < 0.75 * width for s in sing)
-            if near_lo or near_hi:
-                pieces = self._dyadic(a, b, near_lo, max(dist, 1e-300))
-            else:
-                pieces = [(a, b)]
-        return [(lo, hi, SING_POINTS if (hi - lo) < 0.9 * width else PLAIN_POINTS)
-                for lo, hi in pieces]
+        near = near_lo = np.zeros(len(p), dtype=bool)
+        dist = np.full(len(p), np.inf)  # to the nearer of r0, -r0 outside the panel
+        for s in (r0, -r0):
+            gap = np.where(s <= a, a - s, s - b)  # negative inside the panel
+            close = (0 <= gap) & (gap < 0.75 * width)
+            near, near_lo = near | close, near_lo | (close & (s <= a))
+            dist = np.minimum(dist, np.where(gap >= 0, gap, np.inf))
+        # two segments per cell: the sides of r0 if the panel holds it, else
+        # the panel and an empty one
+        right = np.broadcast_to(np.array([False, True]), (len(p), 2))
+        split = np.broadcast_to(((a < r0) & (r0 < b))[:, None], right.shape)
+        lo = np.where(split & right, r0[:, None], a[:, None]).ravel()
+        hi = np.where(split & ~right, r0[:, None], b[:, None]).ravel()
+        toward_lo = np.where(split, right, near_lo[:, None]).ravel()
+        min_width = np.where(split, 0.0, np.maximum(dist, 1e-300)[:, None]).ravel()
+        dyadic = (split | (near[:, None] & ~right)).ravel()
+        h = hi - lo
+        levels = np.minimum(self.sing_levels, np.maximum(1, np.ceil(np.log2(
+            np.maximum(h / np.maximum(min_width, 1e-300), 2.0))))).astype(int)
+        keep_gap = self.close_gap | ((min_width > 0) & (min_width >= np.ldexp(h, -levels)))
+        n_seg = np.where(dyadic, levels + keep_gap, ~right.ravel())
+        # piece j of a dyadic segment spans h 2^-(j+1) .. h 2^-j from its
+        # singular end; the gap piece (j = levels) reaches that end
+        seg = np.repeat(np.arange(len(n_seg)), n_seg)
+        j = np.arange(len(seg)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+        outer = np.ldexp(h[seg], -j)
+        inner = np.where(j < levels[seg], np.ldexp(h[seg], -(j + 1)), 0.0)
+        toward_lo, lo, hi, whole = toward_lo[seg], lo[seg], hi[seg], ~dyadic[seg]
+        piece_lo = np.where(whole, lo, np.where(toward_lo, lo + inner, hi - outer))
+        piece_hi = np.where(whole, hi, np.where(toward_lo, lo + outer, hi - inner))
+        order = np.where(piece_hi - piece_lo < 0.9 * width[seg // 2], SING_POINTS, PLAIN_POINTS)
+        return piece_lo, piece_hi, order, n_seg.reshape(-1, 2).sum(axis=1)
 
     def row_quadrature(self, r0):
         """Nodes and weights resolving log singularities at r0 (and at -r0,
         which the image term of even one-dimensional kernels sees near the
-        origin): the pieces of every base panel in order.  Not cached; the
-        per-row reference for `panel_batches`."""
-        return _gauss_pieces(piece for p in range(len(self.counts))
-                             for piece in self._pieces(p, r0))
+        origin): the pieces of every base panel in order (`_row_pieces`).
+        Not cached; the per-row view of `panel_batches`."""
+        lo, hi, n, _ = self._row_pieces(np.arange(len(self.counts)), r0)
+        return _gauss_pieces(lo, hi, n)
 
     def panel_batches(self):
         """The row quadratures of all nodes, split by base panel: one
         PanelBatch per panel, cached on the rule.
 
-        A batch holds row 0's pieces on the panel, then row 1's, and so on,
-        mapped to Gauss points together.  Its weights carry the barycentric
-        normalizer of the panel's interpolant (`_bary_basis`), so that a
-        build only multiplies by the node terms w_j / (t - x_j)."""
+        A batch holds row 0's pieces on the panel, then row 1's, and so on:
+        one `_row_pieces` call makes every row's pieces on the panel as
+        arrays, mapped to Gauss points together.  Its weights carry the
+        barycentric normalizer of the panel's interpolant (`_bary_basis`),
+        so that a build only multiplies by the node terms w_j / (t - x_j)."""
         hit = self._cache.get("batches")
         if hit is not None:
             return hit
         batches = []
         for p, sl in enumerate(self._panel_slices()):
-            rows = [self._pieces(p, r0) for r0 in self.nodes]
-            t, v = _gauss_pieces(itertools.chain.from_iterable(rows))
+            lo, hi, n, pieces = self._row_pieces(p, self.nodes)
+            t, v = _gauss_pieces(lo, hi, n)
             scale, exact = _bary_basis(t, self.nodes[sl])
-            counts = np.array([sum(n for _, _, n in row) for row in rows])
+            counts = np.add.reduceat(n, np.cumsum(pieces) - pieces)
             batches.append(PanelBatch(sl, t, v * scale, counts, exact))
         self._cache["batches"] = batches
         return batches
@@ -413,16 +423,15 @@ def _bary_basis(t, x):
     a node.
     """
     w = _bary_weights(x)
-    denom = np.zeros(len(t))
-    exact = np.full(len(t), -1)
-    for j in range(len(x)):
-        diff = t - x[j]
-        on_node = diff == 0.0
-        exact[on_node] = j
-        denom += w[j] / np.where(on_node, 1.0, diff)
-    if np.all(exact < 0):
+    at = np.minimum(np.searchsorted(x, t), len(x) - 1)
+    on_node = x[at] == t
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the nodes: replaced below
+        denom = w[0] / (t - x[0])
+        for j in range(1, len(x)):
+            denom += w[j] / (t - x[j])
+    if not on_node.any():
         return 1.0 / denom, None
-    return np.where(exact < 0, 1.0 / denom, 1.0), exact
+    return np.where(on_node, 1.0, 1.0 / denom), np.where(on_node, at, -1)
 
 
 def _bary_term(t, x, exact, j):

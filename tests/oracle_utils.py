@@ -9,6 +9,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from photon_resonance import greens as gr, nystrom as ny
@@ -142,6 +143,13 @@ def characteristic_value_eigvals(op):
     return complex(ev[np.argmin(np.abs(ev))])
 
 
+def symmetric_eigenvalues_extended(matrix):
+    """Eigenvalues of a real symmetric matrix in extended precision
+    (mpmath `eigsy` at the module precision), ascending, rounded to floats."""
+    ev = mp.eigsy(mp.matrix(np.asarray(matrix).tolist()), eigvals_only=True)
+    return np.array(sorted(float(x) for x in ev))
+
+
 def build_limiting_operator(params, omega, rule):
     """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
     l0 = ny.build_l0_operator(params, rule)
@@ -186,3 +194,90 @@ def bisect_real_root(f, a, b, iters=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def _dyadic_pieces(rule, a, b, toward_start, min_width):
+    """Panels on [a, b] geometrically refined toward one endpoint."""
+    h = b - a
+    if h <= 0:
+        return []
+    levels = min(rule.sing_levels,
+                 max(1, int(math.ceil(math.log2(max(h / max(min_width, 1e-300), 2.0))))))
+    edges = h * 2.0 ** (-np.arange(levels + 1, dtype=float))
+    out = []
+    for j in range(levels):
+        lo, hi = edges[j + 1], edges[j]
+        out.append((a + lo, a + hi) if toward_start else (b - hi, b - lo))
+    if rule.close_gap or (min_width > 0 and min_width >= h * 2.0 ** (-levels)):
+        # integrand bounded there, or singularity beyond it: keep the gap
+        out.append((a, a + edges[levels]) if toward_start else (b - edges[levels], b))
+    return out
+
+
+def row_pieces(rule, p, r0):
+    """(lo, hi, Gauss points) of each piece of the row quadrature at r0 on
+    base panel p, one row and one panel at a time: the per-row reference
+    for `QuadratureRule._row_pieces`."""
+    a, b = float(rule.panels[p]), float(rule.panels[p + 1])
+    width = b - a
+    if a < r0 < b:
+        pieces = (_dyadic_pieces(rule, a, r0, False, 0.0)
+                  + _dyadic_pieces(rule, r0, b, True, 0.0))
+    else:
+        sing = (float(r0), float(-r0))
+        dist = min(abs(s - a) if s <= a else abs(s - b) for s in sing if not (a < s < b))
+        near_lo = any(0 <= a - s < 0.75 * width for s in sing)
+        near_hi = any(0 <= s - b < 0.75 * width for s in sing)
+        if near_lo or near_hi:
+            pieces = _dyadic_pieces(rule, a, b, near_lo, max(dist, 1e-300))
+        else:
+            pieces = [(a, b)]
+    return [(lo, hi, ny.SING_POINTS if (hi - lo) < 0.9 * width else ny.PLAIN_POINTS)
+            for lo, hi in pieces]
+
+
+def gauss_points(pieces):
+    """Gauss points and weights of (lo, hi, order) pieces, piece by piece."""
+    t, v = [], []
+    for lo, hi, n in pieces:
+        x, w = leggauss(n)
+        t.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+        v.append(0.5 * (hi - lo) * w)
+    return np.concatenate(t), np.concatenate(v)
+
+
+def row_quadrature(rule, r0):
+    """The row quadrature at r0, panel after panel, from `row_pieces`."""
+    return gauss_points([piece for p in range(len(rule.counts)) for piece in row_pieces(rule, p, r0)])
+
+
+def bary_basis(t, x):
+    """(scale, exact) of the panel interpolant at t, testing every node for
+    an exact hit in turn (see `nystrom._bary_basis`)."""
+    w = ny._bary_weights(x)
+    denom = np.zeros(len(t))
+    exact = np.full(len(t), -1)
+    for j in range(len(x)):
+        diff = t - x[j]
+        on_node = diff == 0.0
+        exact[on_node] = j
+        denom += w[j] / np.where(on_node, 1.0, diff)
+    if np.all(exact < 0):
+        return 1.0 / denom, None
+    return np.where(exact < 0, 1.0 / denom, 1.0), exact
+
+
+def panel_batches(rule):
+    """(t, weights, counts, exact) of each base panel: every row's
+    `row_pieces` on the panel in node order, as `QuadratureRule.panel_batches`
+    lays them out."""
+    out = []
+    start = 0
+    for p, c in enumerate(rule.counts):
+        rows = [row_pieces(rule, p, r0) for r0 in rule.nodes]
+        t, v = gauss_points([piece for row in rows for piece in row])
+        scale, exact = bary_basis(t, rule.nodes[start:start + c])
+        counts = np.array([sum(n for _, _, n in row) for row in rows])
+        out.append((t, v * scale, counts, exact))
+        start += c
+    return out

@@ -39,6 +39,23 @@ def test_limiting_modes_rejects_a_non_unit_rule():
         asym.limiting_modes(params(), 1, QuadratureRule.make(0.1, n_radial=16))
 
 
+@pytest.mark.parametrize("d, n, count", [(3, 48, 5), (2, 40, 2)])
+def test_seeds_are_the_limiting_mode_frequencies(d, n, count):
+    # the Muller seeds and limiting_modes take omega_j from one eigvalsh;
+    # its eigenvalues hold to rounding in the spectral norm |B| = max |mu|.
+    # Against 60 digits: eigvalsh 0.72 (3D) and 0.43 (2D) eps |B|, eigh 5.0
+    # and 0.58, so eigvalsh and eigh differ by up to 4.5 eps |B| (3D)
+    p, rule = params(d=d), QuadratureRule.make(1.0, n_radial=n)
+    seeds = es._limiting_frequencies(p, count, rule)
+    assert seeds == [m.omega_j for m in asym.limiting_modes(p, count, rule)]
+    _, _, B = asym.limiting_spectrum(p, count, rule)
+    mu = np.linalg.eigvalsh(B)
+    assert seeds == [p.omega_a - float(m) for m in mu[::-1][:count]]
+    scale = np.finfo(float).eps * np.max(np.abs(mu))
+    assert np.max(np.abs(mu - orc.symmetric_eigenvalues_extended(B))) <= 2 * scale
+    assert np.max(np.abs(mu - np.linalg.eigh(B)[0])) <= 8 * scale
+
+
 def test_expansion_3d_base_point_and_sign(modes3):
     p = params()
     m = modes3[0]

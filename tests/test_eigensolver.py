@@ -147,10 +147,11 @@ def test_smallest_eigenpair_matches_eig(res3):
 
 def test_find_resonances_makes_no_eig_call(monkeypatch):
     def no_eig(*args, **kwargs):
-        raise AssertionError("np.linalg.eig or eigvals called")
+        raise AssertionError("np.linalg.eig, eigvals or eigh called")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
     monkeypatch.setattr(np.linalg, "eigvals", no_eig)
+    monkeypatch.setattr(np.linalg, "eigh", no_eig)  # the seeds need eigenvalues only
     res = es.find_resonances(params3(), 2, rule=QuadratureRule.make(1.0, n_radial=32))
     assert all(r.converged and r.residual <= 1e-8 for r in res)
     p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.2, s0=1.0)

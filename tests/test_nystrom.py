@@ -81,14 +81,19 @@ def test_build_with_a_point_on_a_node(monkeypatch):
 
     rule = QuadratureRule.make(1.0, n_radial=16)
     plain = ny.build_kernel_matrix(rule, kernel, 0)
-    pieces = QuadratureRule._pieces
+    row_pieces = QuadratureRule._row_pieces
 
     def with_node(self, p, r0):
-        # on panel 0, one more piece: a one-point Gauss rule centred on node 3
-        extra = [(self.nodes[3] - 0.005, self.nodes[3] + 0.005, 1)] if p == 0 else []
-        return pieces(self, p, r0) + extra
+        # each cell on panel 0 ends in one more piece: a one-point Gauss
+        # rule centred on node 3
+        lo, hi, n, pieces = row_pieces(self, p, r0)
+        first = np.broadcast_to(np.asarray(p) == 0, pieces.shape)
+        at = np.cumsum(pieces)[first]
+        x = self.nodes[3]
+        return (np.insert(lo, at, x - 0.005), np.insert(hi, at, x + 0.005),
+                np.insert(n, at, 1), pieces + first)
 
-    monkeypatch.setattr(QuadratureRule, "_pieces", with_node)
+    monkeypatch.setattr(QuadratureRule, "_row_pieces", with_node)
     rule = QuadratureRule.make(1.0, n_radial=16)
     W = ny.build_kernel_matrix(rule, kernel, 0)
     assert rule.panel_batches()[0].exact is not None
@@ -508,16 +513,57 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
 
 def test_row_quadrature_matches_per_piece_gauss_panels():
     # one broadcast per Gauss order gives the per-piece panels bit for bit
-    from numpy.polynomial.legendre import leggauss
     for rule in (QuadratureRule.make(0.1, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
         for r in (rule, rule.regular_rule()):
             for r0 in r.nodes:
                 t, v = r.row_quadrature(r0)
-                pieces = [(0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w)
-                          for p in range(len(r.counts)) for lo, hi, n in r._pieces(p, r0)
-                          for x, w in [leggauss(n)]]
-                assert np.array_equal(t, np.concatenate([x for x, _ in pieces]))
-                assert np.array_equal(v, np.concatenate([w for _, w in pieces]))
+                lo, hi, n, _ = r._row_pieces(np.arange(len(r.counts)), r0)
+                ref_t, ref_v = orc.gauss_points(zip(lo, hi, n))
+                assert np.array_equal(t, ref_t)
+                assert np.array_equal(v, ref_v)
+
+
+ORACLE_RULES = {
+    "make(1, 48)": lambda: QuadratureRule.make(1.0, 48),
+    "make(1, 96)": lambda: QuadratureRule.make(1.0, 96),
+    "make(0.1, 48)": lambda: QuadratureRule.make(0.1, 48),
+    "make(1, 16)": lambda: QuadratureRule.make(1.0, 16),
+    "make_interval(-1, 1, 48)": lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
+    "make_interval(-0.3, 2, 32)": lambda: QuadratureRule.make_interval(-0.3, 2.0, 32),  # -r0 inside a panel
+}
+
+
+def _identical(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RULES))
+def test_panel_batches_match_the_per_row_oracle(name):
+    # the array-form pieces of every row at once against the scalar per-row,
+    # per-panel reference: points, weights, counts and node hits, dtypes too
+    rule = ORACLE_RULES[name]()
+    for r in (rule, rule.regular_rule()):
+        batches = r.panel_batches()
+        assert len(batches) == len(r.counts)
+        for p, (batch, ref) in enumerate(zip(batches, orc.panel_batches(r))):
+            for field, want in zip(("t", "weights", "counts", "exact"), ref):
+                assert _identical(getattr(batch, field), want), (r.sing_levels, p, field)
+        for r0 in r.nodes:
+            for got, want in zip(r.row_quadrature(r0), orc.row_quadrature(r, r0)):
+                assert _identical(got, want), (r.sing_levels, r0)
+
+
+def test_bary_basis_matches_the_per_node_oracle():
+    # node hits found by one searchsorted, as by testing every node in turn;
+    # the points straddle the panel, then every other node is added
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    x = rule.nodes[:rule.counts[0]]
+    off_nodes = np.linspace(x[0] - 0.01, x[-1] + 0.01, 101)
+    for t in (off_nodes, np.concatenate([off_nodes, x[::2]])):
+        for got, want in zip(ny._bary_basis(t, x), orc.bary_basis(t, x)):
+            assert _identical(got, want)
 
 
 def test_panel_batches_split_the_row_quadratures():
