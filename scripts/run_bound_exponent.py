@@ -35,8 +35,7 @@ def main():
     for eps in args.eps:
         params = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=args.omega_a,
                                 epsilon=eps, s0=args.s0)
-        prof = bs.DensityProfile.from_params(params)
-        w = bs.solve_bound_state(prof, params, 1, n_nodes=args.nodes).omega
+        w = bs.solve_bound_state(params, 1, n_nodes=args.nodes).omega
         rows.append((eps, w))
         print(f"eps = {eps:.1e}: omega* = {w:.6e}", file=sys.stderr)
     slope = np.polyfit(np.log([r[0] for r in rows]),

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .boundstates import BSOperator, DensityProfile  # noqa: F401
+from .boundstates import BSOperator  # noqa: F401
 from .dynamics import FieldState  # noqa: F401
 from .eigensolver import ResonanceTrace, SpectrumResult  # noqa: F401
 from .greens import Branch, ExpansionCoeffs, WaveNumber  # noqa: F401

@@ -43,7 +43,7 @@ class LimitingMode:
     params: PhysicalParams
 
     def __post_init__(self):
-        if self.omega_j >= math.inf:
+        if not math.isfinite(self.omega_j):
             raise AsymptoticsError("mode frequency must be finite")
 
     @cached_property
@@ -84,17 +84,23 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list
     """Top-n eigenpairs of the limiting operator, shifted by Omega.
 
     The frequencies are those of `limiting_spectrum`; the eigenvectors, for
-    the masses and quadratic forms of the expansions, come from
-    `np.linalg.eigh` of the same symmetrized matrix.  They are normalized in
-    the quadrature-weighted norm and sign-fixed so the mass is nonnegative.
+    the masses and quadratic forms of the expansions, come from three
+    inverse-iteration solves with B - mu_j (1 + 1e-13) I, B the same
+    symmetrized matrix, from the all-ones vector (an `eigh` of B would wake a
+    second OpenBLAS thread).  They are normalized in the quadrature-weighted
+    norm and sign-fixed so the mass is nonnegative.
     """
     omegas, op, B = limiting_spectrum(params, n, rule)
     W = op.norm_weights
-    U = np.linalg.eigh(B)[1]  # columns in ascending order of the eigenvalue
     S = np.sqrt(W)
     out = []
     for j, omega_j in enumerate(omegas):
-        psi = U[:, -1 - j] / S  # back to function values; automatically unit weighted norm
+        shifted = B - (params.omega_a - omega_j) * (1.0 + 1e-13) * np.eye(len(B))
+        u = np.ones(len(B))
+        for _ in range(3):
+            u = np.linalg.solve(shifted, u)
+            u /= np.linalg.norm(u)
+        psi = u / S  # back to function values; automatically unit weighted norm
         mass = float(np.sum(W * psi))
         if mass < 0:
             psi = -psi

@@ -18,6 +18,10 @@ Since rho <= rho0 and the multiplier (c|xi| + |omega|)^{-1} has norm
 |omega|)) in every d; G^0 need not be positive.  The solve's deep bracket
 end sits where this bound is 1/2, so mu_n < 1 there is proven, not
 guessed, and the bracket stays at moderate |omega|.
+
+rho = params.density on the ball of radius params.epsilon, as for
+resonances.  The kernel depends on x - y only and rho is constant on its
+support, so a translated support has the same K_omega.
 """
 
 from __future__ import annotations
@@ -45,47 +49,11 @@ class BoundStateNotFound(RuntimeError):
     """No mu_n(omega) = 1 crossing inside the scanned bracket."""
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    """Compactly supported bounded density: a square profile or a scaled
-    high-contrast inclusion tied to a parameter set.
-
-    Square profiles in d >= 2 are treated as balls of equal volume in the
-    radial discretization (off-center supports only in d = 1).
-    """
-
-    d: int
-    rho0: float
-    half_width: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
-        if self.rho0 <= 0 or self.half_width <= 0:
-            raise ValueError("density height and half-width must be positive")
-        if self.center != 0.0 and self.d != 1:
-            raise ValueError("off-center densities are supported in d = 1 only")
-
-    @classmethod
-    def square(cls, d, rho0, half_width, center=0.0):
-        if d >= 2:
-            # ball of the same volume as the cube [-R, R]^d
-            radius = half_width * (2.0**d / greens.ball_volume(d, 1.0)) ** (1.0 / d)
-            return cls(d, rho0, radius, 0.0)
-        return cls(d, rho0, half_width, center)
-
-    @classmethod
-    def from_params(cls, params: PhysicalParams):
-        return cls(params.d, params.density, params.epsilon, 0.0)
-
-    @property
-    def sup_density(self) -> float:
-        return self.rho0
-
-    def density_power_integral(self, power) -> float:
-        """Integral of rho^power over the support (ball/interval geometry)."""
-        return self.rho0**power * greens.ball_volume(self.d, self.half_width)
+def equal_volume_radius(d: int, half_width: float) -> float:
+    """Radius of the ball with the volume of the cube [-half_width,
+    half_width]^d, on which a square density is solved in d >= 2; in d = 1
+    it is half_width itself, bit for bit."""
+    return half_width * (2.0**d / greens.ball_volume(d, 1.0)) ** (1.0 / d)
 
 
 @dataclass(frozen=True)
@@ -93,10 +61,6 @@ class BSOperator:
     """Symmetric discretization of K_omega[rho] on the support of rho."""
 
     matrix: np.ndarray
-    rule: QuadratureRule
-    omega: float
-    profile: DensityProfile
-    params: PhysicalParams
     asymmetry: float  # similarity-transform asymmetry before symmetrizing
 
 
@@ -108,17 +72,16 @@ class BoundState:
     mu: float
 
 
-def _bs_rule(profile, n_nodes):
-    if profile.d == 1:
-        a = profile.center - profile.half_width
-        b = profile.center + profile.half_width
-        return QuadratureRule.make_interval(a, b, n_nodes)
-    return QuadratureRule.make(profile.half_width, n_radial=n_nodes)
+def _bs_rule(params, n_nodes):
+    if params.d == 1:
+        return QuadratureRule.make_interval(-params.epsilon, params.epsilon, n_nodes)
+    return QuadratureRule.make(params.epsilon, n_radial=n_nodes)
 
 
-def build_bs_operator(profile: DensityProfile, omega, params: PhysicalParams,
-                      rule: QuadratureRule = None, n_nodes=64) -> BSOperator:
-    """Symmetric matrix of K_omega[rho] for real omega < 0.
+def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule = None,
+                      n_nodes=64) -> BSOperator:
+    """Symmetric matrix of K_omega[rho] for real omega < 0, with rho =
+    params.density on the ball of radius params.epsilon.
 
     The resolvent kernel is (1/c) G^{omega/c}(x - y) on the negative
     branch; inside the (constant) density support the square roots
@@ -127,21 +90,18 @@ def build_bs_operator(profile: DensityProfile, omega, params: PhysicalParams,
     omega = float(omega)
     if omega >= 0:
         raise ValueError("the bound-state operator needs omega < 0")
-    if params.d != profile.d:
-        raise ValueError("profile and parameter dimensions disagree")
     if rule is None:
-        rule = _bs_rule(profile, n_nodes)
+        rule = _bs_rule(params, n_nodes)
     k = omega / params.c
-    pref = params.g**2 * profile.rho0 / (
-        params.c * (params.omega_a + abs(omega)))
-    if profile.d == 1:
+    pref = params.g**2 * params.density / (params.c * (params.omega_a + abs(omega)))
+    if params.d == 1:
         W = nystrom.build_split_matrix(rule, nystrom.kernel_1d_interval, k, Branch.NEGATIVE, 0)
         norm_w = rule.weights
     else:
-        W = nystrom.full_kernel_matrix(rule, profile.d, k, Branch.NEGATIVE)
-        norm_w = nystrom.volume_weights(profile.d, rule)
+        W = nystrom.full_kernel_matrix(rule, params.d, k, Branch.NEGATIVE)
+        norm_w = nystrom.volume_weights(params.d, rule)
     B, asym = nystrom.weighted_symmetrize(pref * W.real, norm_w)
-    return BSOperator(B, rule, omega, profile, params, asym)
+    return BSOperator(B, asym)
 
 
 def mu_spectrum(op: BSOperator, m: int) -> np.ndarray:
@@ -154,25 +114,25 @@ def mu_spectrum(op: BSOperator, m: int) -> np.ndarray:
     return ev[::-1][:m].copy()
 
 
-def count_bound_states_below(profile: DensityProfile, omega, params: PhysicalParams,
-                             rule: QuadratureRule = None, n_nodes=64) -> int:
+def count_bound_states_below(params: PhysicalParams, omega, rule: QuadratureRule = None,
+                             n_nodes=64) -> int:
     """Number of Hamiltonian eigenvalues in (-infty, omega]."""
-    op = build_bs_operator(profile, omega, params, rule, n_nodes)
+    op = build_bs_operator(params, omega, rule, n_nodes)
     ev = np.linalg.eigvalsh(op.matrix)
     return int(np.count_nonzero(ev >= 1.0))
 
 
-def _mu_n(profile, omega, params, n, n_nodes, rule=None):
-    op = build_bs_operator(profile, omega, params, rule=rule, n_nodes=n_nodes)
+def _mu_n(params, omega, n, n_nodes, rule=None):
+    op = build_bs_operator(params, omega, rule=rule, n_nodes=n_nodes)
     return float(mu_spectrum(op, n)[n - 1])
 
 
-def deep_end_exponent(profile: DensityProfile, params: PhysicalParams) -> float:
+def deep_end_exponent(params: PhysicalParams) -> float:
     """Scan exponent j of the deep bracket end omega = -c 2^j: where the norm
     bound g^2 rho0 / (|omega| (Omega + |omega|)) on every mu_n equals
     DEEP_END_BOUND, capped at the deep end of BRACKET_EXPONENTS."""
     omega_a = params.omega_a
-    q = params.g**2 * profile.sup_density / DEEP_END_BOUND
+    q = params.g**2 * params.density / DEEP_END_BOUND
     depth = 0.5 * (math.sqrt(omega_a**2 + 4.0 * q) - omega_a)
     return min(math.log2(depth / params.c), BRACKET_EXPONENTS[1])
 
@@ -227,8 +187,8 @@ def brentq(f, a, b, xtol):
     return xcur
 
 
-def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: int = 1,
-                      tol: float = 1e-10, n_nodes: int = 64) -> BoundState:
+def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-10,
+                      n_nodes: int = 64) -> BoundState:
     """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*).
 
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
@@ -245,18 +205,18 @@ def solve_bound_state(profile: DensityProfile, params: PhysicalParams, mode_n: i
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
     j_shallow = BRACKET_EXPONENTS[0]
-    j_deep = deep_end_exponent(profile, params)
+    j_deep = deep_end_exponent(params)
     if j_deep <= j_shallow:
         raise BoundStateNotFound(
             f"no bound state detected for mode {mode_n}: the norm bound keeps "
             f"mu_{mode_n} below 1 on the scanned bracket"
         )
-    rule = _bs_rule(profile, n_nodes)
+    rule = _bs_rule(params, n_nodes)
     seen: dict = {}  # j -> mu_n(-c 2^j)
 
     def f(j):
         if j not in seen:
-            seen[j] = _mu_n(profile, -params.c * 2.0**j, params, mode_n, n_nodes, rule)
+            seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, n_nodes, rule)
         return seen[j] - 1.0
 
     if f(j_shallow) < 0.0:
@@ -286,16 +246,3 @@ def sobolev_threshold(d: int) -> float:
     surface = 2.0 * np.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
     return float((d - 1) / 2.0 * surface ** (1.0 / d))
 
-
-def nbs_upper_bound(profile: DensityProfile, params: PhysicalParams, K_d: float) -> float:
-    """Upper bound K_d (g^2/(Omega c))^d * integral rho^d on the number of
-    bound states.  K_d is a universal constant not derived here; callers
-    supply it."""
-    if profile.d < 2:
-        raise ValueError("the counting bound applies to d >= 2")
-    if K_d <= 0:
-        raise ValueError("K_d must be positive")
-    if params.omega_a <= 0:
-        raise ValueError("the bound needs Omega > 0")
-    factor = (params.g**2 / (params.omega_a * params.c)) ** profile.d
-    return float(K_d * factor * profile.density_power_integral(profile.d))

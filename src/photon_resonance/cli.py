@@ -13,9 +13,10 @@ output is byte-identical only for a fixed config, code version and BLAS.
 Config files are plain text: top-level ``key = value`` lines plus
 ``[section]`` blocks; unknown sections or keys are rejected with the
 offending line number.  ``#`` starts a comment.  Every section and key is
-declared once, in ``_SCHEMA``.  Exit codes: 0 success, 1 configuration
-error, 2 solver failure (non-convergence, LinAlgError or NystromError;
-partial results are flushed first).
+declared once, in ``_SCHEMA``.  ``bound-states`` solves the density of
+``[bound_states]`` and ignores ``[params]`` epsilon, s0 and rho0.  Exit
+codes: 0 success, 1 configuration error, 2 solver failure (non-convergence,
+LinAlgError or NystromError; partial results are flushed first).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ _SCHEMA = {
                "r_values": (_list_of(float), [0.5, 1.0, 2.0], None),
                "branch": (str, "negative", None)},
     "bound_states": {"rho0": (float, 1.0, _positive), "half_width": (float, 1.0, _positive),
-                     "center": (float, 0.0, None), "modes": (int, 1, _positive)},
+                     "modes": (int, 1, _positive)},
     "dynamics": {"grid_points": (int, 8192, _positive), "box_length": (float, 24.0, _positive),
                  "dt": (float, 1e-3, _positive), "t_final": (float, 10.0, _positive),
                  "sample_every": (int, 100, _positive),
@@ -242,11 +243,10 @@ def _run_resonances(cfg):
     return rows
 
 
-def _trace(cfg, modes, grid, rule, limit=None):
+def _trace(cfg, modes, grid, rule):
     num = cfg.sections["numerics"]
     return eigensolver.trace_in_epsilon(
-        cfg.params, modes, grid, rule, tol=num["muller_tol"], max_iter=num["max_iter"],
-        limit=limit)
+        cfg.params, modes, grid, rule, tol=num["muller_tol"], max_iter=num["max_iter"])
 
 
 def _run_trace(cfg):
@@ -261,14 +261,14 @@ def _run_trace(cfg):
 
 def _run_bound_states(cfg):
     blk = cfg.sections["bound_states"]
-    prof = boundstates.DensityProfile.square(
-        cfg.params.d, blk["rho0"], blk["half_width"], blk["center"])
+    radius = boundstates.equal_volume_radius(cfg.params.d, blk["half_width"])
+    params = replace(cfg.params, epsilon=radius, rho0=blk["rho0"], s0=None)
     rows = []
     failures = False
     for n in range(1, blk["modes"] + 1):
         try:
             st = boundstates.solve_bound_state(
-                prof, cfg.params, n, n_nodes=cfg.sections["numerics"]["radial_nodes"])
+                params, n, n_nodes=cfg.sections["numerics"]["radial_nodes"])
         except (boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
             print(f"solver failure: mode {n}: {exc}", file=sys.stderr)
             failures = True
@@ -289,11 +289,9 @@ def _run_asymptotics_compare(cfg):
     if kind not in ("expansion", "sphere"):
         raise ConfigError(f"[asymptotics]: unknown approximation {kind!r}")
     rule = _unit_rule(cfg, "mode_index")
-    mode = limit = None
+    mode = None
     if p.d in (2, 3):
-        modes = asymptotics.limiting_modes(p, j, rule)  # also the trace's seeds: one L0 build
-        mode = modes[j - 1]
-        limit = [m.omega_j for m in modes]
+        mode = asymptotics.limiting_modes(p, j, rule)[j - 1]
     else:
         # fail fast if the requested regime has no resonance expansion
         asymptotics.resonance_expansion_1d(p, grid[0])
@@ -308,7 +306,7 @@ def _run_asymptotics_compare(cfg):
             return asymptotics.resonance_expansion_2d(mode, pe, eps)
         return asymptotics.resonance_expansion_3d(mode, pe, eps)
 
-    [trace] = _trace(cfg, [j], grid, rule, limit)
+    [trace] = _trace(cfg, [j], grid, rule)
     rows = []
     for e, r in zip(trace.epsilons, trace.results):
         a = asym_at(e)

@@ -252,15 +252,14 @@ class ResonanceTrace:
 
 
 def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Sequence[float],
-                     rule: QuadratureRule, tol: float = 1e-10, max_iter: int = 50,
-                     limit: Sequence[complex] = None) -> list[ResonanceTrace]:
+                     rule: QuadratureRule, tol: float = 1e-10,
+                     max_iter: int = 50) -> list[ResonanceTrace]:
     """Warm-started continuation of the given modes along decreasing eps.
 
     One rule on the unit domain serves the limit and every eps and mode.
-    The limiting frequencies seed the first eps: `limit`, mode 1 first, if
-    the caller already has them, else computed once here.  At each eps the
-    modes go through the shared mode loop from their roots at the previous
-    eps, so they deflate against each other.  A mode that fails
+    The limiting frequencies, computed once, seed the first eps.  At each
+    eps the modes go through the shared mode loop from their roots at the
+    previous eps, so they deflate against each other.  A mode that fails
     raises EigensolverError; a jump larger than CONTINUITY_RTOL times
     the distance from the previous root to Omega or to another traced
     mode's previous root is logged and recorded in `continuity_breaks`.
@@ -274,8 +273,7 @@ def trace_in_epsilon(params: PhysicalParams, modes: Sequence[int], epsilons: Seq
     eps = [float(e) for e in epsilons]
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
-    if limit is None:
-        limit = _limiting_frequencies(params, max(modes), rule)
+    limit = _limiting_frequencies(params, max(modes), rule)
     seeds = [limit[m - 1] for m in modes]
     results = [[] for _ in modes]
     breaks = [[] for _ in modes]

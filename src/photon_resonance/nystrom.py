@@ -2,8 +2,8 @@
 
 The operators act on radially symmetric functions over a ball, disk or
 symmetric interval of radius R.  A function is represented by its values
-at the nodes of a composite Gauss-Legendre grid on [0, R] (or on a general
-interval for off-center one-dimensional densities), and the integral
+at the nodes of a composite Gauss-Legendre grid on [0, R] (or on [-R, R]
+for the one-dimensional bound states), and the integral
 
     (W f)(r_i) = int K(r_i, r') f(r') r'^{d-1} dr'
 
@@ -233,8 +233,6 @@ class QuadratureRule:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.nodes) < 8:
-            raise ValueError("need at least 8 radial nodes")
         if np.any(self.weights <= 0):
             raise ValueError("base quadrature weights must be positive")
 
@@ -828,12 +826,12 @@ def _moment_sum(rule, key, measure_power, coefficients, rows, sing):
     reduced basis.  The moments are cached on the rule under `key` and
     grown, in one stacked build of the missing rows (`rows`), when a
     larger |k| needs more terms."""
-    moments = rule._cache.get(key, ((),) * len(coefficients))
+    moments = rule._cache.setdefault(key, [[] for _ in coefficients])
     missing = [range(len(M), max(len(M), len(c))) for M, c in zip(moments, coefficients)]
-    if any(missing):  # grown into new tuples, so a racing build sees one consistent set
+    if any(missing):
         stack = iter(build_kernel_matrix(rule.regular_rule(), rows(missing), measure_power))
-        moments = rule._cache[key] = tuple(M + tuple(itertools.islice(stack, len(r)))
-                                           for M, r in zip(moments, missing))
+        for M, r in zip(moments, missing):
+            M.extend(itertools.islice(stack, len(r)))
     W = sing.copy()
     # elementwise on purpose: a BLAS contraction (tensordot) wakes a second
     # OpenBLAS thread, which costs more CPU time than it saves wall time

@@ -32,9 +32,8 @@ def resonances_3d():
 @pytest.fixture(scope="module")
 def bound_state_setup():
     params = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=1.0)
-    profile = bs.DensityProfile.square(1, 1.0, 1.0)
-    omega_star = bs.solve_bound_state(profile, params, 1, n_nodes=48).omega
-    return params, profile, omega_star
+    omega_star = bs.solve_bound_state(params, 1, n_nodes=48).omega
+    return params, omega_star
 
 
 def test_criterion_01_greens_cross_validation():
@@ -187,18 +186,19 @@ def test_criterion_07_log_limit_consistency_1d():
 
 
 def test_criterion_08_bound_state_suite(bound_state_setup):
-    params, profile, omega_star = bound_state_setup
+    params, omega_star = bound_state_setup
     # (a) the 1D square density always binds through a mu_1 = 1 crossing
     assert omega_star < 0
-    mu = bs._mu_n(profile, omega_star, params, 1, 48)
+    mu = bs._mu_n(params, omega_star, 1, 48)
     assert abs(mu - 1.0) <= 1e-9
     # (b) necessary condition
-    assert params.g**2 * profile.sup_density >= omega_star * (omega_star - params.omega_a)
-    # (c) subcritical d=2 density yields zero crossings on the omega grid
-    p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=0.5)
-    prof2 = bs.DensityProfile.square(2, 0.5, 1.0)
-    assert 2 * 0.5 * 1.0 / (1.0 * 1.0) < bs.sobolev_threshold(2)
-    counts = [bs.count_bound_states_below(prof2, w, p2, n_nodes=32)
+    assert params.g**2 * params.density >= omega_star * (omega_star - params.omega_a)
+    # (c) subcritical d=2 density yields zero crossings on the omega grid: the
+    # square [-1, 1]^2 at rho0 = 0.5 on its equal-area disk, R = 2/sqrt(pi)
+    p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0,
+                        epsilon=bs.equal_volume_radius(2, 1.0), rho0=0.5)
+    assert 2 * p2.g**2 * p2.density * p2.epsilon / (p2.omega_a * p2.c) < bs.sobolev_threshold(2)
+    counts = [bs.count_bound_states_below(p2, w, n_nodes=32)
               for w in (-0.02, -0.2, -1.0, -5.0)]
     assert all(c == 0 for c in counts)
     # (d) small-eps exponent fit against the power law p = Omega pi c/(g^2 s0 |B1|) - 1
@@ -209,8 +209,7 @@ def test_criterion_08_bound_state_suite(bound_state_setup):
     ws = []
     for eps in eps_list:
         pe = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=s0)
-        ws.append(bs.solve_bound_state(bs.DensityProfile.from_params(pe), pe, 1,
-                                       n_nodes=40).omega)
+        ws.append(bs.solve_bound_state(pe, 1, n_nodes=40).omega)
     slope = np.polyfit(np.log(eps_list), np.log(-np.asarray(ws)), 1)[0]
     assert abs(slope - p_pred) <= 0.05 * p_pred
     print(f"\nPASS criterion 8 (bound-state suite): omega* = {omega_star:.6f} with "
@@ -219,7 +218,7 @@ def test_criterion_08_bound_state_suite(bound_state_setup):
 
 
 def test_criterion_09_birman_schwinger_equivalence(bound_state_setup):
-    params, profile, omega_star = bound_state_setup
+    params, omega_star = bound_state_setup
     op = ny.build_full_operator(params, complex(omega_star),
                                 QuadratureRule.make(1.0, n_radial=64))
     lam = es.characteristic_value(op)

@@ -29,6 +29,13 @@ def test_limiting_modes_structure(modes3):
     assert sum(a >= b for a, b in zip(masses, masses[1:])) >= 3
 
 
+@pytest.mark.parametrize("omega_j", (float("nan"), float("inf"), float("-inf")))
+def test_limiting_mode_rejects_a_non_finite_frequency(modes3, omega_j):
+    m = modes3[0]
+    with pytest.raises(AsymptoticsError, match="finite"):
+        asym.LimitingMode(m.j, omega_j, m.psi, m.mass, m.rule, m.params)
+
+
 def test_limiting_modes_rejects_1d():
     with pytest.raises(AsymptoticsError):
         asym.limiting_modes(params(d=1, eps=0.1), 1, QuadratureRule.make(1.0, n_radial=16))

@@ -4,61 +4,72 @@ import numpy as np
 import pytest
 
 from photon_resonance import boundstates as bs, eigensolver as es, nystrom as ny
-from photon_resonance.boundstates import BoundStateNotFound, DensityProfile
+from photon_resonance.boundstates import BoundStateNotFound
 from photon_resonance.nystrom import PhysicalParams, QuadratureRule
 
 import oracle_utils as orc
 
 
-def p1d(rho0=1.0, omega_a=1.0):
-    return PhysicalParams(d=1, c=1.0, g=1.0, omega_a=omega_a, epsilon=1.0, rho0=rho0)
+def p1d(rho0=1.0, omega_a=1.0, half_width=1.0):
+    return PhysicalParams(d=1, c=1.0, g=1.0, omega_a=omega_a, epsilon=half_width, rho0=rho0)
 
 
-@pytest.fixture(scope="module")
-def square1():
-    return DensityProfile.square(1, 1.0, 1.0)
+def square(d, rho0, half_width, **kw):
+    """rho0 on the cube [-half_width, half_width]^d, as the CLI solves it:
+    on the ball of equal volume."""
+    base = dict(d=d, c=1.0, g=1.0, omega_a=1.0,
+                epsilon=bs.equal_volume_radius(d, half_width), rho0=rho0)
+    base.update(kw)
+    return PhysicalParams(**base)
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        DensityProfile(1, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        DensityProfile(2, 1.0, 1.0, center=0.3)
-    ball = DensityProfile.square(2, 1.0, 1.0)
-    # equal-volume disk for the square [-R, R]^2
-    assert ball.half_width == pytest.approx(2.0 / np.sqrt(np.pi))
-    assert DensityProfile.square(1, 2.0, 0.5, center=1.0).center == 1.0
+        p1d(rho0=-1.0)
+    # equal-volume disk for the square [-R, R]^2; the interval itself in 1D
+    assert bs.equal_volume_radius(2, 1.0) == pytest.approx(2.0 / np.sqrt(np.pi))
+    assert bs.equal_volume_radius(3, 1.0) == pytest.approx((6.0 / np.pi) ** (1.0 / 3.0))
+    assert bs.equal_volume_radius(1, 0.37) == 0.37
 
 
-def test_density_power_integral(square1):
-    assert square1.density_power_integral(1) == pytest.approx(2.0)
-    d2 = DensityProfile(2, 3.0, 0.5)
-    assert d2.density_power_integral(2) == pytest.approx(9.0 * np.pi * 0.25)
+def test_translated_interval_has_the_same_spectrum():
+    # the kernel depends on x - y only and rho is constant on its support,
+    # so a translated interval gives the same K_omega, up to the rounding of
+    # its nodes, (|c| + h) eps: 5, 15 and 25 ulps of max mu for these c
+    h, n = 1.0, 48
+    p = p1d(rho0=30.0)
+    ref = np.linalg.eigvalsh(bs.build_bs_operator(
+        p, -0.7, QuadratureRule.make_interval(-h, h, n)).matrix)
+    for c in (0.3, -2.5, 7.0):
+        rule = QuadratureRule.make_interval(c - h, c + h, n)
+        mu = np.linalg.eigvalsh(bs.build_bs_operator(p, -0.7, rule).matrix)
+        ulps = np.max(np.abs(mu - ref)) / (np.finfo(float).eps * ref[-1])
+        assert ulps <= 8 * (abs(c) + h) / h, c
 
 
-def test_bs_operator_symmetric_positive(square1):
-    op = bs.build_bs_operator(square1, -0.5, p1d(), n_nodes=48)
+def test_bs_operator_symmetric_positive():
+    op = bs.build_bs_operator(p1d(), -0.5, n_nodes=48)
     assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-12
     assert op.asymmetry < 1e-3  # pre-symmetrization, discretization scale
     ev = np.linalg.eigvalsh(op.matrix)
     assert np.all(ev >= -1e-10)
     with pytest.raises(ValueError):
-        bs.build_bs_operator(square1, 0.5, p1d())
+        bs.build_bs_operator(p1d(), 0.5)
 
 
-def test_norm_vanishes_deep_below(square1):
-    mu_deep = bs.mu_spectrum(bs.build_bs_operator(square1, -100.0, p1d(), n_nodes=40), 1)[0]
-    mu_ref = bs.mu_spectrum(bs.build_bs_operator(square1, -1.0, p1d(), n_nodes=40), 1)[0]
+def test_norm_vanishes_deep_below():
+    mu_deep = bs.mu_spectrum(bs.build_bs_operator(p1d(), -100.0, n_nodes=40), 1)[0]
+    mu_ref = bs.mu_spectrum(bs.build_bs_operator(p1d(), -1.0, n_nodes=40), 1)[0]
     assert mu_deep < 0.01 * mu_ref
 
 
-def test_mu_monotone_decreasing_in_depth(square1):
-    mus = [bs._mu_n(square1, w, p1d(), 1, 40) for w in (-0.1, -0.5, -1.0, -2.0)]
+def test_mu_monotone_decreasing_in_depth():
+    mus = [bs._mu_n(p1d(), w, 1, 40) for w in (-0.1, -0.5, -1.0, -2.0)]
     assert all(a > b for a, b in zip(mus, mus[1:]))
 
 
-def test_mu_spectrum_shape(square1):
-    op = bs.build_bs_operator(square1, -0.5, p1d(), n_nodes=40)
+def test_mu_spectrum_shape():
+    op = bs.build_bs_operator(p1d(), -0.5, n_nodes=40)
     mu = bs.mu_spectrum(op, 4)
     assert len(mu) == 4 and np.all(np.diff(mu) <= 0)
     with pytest.raises(ValueError):
@@ -67,33 +78,33 @@ def test_mu_spectrum_shape(square1):
 
 def test_density_monotonicity():
     # rho1 <= rho2 pointwise implies mu1 ordering
-    small = DensityProfile.square(1, 0.5, 0.8)
-    large = DensityProfile.square(1, 1.0, 0.8)
-    m_small = bs._mu_n(small, -0.4, p1d(), 1, 40)
-    m_large = bs._mu_n(large, -0.4, p1d(), 1, 40)
+    small = p1d(rho0=0.5, half_width=0.8)
+    large = p1d(rho0=1.0, half_width=0.8)
+    m_small = bs._mu_n(small, -0.4, 1, 40)
+    m_large = bs._mu_n(large, -0.4, 1, 40)
     assert m_small <= m_large + 1e-10
 
 
-def test_tiny_coupling_has_no_bound_states(square1):
+def test_tiny_coupling_has_no_bound_states():
     weak = PhysicalParams(d=1, c=1.0, g=1e-4, omega_a=1.0, epsilon=1.0, rho0=1.0)
-    assert bs.count_bound_states_below(square1, -0.5, weak, n_nodes=32) == 0
+    assert bs.count_bound_states_below(weak, -0.5, n_nodes=32) == 0
     # the norm bound already keeps mu below 1/2 at the shallow end
     with pytest.raises(BoundStateNotFound, match="norm bound"):
-        bs.solve_bound_state(square1, weak, 1, n_nodes=32)
+        bs.solve_bound_state(weak, 1, n_nodes=32)
 
 
 @pytest.fixture(scope="module")
-def omega_star(square1):
-    return bs.solve_bound_state(square1, p1d(), 1, n_nodes=48).omega
+def omega_star():
+    return bs.solve_bound_state(p1d(), 1, n_nodes=48).omega
 
 
-def test_one_dimensional_square_always_binds(square1, omega_star):
+def test_one_dimensional_square_always_binds(omega_star):
     assert omega_star < 0
-    mu = bs._mu_n(square1, omega_star, p1d(), 1, 48)
+    mu = bs._mu_n(p1d(), omega_star, 1, 48)
     assert abs(mu - 1.0) <= 1e-9
 
 
-def test_bound_state_build_count(square1, monkeypatch):
+def test_bound_state_build_count(monkeypatch):
     # Brent on the scan exponent needs 9 operator builds here (bracket ends included)
     calls = []
     build = bs.build_bs_operator
@@ -103,15 +114,15 @@ def test_bound_state_build_count(square1, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(bs, "build_bs_operator", counted)
-    st = bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
+    st = bs.solve_bound_state(p1d(), 1, n_nodes=48)
     assert len(calls) <= 14
     # the solver's mu at the root is the one a rebuild on a fresh rule gives
-    assert st.mu == bs._mu_n(square1, st.omega, p1d(), 1, 48)
+    assert st.mu == bs._mu_n(p1d(), st.omega, 1, 48)
     assert abs(st.mu - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("ulps", (2, -2))
-def test_bound_state_build_count_ignores_roundoff(square1, monkeypatch, ulps):
+def test_bound_state_build_count_ignores_roundoff(monkeypatch, ulps):
     # mu off by 2 ulp everywhere must not change how many builds Brent makes
     mu_n = bs._mu_n
 
@@ -126,7 +137,7 @@ def test_bound_state_build_count_ignores_roundoff(square1, monkeypatch, ulps):
             return mu
 
         monkeypatch.setattr(bs, "_mu_n", shifted)
-        st = bs.solve_bound_state(square1, p1d(), 1, n_nodes=48)
+        st = bs.solve_bound_state(p1d(), 1, n_nodes=48)
         assert abs(st.mu - 1.0) <= 1e-10
         return len(calls)
 
@@ -135,9 +146,8 @@ def test_bound_state_build_count_ignores_roundoff(square1, monkeypatch, ulps):
 
 def test_crossing_below_deepest_bracket_end_rejected():
     # mu_1 = 9.5 already at omega = -1024, the deep end of the bracket
-    dense = DensityProfile.square(1, 1e7, 1.0)
     with pytest.raises(BoundStateNotFound, match="deepest"):
-        bs.solve_bound_state(dense, p1d(rho0=1e7), 1, n_nodes=32)
+        bs.solve_bound_state(p1d(rho0=1e7), 1, n_nodes=32)
 
 
 @pytest.mark.parametrize("omega_a", (1.0, 0.3))
@@ -145,17 +155,15 @@ def test_crossing_below_deepest_bracket_end_rejected():
 def test_mu_at_deep_bracket_end_below_half(d, omega_a):
     # mu_n <= g^2 rho0 / (|omega| (Omega + |omega|)) = 1/2 at the deep end
     for rho0 in (0.5, 1.0, 4.0, 20.0):
-        p = PhysicalParams(d=d, c=1.0, g=1.0, omega_a=omega_a, epsilon=1.0, rho0=rho0)
-        prof = DensityProfile.square(d, rho0, 1.0)
-        omega = -p.c * 2.0 ** bs.deep_end_exponent(prof, p)
-        assert bs._mu_n(prof, omega, p, 1, 32) <= 0.5
+        p = square(d, rho0, 1.0, omega_a=omega_a)
+        omega = -p.c * 2.0 ** bs.deep_end_exponent(p)
+        assert bs._mu_n(p, omega, 1, 32) <= 0.5
 
 
-def test_deep_bracket_end_of_the_unit_square(square1):
+def test_deep_bracket_end_of_the_unit_square():
     # |omega| (Omega + |omega|) = 2 g^2 rho0 at |omega| = 1; 2^10 caps dense profiles
-    assert bs.deep_end_exponent(square1, p1d()) == 0.0
-    dense = DensityProfile.square(1, 1e7, 1.0)
-    assert bs.deep_end_exponent(dense, p1d(rho0=1e7)) == bs.BRACKET_EXPONENTS[1]
+    assert bs.deep_end_exponent(p1d()) == 0.0
+    assert bs.deep_end_exponent(p1d(rho0=1e7)) == bs.BRACKET_EXPONENTS[1]
 
 
 def _recorded(f, points):
@@ -195,17 +203,17 @@ def test_brentq_port_matches_scipy(case, xtol):
     assert got == want
 
 
-def test_brentq_port_matches_scipy_on_the_bound_state(square1):
+def test_brentq_port_matches_scipy_on_the_bound_state():
     from scipy.optimize import brentq
 
     seen = {}
 
     def f(j):
         if j not in seen:
-            seen[j] = bs._mu_n(square1, -2.0**j, p1d(), 1, 48) - 1.0
+            seen[j] = bs._mu_n(p1d(), -2.0**j, 1, 48) - 1.0
         return seen[j]
 
-    a, b = bs.BRACKET_EXPONENTS[0], bs.deep_end_exponent(square1, p1d())
+    a, b = bs.BRACKET_EXPONENTS[0], bs.deep_end_exponent(p1d())
     want, got = [], []
     ref = brentq(_recorded(f, want), a, b, xtol=bs.BRENT_XTOL, disp=False)
     root = bs.brentq(_recorded(f, got), a, b, bs.BRENT_XTOL)
@@ -213,9 +221,9 @@ def test_brentq_port_matches_scipy_on_the_bound_state(square1):
     assert got == want and len(want) == 9
 
 
-def test_necessary_condition(square1, omega_star):
+def test_necessary_condition(omega_star):
     p = p1d()
-    lhs = p.g**2 * square1.sup_density
+    lhs = p.g**2 * p.density
     assert lhs >= omega_star * (omega_star - p.omega_a)
 
 
@@ -228,14 +236,13 @@ def test_full_operator_equivalence(omega_star):
 
 
 def test_subcritical_2d_has_no_crossings():
-    # 2 g^2 rho0 R / (Omega c) = 1 < S_2
-    p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=0.5)
-    prof = DensityProfile.square(2, 0.5, 1.0)
-    assert 2 * 0.5 * 1.0 < bs.sobolev_threshold(2)
+    # 2 g^2 rho0 R / (Omega c) = 2 * 0.5 * 2/sqrt(pi) = 1.128 < S_2 = 1.772
+    p = square(2, 0.5, 1.0)
+    assert 2 * p.g**2 * p.density * p.epsilon / (p.omega_a * p.c) < bs.sobolev_threshold(2)
     for w in (-0.02, -0.2, -1.0, -5.0):
-        assert bs.count_bound_states_below(prof, w, p, n_nodes=32) == 0
+        assert bs.count_bound_states_below(p, w, n_nodes=32) == 0
     with pytest.raises(BoundStateNotFound, match="stays below 1"):
-        bs.solve_bound_state(prof, p, 1, n_nodes=32)
+        bs.solve_bound_state(p, 1, n_nodes=32)
 
 
 def test_sobolev_threshold_values():
@@ -248,25 +255,6 @@ def test_sobolev_threshold_values():
         bs.sobolev_threshold(1)
 
 
-def test_counting_bound_formula():
-    p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=2.0)
-    prof = DensityProfile(2, 2.0, 1.5)
-    val = bs.nbs_upper_bound(prof, p, K_d=1.0)
-    assert val == pytest.approx(4.0 * np.pi * 1.5**2)
-    p_small = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=0.01, epsilon=1.0, rho0=2.0)
-    ratio = bs.nbs_upper_bound(prof, p_small, 1.0) / val
-    assert ratio == pytest.approx(1e4)
-
-
-def test_count_below_bound_consistency():
-    # computed count stays below the bound once K_d is generous
-    p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=0.5, epsilon=1.0, rho0=4.0)
-    prof = DensityProfile.square(2, 4.0, 1.0)
-    count = bs.count_bound_states_below(prof, -1e-3, p, n_nodes=32)
-    bound = bs.nbs_upper_bound(prof, p, K_d=10.0)
-    assert count <= bound
-
-
 def test_3d_bound_state_two_routes_agree():
     # Omega below the limiting shift puts the lowest mode on the negative
     # axis; the Muller continuation and the Birman-Schwinger crossing are
@@ -277,7 +265,7 @@ def test_3d_bound_state_two_routes_agree():
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9  # bound modes carry no width
     assert w_muller.real < 0
-    w_bisect = bs.solve_bound_state(bs.DensityProfile.from_params(p), p, 1, n_nodes=40).omega
+    w_bisect = bs.solve_bound_state(p, 1, n_nodes=40).omega
     assert abs(w_muller.real - w_bisect) <= 1e-6
 
 
@@ -290,7 +278,7 @@ def test_2d_bound_state_two_routes_agree():
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9
     assert w_muller.real < 0
-    w_bisect = bs.solve_bound_state(bs.DensityProfile.from_params(p), p, 1, n_nodes=40).omega
+    w_bisect = bs.solve_bound_state(p, 1, n_nodes=40).omega
     assert abs(w_muller.real - w_bisect) <= 1e-6
 
 
@@ -302,13 +290,12 @@ def test_2d_negative_branch_operator_real():
 
 def test_second_mode_crossing_strong_coupling():
     # a strong density binds several modes; their frequencies are ordered
-    p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=30.0)
-    prof = DensityProfile.square(1, 30.0, 1.0)
-    assert bs.count_bound_states_below(prof, -1e-3, p, n_nodes=40) >= 2
-    w1 = bs.solve_bound_state(prof, p, 1, n_nodes=40).omega
-    w2 = bs.solve_bound_state(prof, p, 2, n_nodes=40).omega
+    p = p1d(rho0=30.0)
+    assert bs.count_bound_states_below(p, -1e-3, n_nodes=40) >= 2
+    w1 = bs.solve_bound_state(p, 1, n_nodes=40).omega
+    w2 = bs.solve_bound_state(p, 2, n_nodes=40).omega
     assert w1 < w2 < 0
-    op = bs.build_bs_operator(prof, w2, p, n_nodes=40)
+    op = bs.build_bs_operator(p, w2, n_nodes=40)
     assert abs(bs.mu_spectrum(op, 2)[1] - 1.0) <= 1e-9
 
 
@@ -319,8 +306,7 @@ def test_scaled_1d_matches_log_limit_real_part():
     eps_list = (1e-2, 1e-3, 1e-4)
     for eps in eps_list:
         p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=0.3, epsilon=eps, s0=1.0)
-        prof = DensityProfile.from_params(p)
-        w = bs.solve_bound_state(prof, p, 1, n_nodes=40).omega
+        w = bs.solve_bound_state(p, 1, n_nodes=40).omega
         gaps.append(abs(w - target))
     inv_log = [1.0 / abs(np.log(e)) for e in eps_list]
     assert gaps[0] > gaps[1] > gaps[2]

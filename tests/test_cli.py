@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photon_resonance import boundstates, cli, greens, nystrom
+from photon_resonance import asymptotics, boundstates, cli, greens, nystrom
 from photon_resonance.cli import ConfigError
 
 
@@ -198,33 +199,57 @@ def test_bound_states_1d_solve_evaluates_no_e1(tmp_path, monkeypatch):
     assert points == []
 
 
-def test_asymptotics_compare_builds_l0_once(tmp_path, monkeypatch):
-    # the limiting modes seed the trace too; the CSV is the one a trace with
-    # its own L0 build writes
-    from photon_resonance import eigensolver
-    l0_builds = []
-    build_l0, trace = nystrom.build_l0_operator, eigensolver.trace_in_epsilon
-
-    def counted_l0(*args, **kwargs):
-        l0_builds.append(1)
-        return build_l0(*args, **kwargs)
-
-    monkeypatch.setattr(nystrom, "build_l0_operator", counted_l0)
+def test_asymptotics_compare_numbers_are_the_trace(tmp_path):
+    # re_num, im_num are, as written, the roots of a trace-epsilon run of the
+    # same mode on the same grid
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "asymptotics_compare_3d.cfg")
+    parsed = cli.parse_config(path)
+    compare = cli.resolve_config(parsed, None, str(tmp_path / "compare"))
+    trace = cli.resolve_config(parsed, "trace-epsilon", str(tmp_path / "trace"))
+    assert compare.sections["numerics"]["mode_index"] == 1
+    trace.sections["numerics"]["n_modes"] = 1
 
-    def run(out):
-        cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / out))
+    def rows(cfg):
         status, csv_path = cli.run(cfg)
         assert status == 0
-        return Path(csv_path).read_bytes()
+        return [ln.split(",") for ln in Path(csv_path).read_text().splitlines()[1:]]
 
-    shared = run("shared")
-    assert len(l0_builds) == 1
-    monkeypatch.setattr(eigensolver, "trace_in_epsilon",
-                        lambda *args, limit=None, **kwargs: trace(*args, **kwargs))
-    assert run("separate") == shared
-    assert len(l0_builds) == 3
+    traced = rows(trace)
+    assert [r[0] for r in traced] == ["1"] * len(compare.sections["numerics"]["epsilon_grid"])
+    assert [r[:3] for r in rows(compare)] == [r[1:] for r in traced]
+
+
+def test_asymptotics_compare_sphere_approximation(tmp_path):
+    cfg = """
+experiment = asymptotics-compare
+
+[params]
+d = 3
+c = 1.0
+g = 1.0
+omega_a = 1.0
+epsilon = 0.05
+s0 = 1.0
+
+[numerics]
+radial_nodes = 24
+epsilon_grid = 0.05, 0.02
+
+[asymptotics]
+approximation = sphere
+"""
+    path = write_cfg(tmp_path, cfg)
+    resolved = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    status, csv_path = cli.run(resolved)
+    assert status == 0
+    lines = Path(csv_path).read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        eps, _, _, re_asym, im_asym = line.split(",")
+        want = asymptotics.sphere_lowest_mode_approx(
+            replace(resolved.params, epsilon=float(eps)), float(eps))
+        assert (re_asym, im_asym) == (f"{want.real:.17g}", f"{want.imag:.17g}")
 
 
 def test_resonances_csv(tmp_path):
@@ -268,6 +293,35 @@ window_halfwidth = 0.5
     assert rows.shape[0] == 6
     assert np.max(np.abs(rows[:, 1] - 1.0)) < 1e-9
     assert rows[0, 3] == pytest.approx(1.0)
+
+
+def test_dynamics_wave_packet(tmp_path):
+    cfg = """
+experiment = dynamics
+
+[params]
+d = 1
+c = 1.0
+g = 1.0
+omega_a = 1.0
+epsilon = 0.25
+s0 = 0.5
+
+[dynamics]
+grid_points = 1024
+box_length = 16.0
+dt = 2e-3
+t_final = 1.0
+sample_every = 100
+init_kind = wave-packet
+"""
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert cli.main(["dynamics", "--config", path, "--out", out]) == 0
+    lines = Path(out, "dynamics.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert rows.shape[0] == 6
+    assert np.max(np.abs(rows[:, 1] - 1.0)) <= 1e-12  # 3.4e-14 measured: round-off
 
 
 def test_trace_epsilon_csv(tmp_path):
@@ -373,7 +427,7 @@ half_width = 1.0
 
 
 def test_bound_states_flush_rows_before_a_linalg_failure(tmp_path, monkeypatch, capsys):
-    def solve(profile, params, n, n_nodes):
+    def solve(params, n, n_nodes):
         if n == 2:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return boundstates.BoundState(-0.5, 1.0)
