@@ -72,7 +72,9 @@ class BoundState:
     mu: float
 
 
-def _bs_rule(params, n_nodes):
+def bound_state_rule(params, n_nodes):
+    """The rule a solve builds on: the interval [-eps, eps] in 1D, the
+    radial [0, eps] in 2D and 3D."""
     if params.d == 1:
         return QuadratureRule.make_interval(-params.epsilon, params.epsilon, n_nodes)
     return QuadratureRule.make(params.epsilon, n_radial=n_nodes)
@@ -91,7 +93,7 @@ def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule = None
     if omega >= 0:
         raise ValueError("the bound-state operator needs omega < 0")
     if rule is None:
-        rule = _bs_rule(params, n_nodes)
+        rule = bound_state_rule(params, n_nodes)
     k = omega / params.c
     pref = params.g**2 * params.density / (params.c * (params.omega_a + abs(omega)))
     if params.d == 1:
@@ -200,7 +202,8 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
     returned only if |mu_n(omega*) - 1| <= tol.  (d ln mu_n / d ln|omega|
     is at most -|omega| / (Omega + |omega|), which gives MIN_SLOPE its
     range.)  The returned mu is the one computed there, so it equals a
-    rebuild's.
+    rebuild's.  The deep end is evaluated first, so that the moment route
+    builds its stack in one pass.
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
@@ -211,7 +214,7 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
             f"no bound state detected for mode {mode_n}: the norm bound keeps "
             f"mu_{mode_n} below 1 on the scanned bracket"
         )
-    rule = _bs_rule(params, n_nodes)
+    rule = bound_state_rule(params, n_nodes)
     seen: dict = {}  # j -> mu_n(-c 2^j)
 
     def f(j):
@@ -219,6 +222,7 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
             seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, n_nodes, rule)
         return seen[j] - 1.0
 
+    f(j_deep)  # the deep end first, see the docstring
     if f(j_shallow) < 0.0:
         raise BoundStateNotFound(
             f"no bound state detected for mode {mode_n}: "

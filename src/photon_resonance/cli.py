@@ -5,7 +5,8 @@
 Experiments: greens-table, resonances, trace-epsilon, bound-states,
 asymptotics-compare, dynamics.  Each run writes one CSV with a fixed
 column schema plus a JSON manifest recording every resolved parameter
-(defaults included) and the library version.  Floats are written with 17
+(defaults included), the library version and the node count of the rule
+the run solved on (``rule_nodes``).  Floats are written with 17
 significant digits.  A root is converged only to |f| <= ``muller_tol``, so
 the trailing digits of a weakly damped imaginary part depend on round-off:
 output is byte-identical only for a fixed config, code version and BLAS.
@@ -148,6 +149,10 @@ class RunConfig:
     out_dir: str
     params: nystrom.PhysicalParams | None
     sections: dict
+    # set by the run: the node count of the rule it solves on, which can
+    # exceed numerics.radial_nodes, as every panel of a rule gets at least
+    # 6 nodes (make(R, n) has 30 for n <= 30, make_interval 48 for n <= 48)
+    rule_nodes: int | None = None
 
     def manifest(self):
         blocks = dict(self.sections)
@@ -155,7 +160,7 @@ class RunConfig:
         blocks["greens"] = {k: [str(v) for v in vs] if isinstance(vs, list) else vs
                             for k, vs in blocks["greens"].items()}
         return {"version": __version__, "experiment": self.experiment,
-                "out_dir": self.out_dir,
+                "out_dir": self.out_dir, "rule_nodes": self.rule_nodes,
                 "params": None if self.params is None else asdict(self.params), **blocks}
 
 
@@ -229,7 +234,9 @@ def _unit_rule(cfg, count_key):
     if n > most:
         raise ConfigError(f"numerics.{count_key} = {n} exceeds the {most} limiting mode(s) "
                           f"of d = {cfg.params.d} with numerics.radial_nodes = {nodes}")
-    return nystrom.QuadratureRule.make(1.0, n_radial=nodes)
+    rule = nystrom.QuadratureRule.make(1.0, n_radial=nodes)
+    cfg.rule_nodes = len(rule.nodes)
+    return rule
 
 
 def _run_resonances(cfg):
@@ -263,12 +270,13 @@ def _run_bound_states(cfg):
     blk = cfg.sections["bound_states"]
     radius = boundstates.equal_volume_radius(cfg.params.d, blk["half_width"])
     params = replace(cfg.params, epsilon=radius, rho0=blk["rho0"], s0=None)
+    n_nodes = cfg.sections["numerics"]["radial_nodes"]
+    cfg.rule_nodes = len(boundstates.bound_state_rule(params, n_nodes).nodes)
     rows = []
     failures = False
     for n in range(1, blk["modes"] + 1):
         try:
-            st = boundstates.solve_bound_state(
-                params, n, n_nodes=cfg.sections["numerics"]["radial_nodes"])
+            st = boundstates.solve_bound_state(params, n, n_nodes=n_nodes)
         except (boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
             print(f"solver failure: mode {n}: {exc}", file=sys.stderr)
             failures = True

@@ -121,12 +121,13 @@ def _check_r(r):
 
 
 # ----------------------------------------------------------------------
-# closed forms (array-valued in r; internal entry points skip the r floor)
+# closed forms (array-valued in r, real on the zero branch; internal entry
+# points skip the r floor, and `green` returns complex values on every branch)
 # ----------------------------------------------------------------------
 
 def _g1(k, r, branch):
     if branch is Branch.ZERO:
-        return (-(np.log(r) + EULER_GAMMA) / np.pi).astype(complex)
+        return -(np.log(r) + EULER_GAMMA) / np.pi
     core = (
         np.exp(1j * k * r) * exp_integral_e1(1j * k * r)
         + np.exp(-1j * k * r) * exp_integral_e1(-1j * k * r)
@@ -140,7 +141,7 @@ def _g1(k, r, branch):
 
 def _g2(k, r, branch):
     if branch is Branch.ZERO:
-        return (1.0 / (2 * np.pi * r)).astype(complex)
+        return 1.0 / (2 * np.pi * r)
     if branch is Branch.NEGATIVE:
         return 1.0 / (2 * np.pi * r) + (k / 4.0) * struve_k0(-k * r)
     base = 1.0 / (2 * np.pi * r) - (k / 4.0) * struve_k0(k * r)
@@ -151,7 +152,7 @@ def _g2(k, r, branch):
 
 def _g3(k, r, branch):
     if branch is Branch.ZERO:
-        return (1.0 / (2 * np.pi**2 * r**2)).astype(complex)
+        return 1.0 / (2 * np.pi**2 * r**2)
     core = 1.0 / (2 * np.pi**2 * r**2) - (1j * k / (4 * np.pi**2 * r)) * (
         np.exp(1j * k * r) * exp_integral_e1(1j * k * r)
         - np.exp(-1j * k * r) * exp_integral_e1(-1j * k * r)
@@ -218,7 +219,7 @@ def green(d, wave, r):
     if not isinstance(wave, WaveNumber):
         wave = WaveNumber(complex(wave), branch_for(wave))
     ra = _check_r(r)
-    out = _G_BY_DIM[d](wave.k, np.asarray(ra, dtype=float), wave.branch)
+    out = _G_BY_DIM[d](wave.k, np.asarray(ra, dtype=float), wave.branch).astype(complex, copy=False)
     return out[()] if np.ndim(r) == 0 else out
 
 

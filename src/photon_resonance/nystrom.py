@@ -13,10 +13,13 @@ logarithmic diagonal singularity of the reduced kernel, and integrand
 values are pulled back onto the grid through piecewise barycentric
 interpolation.  Each rule builds its quadrature points panel by panel:
 one array pass makes the pieces of every row on a base panel, so a build
-makes one kernel call per base panel, on that panel's points of every row,
-and contracts the integrand with the panel's interpolation basis one node
-at a time.  For smooth kernel components a plain Nyström rule (kernel times
-base weights) is used instead.
+makes one kernel call per base panel, on that panel's points of every row.
+It contracts each row's integrand with the panel's interpolation basis at
+the row's points in small real matrix products (`build_kernel_matrix`):
+complex values as real and imaginary rows, stacks in slices of 4 rows, so
+that no product wakes a second OpenBLAS thread and a row's value does not
+depend on the stack it is built in.  For smooth kernel components a plain
+Nyström rule (kernel times base weights) is used instead.
 
 Every operator build is split by singularity subtraction,
 
@@ -76,6 +79,7 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -396,8 +400,7 @@ class QuadratureRule:
             rows = np.flatnonzero(idx == p)
             tp, x = t[rows], self.nodes[sl]
             scale, exact = _bary_basis(tp, x)
-            for j in range(len(x)):
-                B[rows, sl.start + j] = scale * _bary_term(tp, x, exact, j)
+            B[rows, sl] = scale[:, None] * _bary_terms(tp, x, exact, np.empty((len(x), len(tp)))).T
         return B
 
 
@@ -415,7 +418,7 @@ def _bary_basis(t, x):
     """Barycentric interpolation on the panel nodes x at the points t.
 
     Returns (scale, exact) such that the Lagrange basis function of node j
-    is L_j(t) = scale(t) * _bary_term(t, x, exact, j): scale(t) is
+    is L_j(t) = scale(t) * _bary_terms(t, x, exact, out)[j]: scale(t) is
     1 / sum_k w_k / (t - x_k), or 1 where t equals a node exactly; `exact`
     holds that node's index (-1 elsewhere), or is None when no point hits
     a node.
@@ -432,15 +435,18 @@ def _bary_basis(t, x):
     return np.where(on_node, 1.0, 1.0 / denom), np.where(on_node, at, -1)
 
 
-def _bary_term(t, x, exact, j):
-    """w_j / (t - x_j) at the points t, and at a point equal to a node the
-    exact-hit rule: 1 if that node is x_j, else 0."""
-    w = _bary_weights(x)
-    if exact is None:
-        return w[j] / (t - x[j])
-    term = w[j] / np.where(exact < 0, t - x[j], np.inf)
-    term[exact == j] = 1.0
-    return term
+def _bary_terms(t, x, exact, out):
+    """The node terms w_j / (t - x_j) at the points t, node by node, as the
+    (len(x), len(t)) matrix `out`; a point equal to a node (`exact`) gets
+    the exact-hit rule instead: 1 for that node and 0 for the others."""
+    np.subtract(t, x[:, None], out=out)
+    with np.errstate(divide="ignore"):  # at the nodes: replaced below
+        np.divide(_bary_weights(x)[:, None], out, out=out)
+    if exact is not None:
+        hit = np.flatnonzero(exact >= 0)
+        out[:, hit] = 0.0
+        out[exact[hit], hit] = 1.0
+    return out
 
 
 _bary_cache: dict = {}
@@ -660,15 +666,15 @@ def _grow_struve_moments(r, t, moments):
 
 
 def kernel_a0_reduced(d):
-    """Reduced kernel of the k-independent leading singular term A0."""
+    """Reduced kernel of the k-independent leading singular term A0 (real)."""
     if d == 3:
         def f3(r0, t):
-            return (np.log((r0 + t) / np.abs(r0 - t)) / (np.pi * r0 * t)).astype(complex)
+            return np.log((r0 + t) / np.abs(r0 - t)) / (np.pi * r0 * t)
         return f3
     if d == 2:
         def f2(r0, t):
             mc = ((r0 - t) / (r0 + t)) ** 2
-            return ((2.0 / np.pi) * elliptic_k(mc) / (r0 + t)).astype(complex)
+            return (2.0 / np.pi) * elliptic_k(mc) / (r0 + t)
         return f2
     raise ValueError("A0 reduction applies to d in {2, 3}")
 
@@ -832,7 +838,7 @@ def _moment_sum(rule, key, measure_power, coefficients, rows, sing):
         stack = iter(build_kernel_matrix(rule.regular_rule(), rows(missing), measure_power))
         for M, r in zip(moments, missing):
             M.extend(itertools.islice(stack, len(r)))
-    W = sing.copy()
+    W = sing.astype(complex)
     # elementwise on purpose: a BLAS contraction (tensordot) wakes a second
     # OpenBLAS thread, which costs more CPU time than it saves wall time
     for c, M in zip(coefficients, moments):
@@ -847,30 +853,96 @@ def build_kernel_matrix(rule, kernel, measure_power):
 
     The assembly goes panel by panel (`QuadratureRule.panel_batches`): one
     kernel call on the panel's points of every row, r0 given per point,
-    then for each node j of the panel the row sums of the integrand times
-    the node's barycentric term fill column j.  A kernel that returns a
-    stack of shape (..., len(t)) gives the stack of matrices (..., N, N),
-    in the kernel's dtype, in the same pass.
+    then small real matrix products fill each row's entries in the panel's
+    columns: the row's scaled kernel values (stack rows x the row's
+    points) times the panel's barycentric terms at those points (points x
+    panel nodes), see `_contract_panel`.  A kernel that returns a stack of
+    shape (..., len(t)) gives the stack of matrices (..., N, N), in the
+    kernel's dtype, in the same pass.
+
+    The products take the real rows: a kernel's values, or the real parts
+    stacked on the imaginary ones.  A complex product of these sizes wakes
+    a second OpenBLAS thread (a 1152 x 14 one took 1.3 times its wall time
+    in CPU time, a 4000 x 14 one 1.9 times); a real one does not.  Zero
+    rows fill the last slice (`_contract_panel`): a single kernel is
+    contracted in slices of 2 rows, its real and imaginary parts or its
+    values and a zero row, a stack in slices of _STACK_SLICE rows.
     """
-    nodes = rule.nodes
+    nodes, batches = rule.nodes, rule.panel_batches()
     W = None
-    for batch in rule.panel_batches():
+    for batch in batches:
         t = batch.t
         r0 = np.repeat(nodes, batch.counts)
         a = kernel(r0, t)
         _require_finite(a, r0, t, "kernel")
-        a = a * batch.weights
-        if measure_power:
-            a *= t**measure_power
         if W is None:
-            W = np.empty(a.shape[:-1] + (len(nodes), len(nodes)), dtype=a.dtype)
-        starts = np.cumsum(batch.counts) - batch.counts
-        x = nodes[batch.nodes]
-        prod = np.empty_like(a)  # reused: a fresh product per node lands on fresh pages
-        for j in range(len(x)):
-            np.multiply(a, _bary_term(t, x, batch.exact, j), out=prod)
-            W[..., batch.nodes.start + j] = np.add.reduceat(prod, starts, axis=-1)
-    return W
+            shape, dtype = a.shape[:-1] + (len(nodes), len(nodes)), a.dtype
+            stack = math.prod(a.shape[:-1])
+            height = 2 * stack if np.iscomplexobj(a) else stack
+            h = _STACK_SLICE if a.ndim > 1 else 2
+            W = np.empty((-(-height // h) * h,) + shape[-2:])
+            buffer = np.empty(len(W) * max(len(b.t) for b in batches))
+        rows = buffer[:len(W) * len(t)].reshape(len(W), len(t))
+        a = a.reshape(stack, len(t))
+        np.multiply(a.real, batch.weights, out=rows[:stack])
+        if height > stack:
+            np.multiply(a.imag, batch.weights, out=rows[stack:height])
+        del a  # free the kernel values before the next panel's kernel call
+        rows[height:] = 0.0
+        if measure_power:
+            rows *= t**measure_power
+        _contract_panel(W[:, :, batch.nodes], rows, h, batch, nodes[batch.nodes])
+    if height == stack:
+        return W[:height].reshape(shape)
+    out = np.empty(shape, dtype)
+    out.real, out.imag = (half.reshape(shape) for half in np.split(W[:height], 2))
+    return out
+
+
+_STACK_SLICE = 4  # stack rows of each product
+_TERM_BLOCK = 4096  # points per block of barycentric terms
+
+
+def _contract_panel(W, rows, h, batch, x):
+    """W[:, i] = rows[:, row i's points] @ terms[:, row i's points].T for
+    every row i of the batch, with W the (height, N, len(x)) view of the
+    panel's columns and terms the node terms w_j / (t - x_j) (`_bary_terms`),
+    in products of h stack rows each.
+
+    A fixed h keeps a row of W independent of the height of the stack it
+    is built in: OpenBLAS 0.3.31 on an AVX-512 Xeon summed a row in one
+    order in products of 2 or 3 rows and in another from 4 rows on, and
+    the grown moment stacks must equal fresh ones.  Every product stays
+    far below OpenBLAS's threading threshold of 65536 x 4 multiply-adds
+    (4 rows x 1,152 points x 24 nodes at most).  A single row would take
+    BLAS's matrix-vector path, which summed less accurately (3.8 against
+    1.5 eps of max |W| off the exact sums, for the 3D W_sing at N = 96).
+
+    The terms are computed in blocks of consecutive rows of about
+    _TERM_BLOCK points into one buffer: those of a whole panel at once
+    land on more fresh pages.  In a block, each run of rows with equal
+    point counts is one batched product."""
+    t, exact, n, slices = batch.t, batch.exact, len(x), len(rows) // h
+    counts = batch.counts.tolist()
+    ends = np.cumsum(batch.counts).tolist()
+    buffer = np.empty(n * (_TERM_BLOCK + max(counts)))
+    i = 0
+    while i < len(counts):
+        s = ends[i] - counts[i]
+        j = min(bisect.bisect_left(ends, s + _TERM_BLOCK), len(counts) - 1) + 1
+        e = ends[j - 1]
+        terms = _bary_terms(t[s:e], x, None if exact is None else exact[s:e],
+                            buffer[:n * (e - s)].reshape(n, e - s))
+        while i < j:  # the block's runs of rows i..k-1 with c points each
+            c, k = counts[i], i + 1
+            while k < j and counts[k] == c:
+                k += 1
+            lo, hi = ends[i] - c, ends[k - 1]
+            run = rows[:, lo:hi].reshape(slices, h, k - i, c).transpose(2, 0, 1, 3)
+            run_terms = terms[:, lo - s:hi - s].reshape(n, k - i, 1, c).transpose(1, 2, 3, 0)
+            out = W[:, i:k].reshape(slices, h, k - i, n).transpose(2, 0, 1, 3)
+            np.matmul(run, run_terms, out=out)
+            i = k
 
 
 @dataclass(frozen=True)

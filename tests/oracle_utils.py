@@ -281,3 +281,28 @@ def panel_batches(rule):
         out.append((t, v * scale, counts, exact))
         start += c
     return out
+
+
+def build_kernel_matrix_per_node(rule, kernel, measure_power):
+    """Reference assembly of `nystrom.build_kernel_matrix` from the same
+    panel batches, one panel node at a time: the integrand times the node's
+    barycentric term, summed over each row's points by `np.add.reduceat`."""
+    nodes = rule.nodes
+    W = None
+    for batch in rule.panel_batches():
+        t = batch.t
+        r0 = np.repeat(nodes, batch.counts)
+        a = kernel(r0, t) * batch.weights * t**measure_power
+        if W is None:
+            W = np.empty(a.shape[:-1] + (len(nodes), len(nodes)), dtype=a.dtype)
+        starts = np.cumsum(batch.counts) - batch.counts
+        x = nodes[batch.nodes]
+        w = ny._bary_weights(x)
+        for j in range(len(x)):
+            with np.errstate(divide="ignore"):  # a point on node j: replaced below
+                term = w[j] / (t - x[j])
+            if batch.exact is not None:
+                term[batch.exact >= 0] = 0.0
+                term[batch.exact == j] = 1.0
+            W[..., batch.nodes.start + j] = np.add.reduceat(a * term, starts, axis=-1)
+    return W

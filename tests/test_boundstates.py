@@ -121,6 +121,35 @@ def test_bound_state_build_count(monkeypatch):
     assert abs(st.mu - 1.0) <= 1e-10
 
 
+def test_bound_state_builds_its_moment_stack_in_one_pass(monkeypatch):
+    # configs/bound_states_1d.cfg: W_sing, then the 37-row moment stack of
+    # the deep bracket end, which every later build reads; omega and mu are
+    # those of the shallow end first, whose stack grew in two passes
+    shapes = []
+    build = ny.build_kernel_matrix
+
+    def counted(*args):
+        W = build(*args)
+        shapes.append(W.shape)
+        return W
+
+    monkeypatch.setattr(ny, "build_kernel_matrix", counted)
+    one_pass = bs.solve_bound_state(p1d(), 1, n_nodes=48)
+    assert shapes == [(48, 48), (37, 48, 48)]
+    make_rule = bs.bound_state_rule
+
+    def shallow_end_first(params, n_nodes):
+        rule = make_rule(params, n_nodes)
+        bs._mu_n(params, -params.c * 2.0 ** bs.BRACKET_EXPONENTS[0], 1, n_nodes, rule)
+        return rule
+
+    monkeypatch.setattr(bs, "bound_state_rule", shallow_end_first)
+    shapes.clear()
+    two_passes = bs.solve_bound_state(p1d(), 1, n_nodes=48)
+    assert shapes == [(48, 48), (4, 48, 48), (33, 48, 48)]
+    assert (two_passes.omega, two_passes.mu) == (one_pass.omega, one_pass.mu)
+
+
 @pytest.mark.parametrize("ulps", (2, -2))
 def test_bound_state_build_count_ignores_roundoff(monkeypatch, ulps):
     # mu off by 2 ulp everywhere must not change how many builds Brent makes

@@ -159,6 +159,25 @@ def test_manifest_records_defaults(tmp_path):
     assert man["params"]["epsilon"] == 0.1
 
 
+def test_manifest_records_the_nodes_solved_on(tmp_path):
+    # every panel of a rule gets at least 6 nodes: radial_nodes = 16 solves
+    # the 1D bound state on the 48 nodes of make_interval (the same rule as
+    # radial_nodes = 48) and resonances on the 30 of make; no rule: null
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    cfg.sections["numerics"]["radial_nodes"] = 16
+    assert cli.run(cfg)[0] == 0
+    man = json.loads(Path(tmp_path, "out", "manifest.json").read_text())
+    assert (man["numerics"]["radial_nodes"], man["rule_nodes"]) == (16, 48)
+    res = cli.resolve_config(cli.parse_config(write_cfg(tmp_path, RES_CFG)), None, str(tmp_path))
+    for radial_nodes, nodes in ((16, 30), (64, 64)):
+        res.sections["numerics"]["radial_nodes"] = radial_nodes
+        assert len(cli._unit_rule(res, "n_modes").nodes) == res.manifest()["rule_nodes"] == nodes
+    out = str(tmp_path / "greens")
+    assert cli.main(["greens-table", "--config", write_cfg(tmp_path, GREENS_CFG), "--out", out]) == 0
+    assert json.loads(Path(out, "manifest.json").read_text())["rule_nodes"] is None
+
+
 def test_bound_states_builds_only_for_the_solve(tmp_path, monkeypatch):
     # mu_check comes from the solver's memo, not from one more build
     calls = {"all": 0, "solve": 0}

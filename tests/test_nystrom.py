@@ -73,19 +73,16 @@ def test_interpolation_exactness():
     assert np.allclose(B2[0], e)
 
 
-def test_build_with_a_point_on_a_node(monkeypatch):
-    # a quadrature point that equals base node 3 adds its weight times the
-    # kernel there to column 3 and nothing to the other columns
-    def kernel(r0, t):
-        return np.exp(1j * r0 * t)
+def _node_kernel(r0, t):
+    return np.exp(1j * r0 * t)
 
-    rule = QuadratureRule.make(1.0, n_radial=16)
-    plain = ny.build_kernel_matrix(rule, kernel, 0)
+
+def _rule_with_a_point_on_a_node(monkeypatch):
+    # make(1, 16) whose row quadratures each end on panel 0 in one more
+    # piece: a one-point Gauss rule, of width 0.01, centred on node 3
     row_pieces = QuadratureRule._row_pieces
 
     def with_node(self, p, r0):
-        # each cell on panel 0 ends in one more piece: a one-point Gauss
-        # rule centred on node 3
         lo, hi, n, pieces = row_pieces(self, p, r0)
         first = np.broadcast_to(np.asarray(p) == 0, pieces.shape)
         at = np.cumsum(pieces)[first]
@@ -95,9 +92,17 @@ def test_build_with_a_point_on_a_node(monkeypatch):
 
     monkeypatch.setattr(QuadratureRule, "_row_pieces", with_node)
     rule = QuadratureRule.make(1.0, n_radial=16)
-    W = ny.build_kernel_matrix(rule, kernel, 0)
     assert rule.panel_batches()[0].exact is not None
-    plain[:, 3] += 0.01 * kernel(rule.nodes, rule.nodes[3])
+    return rule
+
+
+def test_build_with_a_point_on_a_node(monkeypatch):
+    # a quadrature point that equals base node 3 adds its weight times the
+    # kernel there to column 3 and nothing to the other columns
+    plain = ny.build_kernel_matrix(QuadratureRule.make(1.0, n_radial=16), _node_kernel, 0)
+    rule = _rule_with_a_point_on_a_node(monkeypatch)
+    W = ny.build_kernel_matrix(rule, _node_kernel, 0)
+    plain[:, 3] += 0.01 * _node_kernel(rule.nodes, rule.nodes[3])
     assert _rel(W, plain) <= 1e-14
 
 
@@ -580,6 +585,84 @@ def test_panel_batches_split_the_row_quadratures():
                 assert np.array_equal(t, np.concatenate([b.t[sl] for b, sl in zip(batches, rows)]))
                 assert np.array_equal(v * np.concatenate([s[sl] for s, sl in zip(scales, rows)]),
                                       np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
+
+
+def _moment_stack(family, rule, k):
+    # every row of the moment route's stack at k on the negative branch
+    coefficients, rows = ny._moment_series(rule, family, k, Branch.NEGATIVE)
+    return rows([range(len(c)) for c in coefficients])
+
+
+ROW_PRODUCT_CASES = {
+    # W_sing: one real row on the singular rule
+    "3d W_sing, make(1, 48)": (lambda: QuadratureRule.make(1.0, 48),
+                               lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
+    "3d W_sing, make(1, 96)": (lambda: QuadratureRule.make(1.0, 96),
+                               lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
+    "1d W_sing, make_interval(-1, 1, 48)": (
+        lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
+        lambda rule: ny.kernel_1d_interval(0.0, Branch.ZERO), 0),
+    # real moment stacks on the derived rule: the 37 rows of the bound state
+    # of configs/bound_states_1d.cfg at its deep bracket end, 3D, and 2D
+    "1d G1 stack": (lambda: QuadratureRule.make_interval(-1.0, 1.0, 48).regular_rule(),
+                    lambda rule: _moment_stack(ny.kernel_1d_interval, rule, -1.0), 0),
+    "3d G1 stack": (lambda: QuadratureRule.make(1.0, 48).regular_rule(),
+                    lambda rule: _moment_stack(ny.kernel_3d_reduced, rule, -0.975), 2),
+    "2d J0 Y0 stack, N = 96": (lambda: QuadratureRule.make(1.0, 96).regular_rule(),
+                               lambda rule: _moment_stack(ny.kernel_2d_singular, rule, -2.9), 1),
+    # a complex kernel-route kernel
+    "3d outgoing kernel": (lambda: QuadratureRule.make(0.1, 48).regular_rule(),
+                           lambda rule: ny.kernel_3d_reduced(45.0 - 0.5j, Branch.OUTGOING), 2),
+}
+
+
+def _within_4_eps(got, want):
+    # each matrix of a stack within 4 eps of its own largest entry
+    got, want = (w.reshape((-1,) + w.shape[-2:]) for w in (got, want))
+    return all(np.max(np.abs(g - w)) <= 4 * np.finfo(float).eps * np.max(np.abs(w))
+               for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(ROW_PRODUCT_CASES))
+def test_row_products_match_the_per_node_reference(case):
+    # one matrix product per row against the per-node multiply and reduceat
+    make, kernel_of, power = ROW_PRODUCT_CASES[case]
+    rule = make()
+    kernel = kernel_of(rule)
+    W = ny.build_kernel_matrix(rule, kernel, power)
+    ref = orc.build_kernel_matrix_per_node(rule, kernel, power)
+    assert W.shape == ref.shape and W.dtype == ref.dtype
+    assert _within_4_eps(W, ref)
+
+
+def test_row_products_with_a_point_on_a_node(monkeypatch):
+    rule = _rule_with_a_point_on_a_node(monkeypatch)
+    ref = orc.build_kernel_matrix_per_node(rule, _node_kernel, 0)
+    assert _within_4_eps(ny.build_kernel_matrix(rule, _node_kernel, 0), ref)
+
+
+@pytest.mark.parametrize("case", ("1d G1 stack", "2d J0 Y0 stack, N = 96"))
+def test_a_row_does_not_depend_on_its_stack(case):
+    # moment rows built in a stack of one, two or three rows are bit for bit
+    # those of the whole stack, so grown moments equal ones made in one pass
+    make, kernel_of, power = ROW_PRODUCT_CASES[case]
+    rule = make()
+    stack = kernel_of(rule)
+    W = ny.build_kernel_matrix(rule, stack, power)
+    for rows in (slice(0, 1), slice(5, 7), slice(len(W) - 3, None)):
+        part = ny.build_kernel_matrix(rule, lambda r0, t, rows=rows: stack(r0, t)[rows], power)
+        assert np.array_equal(part, W[rows]), rows
+
+
+def test_k0_kernels_are_real():
+    # the k = 0 builds integrate real kernels; the public Green's function
+    # stays complex on every branch
+    r0, t = np.array([0.3, 0.5]), np.array([0.2, 0.7])
+    for family in (ny.kernel_1d, ny.kernel_1d_interval, ny.kernel_2d_singular, ny.kernel_3d_reduced):
+        assert family(0.0, Branch.ZERO)(r0, t).dtype == np.float64
+    for d in (1, 2, 3):
+        assert greens.green(d, 0.0, t).dtype == np.complex128
+        assert isinstance(greens.green(d, 0.0, 0.5), np.complex128)
 
 
 G1_CASES = ("1d-even", "1d-interval", "3d")
