@@ -190,7 +190,7 @@ def brentq(f, a, b, xtol):
 
 
 def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-10,
-                      n_nodes: int = 64) -> BoundState:
+                      n_nodes: int = 64, rule: QuadratureRule = None) -> BoundState:
     """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*).
 
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
@@ -203,7 +203,9 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
     is at most -|omega| / (Omega + |omega|), which gives MIN_SLOPE its
     range.)  The returned mu is the one computed there, so it equals a
     rebuild's.  The deep end is evaluated first, so that the moment route
-    builds its stack in one pass.
+    builds its stack in one pass.  `rule` defaults to bound_state_rule(params,
+    n_nodes); the modes of one density can share it, and with it its cached
+    W_sing and moment stacks.
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
@@ -214,7 +216,8 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
             f"no bound state detected for mode {mode_n}: the norm bound keeps "
             f"mu_{mode_n} below 1 on the scanned bracket"
         )
-    rule = bound_state_rule(params, n_nodes)
+    if rule is None:
+        rule = bound_state_rule(params, n_nodes)
     seen: dict = {}  # j -> mu_n(-c 2^j)
 
     def f(j):

@@ -228,13 +228,16 @@ def _run_greens_table(cfg):
 def _unit_rule(cfg, count_key):
     """The run's one unit-domain rule, for the limiting operator and every
     eps, once numerics[count_key] is checked against that operator's modes:
-    one in 1D (rank one), radial_nodes in 2D and 3D."""
+    one in 1D (rank one), one per rule node in 2D and 3D (at least
+    radial_nodes: every panel gets at least 6)."""
     n, nodes = cfg.sections["numerics"][count_key], cfg.sections["numerics"]["radial_nodes"]
-    most = 1 if cfg.params.d == 1 else nodes
-    if n > most:
-        raise ConfigError(f"numerics.{count_key} = {n} exceeds the {most} limiting mode(s) "
-                          f"of d = {cfg.params.d} with numerics.radial_nodes = {nodes}")
     rule = nystrom.QuadratureRule.make(1.0, n_radial=nodes)
+    if cfg.params.d == 1 and n > 1:
+        raise ConfigError(f"numerics.{count_key} = {n} exceeds the 1 limiting mode of d = 1")
+    if n > len(rule.nodes):
+        raise ConfigError(f"numerics.{count_key} = {n} exceeds the {len(rule.nodes)} limiting modes "
+                          f"of d = {cfg.params.d}: the rule of numerics.radial_nodes = {nodes} "
+                          f"has {len(rule.nodes)} nodes")
     cfg.rule_nodes = len(rule.nodes)
     return rule
 
@@ -271,12 +274,13 @@ def _run_bound_states(cfg):
     radius = boundstates.equal_volume_radius(cfg.params.d, blk["half_width"])
     params = replace(cfg.params, epsilon=radius, rho0=blk["rho0"], s0=None)
     n_nodes = cfg.sections["numerics"]["radial_nodes"]
-    cfg.rule_nodes = len(boundstates.bound_state_rule(params, n_nodes).nodes)
+    rule = boundstates.bound_state_rule(params, n_nodes)  # every mode solves on it
+    cfg.rule_nodes = len(rule.nodes)
     rows = []
     failures = False
     for n in range(1, blk["modes"] + 1):
         try:
-            st = boundstates.solve_bound_state(params, n, n_nodes=n_nodes)
+            st = boundstates.solve_bound_state(params, n, n_nodes=n_nodes, rule=rule)
         except (boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
             print(f"solver failure: mode {n}: {exc}", file=sys.stderr)
             failures = True

@@ -8,36 +8,43 @@ for the one-dimensional bound states), and the integral
     (W f)(r_i) = int K(r_i, r') f(r') r'^{d-1} dr'
 
 is discretized with product integration: each row's integration domain is
-split at its collocation radius, panels are refined dyadically toward the
-logarithmic diagonal singularity of the reduced kernel, and integrand
-values are pulled back onto the grid through piecewise barycentric
-interpolation.  Each rule builds its quadrature points panel by panel:
-one array pass makes the pieces of every row on a base panel, so a build
-makes one kernel call per base panel, on that panel's points of every row.
-It contracts each row's integrand with the panel's interpolation basis at
-the row's points in small real matrix products (`build_kernel_matrix`):
-complex values as real and imaginary rows, stacks in slices of 4 rows, so
-that no product wakes a second OpenBLAS thread and a row's value does not
-depend on the stack it is built in.  For smooth kernel components a plain
-Nyström rule (kernel times base weights) is used instead.
+split at its collocation radius r0, each side is refined dyadically toward
+the logarithmic diagonal singularity of the reduced kernel and ends in one
+log tail piece, a compressed rule exact for x^j and x^j log x (j <= 30) in
+the distance x from r0 (Kolm & Rokhlin 2001, Comput. Math. Appl. 41:327;
+the table comes from scripts/make_log_tail_rule.py), and integrand values
+are pulled back onto the grid through piecewise barycentric interpolation.
+The dyadic pieces keep SING_POINTS Gauss points, as they must integrate the
+degree-23 panel interpolant exactly: with 10 points the error on an N = 96
+interval rule was 3.4e-4.  Each rule builds its quadrature points panel by
+panel: one array pass makes the pieces of every row on a base panel, so a
+build makes one kernel call per base panel, on that panel's points of every
+row.  It contracts each row's integrand with the panel's interpolation
+basis at the row's points in small real matrix products
+(`build_kernel_matrix`): complex values as real and imaginary rows, stacks
+in slices of 4 rows, so that no product wakes a second OpenBLAS thread and
+a row's value does not depend on the stack it is built in.  For smooth
+kernel components a plain Nyström rule (kernel times base weights) is used
+instead.
 
 Every operator build is split by singularity subtraction,
 
     W(k) = W_sing + W_reg(k),
 
 because the log singularity is that of the k = 0 kernel and does not
-depend on k.  W_sing integrates the k = 0 kernel with the rule's
-SING_LEVELS-deep row quadrature; W_reg(k) integrates the bounded
-remainder kernel(k) - kernel(0) with a derived rule of only REG_LEVELS
-dyadic levels, whose innermost panel is closed up to the singular point
-instead of dropping the last 2^-levels gap.  Its refined panels keep
-SING_POINTS Gauss points, as they must integrate the degree-23 panel
-interpolant exactly: with 10 points the error on an N = 96 interval rule
-was 3.4e-4.  W_sing is assembled once per rule.
+depend on k.  One row quadrature Q serves every part of it.  W_sing =
+Q[kernel(0)] - Q_gap[kernel(0)]: Q integrates up to r0, and the gap term
+takes out the open gaps [0, h 2^-GAP_LEVELS] on the two sides of r0 (h the
+side's width in r0's panel) that W_sing has always left out, so that every
+pinned frequency stays where it is.  The gaps leave about 7e-10 relative
+error in the k = 0 part of W; closing them moves the frequencies past their
+pins (ROADMAP item 1).  Q_gap is a one-point rule per gap and, as the
+panel's interpolant is 1 at r0 and 0 at its other nodes there, a diagonal
+matrix (`_k0_matrix`).  W_sing is assembled once per rule.
 
-In the resonance regime the remainder is a series with closed-form
-coefficients in k times k-independent rows, so W_reg(k) is the same
-series over moment matrices, the derived rule's integrals of those rows
+In the resonance regime the remainder kernel(k) - kernel(0) is a series
+with closed-form coefficients in k times k-independent rows, so W_reg(k) is
+the same series over moment matrices, Q's integrals of those rows
 (`_moment_sum`).  They are cached per rule and grown when a larger |k|
 needs more terms, and a build evaluates no kernel:
 
@@ -52,17 +59,16 @@ The series lose digits to cancellation as |k| grows.  Against the kernel
 route the G1 sum stays within 3e-15 of the max at |k| rho_max = 4
 (1.8e-14 at 6, 8e-14 at 8 in 1D), the 2D sum within 2e-15 at |k| R = 2,
 1.5e-14 at 3 and 4e-14 at 4.  So beyond G1_SERIES_RADIUS and
-J0Y0_SERIES_RADIUS, W_reg(k) = Q_reg[kernel(k)] - Q_reg[kernel(0)] by
-linearity: W_sing - Q_reg[kernel(0)] is cached and each build evaluates
-kernel(k) on the derived rule only.
+J0Y0_SERIES_RADIUS a build integrates the whole kernel, W(k) =
+Q[kernel(k)] - Q_gap[kernel(0)], with the gap term cached beside W_sing.
 
 As G^k(rho) = rho^(1-d) F_d(k rho), W(k; eps) = s W(s k; R) with s =
 eps / R, so one unit-domain rule and its caches serve every eps and the
 limiting operators (`build_full_operator`).  At N = 48 the rescaled
 build matches an eps rule to 3.6e-14 of max |W| for d = 2, 3, and to
 1.5e-10 for d = 1: there the k = 0 kernel's log eps sits in W_sing on an
-eps rule, whose open 2^-SING_LEVELS gap drops part of it, but in the
-closed-gap W_reg(s k) on the unit rule.
+eps rule, whose open gaps drop part of it, but in W_reg(s k) on the unit
+rule, which Q integrates up to r0.
 
 Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
@@ -83,7 +89,7 @@ import bisect
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,8 +101,9 @@ from .greens import Branch, GreensDomainError
 from .specfun import (EULER_GAMMA, _h0, _jy0, _struve_h0_series,  # noqa: F401
                       bessel_j0, bessel_y0, elliptic_k, elliptic_ke)
 
-SING_LEVELS = 36  # dyadic refinement depth toward the diagonal (k = 0 kernel)
-REG_LEVELS = 8  # depth of the derived rule for the k-dependent remainder
+GAP_LEVELS = 36  # W_sing leaves out [0, h 2^-GAP_LEVELS] on each side of its row's node
+INTERVAL_LEVELS = 2  # dyadic levels before the log tail on an interval rule
+TAIL_REACH = 0.5  # a radial rule's log tail ends within TAIL_REACH r0 of r0
 SING_POINTS = 16  # Gauss points per dyadic panel
 PLAIN_POINTS = 28  # Gauss points on panels away from the singularity
 MAX_PANEL_NODES = 24  # interp degree cap; row quadratures must out-integrate it
@@ -106,6 +113,58 @@ J0Y0_SERIES_RADIUS = 3.0  # largest |k| R of a 2D moment build
 SERIES_MAX_ORDER = 64  # series terms computed; ample up to both radii
 SERIES_TAIL = 1e-17  # scaled series terms below this are dropped
 STRUVE_MAX_CANCELLATION = 1e7  # largest series term / sum: about 8 digits kept
+
+# -- log tail rule: written by scripts/make_log_tail_rule.py --
+# x^j and x^j log x, j <= 30, on [0, 1]
+_TAIL_NODES = np.array([
+    1.2962324377158837e-06, 2.073971900345414e-05, 0.0001659177520276331,
+    0.0003318355040552662, 0.0006636710081105324, 0.0010421722644590665,
+    0.001418450922930841, 0.0026546840324421297, 0.002836901845861682,
+    0.004652585460151086, 0.005673803691723364, 0.009305170920302173,
+    0.011347607383446728, 0.017535903059726538, 0.019859243924552912,
+    0.021237472259537038, 0.027015756075447088, 0.03722068368120869,
+    0.039718487849105824, 0.042474944519074076, 0.048359570466213087,
+    0.05652931631879131, 0.07014361223890615, 0.09078085906757383,
+    0.10255011096185185, 0.10806302430178835, 0.1333980498507605,
+    0.1402872244778123, 0.1588739513964233, 0.1698997780762963,
+    0.19343828186485235, 0.2161260486035767, 0.2347127755221877,
+    0.25132488312604373, 0.2569281221158459, 0.266796099701521,
+    0.2805744489556246, 0.29776546944966953, 0.3177479027928466,
+    0.3397995561525926, 0.3631234362702953, 0.3868765637297047,
+    0.4102004438474074, 0.45223453055033047, 0.4694255510443754,
+    0.4930718778841541, 0.5026497662520875, 0.5138562442316918,
+    0.533592199403042, 0.5611488979112492, 0.5955309388993391,
+    0.6354958055856932, 0.6795991123051852, 0.7262468725405906,
+    0.7737531274594094, 0.8204008876948148, 0.8645041944143068,
+    0.9044690611006609, 0.9388511020887508, 0.966407800596958,
+    0.9861437557683082, 0.9973502337479125,
+])
+_TAIL_WEIGHTS = np.array([
+    3.865549657675315e-06, 6.218485661975661e-05, 3.730019880608579e-05,
+    0.0007807206529107653, -0.000428838859692844, -0.0006171851105105704,
+    0.0034311997179890096, -0.0007474678797652259, -0.001299482833662131,
+    0.010813670665409834, -0.006605710332179393, 0.006023936828170689,
+    0.003056243669606916, 0.0041850733208477955, 0.001638694216108155,
+    0.0025264688575271604, 0.010484787599356657, -0.003099528483653251,
+    0.006723028640935654, 0.015873654173182643, -0.002461494931419624,
+    0.009619877722139616, 0.022941911451391635, 0.00487418906057194,
+    0.04007964898149458, -0.011400845435939333, 0.019948360366506206,
+    0.02244918778840251, -0.010106229561953768, 0.033641973910657146,
+    0.027463189690613912, 0.0037329374632961475, 0.04466684694639264,
+    -0.005920647475369497, 0.003083264354335909, 0.011868072527215973,
+    0.023437763649904273, 0.020811515880999585, 0.011856135034224679,
+    0.029904040321313254, 0.02395071539587035, 0.014916301512256662,
+    0.039168015964621064, 0.03848776799346034, 0.007678372684431346,
+    0.02651680100006648, 0.004172014715942131, 0.013421621870205496,
+    0.024600013322031083, 0.031043062146636973, 0.03741163597130803,
+    0.042287698958712386, 0.04565103537888117, 0.04736262614508114,
+    0.04736265707870876, 0.04565085288508366, 0.0422891300489302,
+    0.03739899715121863, 0.031157242829792015, 0.02378962791540041,
+    0.015563380986356885, 0.006788114852561614,
+])
+# -- end of the log tail rule --
+TAIL_POINTS = len(_TAIL_NODES)  # the point count marks a tail piece: neither Gauss order
+GAP_POINT = math.exp(-1.0)  # weight 1: exact for 1 and log x on [0, 1] (`gap_quadrature`)
 
 
 class NystromError(RuntimeError):
@@ -179,15 +238,23 @@ def _leggauss(n):
 
 
 def _gauss_pieces(lo, hi, n):
-    """Gauss points and weights of the pieces [lo, hi] of orders n (arrays),
-    in piece order; the pieces of one order are mapped in one broadcast."""
+    """Points and weights of the pieces of orders n (arrays), in piece
+    order; the pieces of one order are mapped in one broadcast.  A piece of
+    order TAIL_POINTS takes the log tail rule from lo, its singular end, to
+    hi, which lies below lo on the left of a row's node; the others take
+    Gauss-Legendre on [lo, hi]."""
     ends = np.cumsum(n)
     t, v = np.empty(ends[-1]), np.empty(ends[-1])
     for order in sorted(set(n.tolist())):  # np.unique would import numpy.ma
         sel = n == order
+        at = (ends[sel] - order)[:, None] + np.arange(order)
+        if order == TAIL_POINTS:
+            span = (hi[sel] - lo[sel])[:, None]
+            t[at] = lo[sel][:, None] + span * _TAIL_NODES
+            v[at] = np.abs(span) * _TAIL_WEIGHTS
+            continue
         x, w = _leggauss(order)
         half = 0.5 * (hi[sel] - lo[sel])
-        at = (ends[sel] - order)[:, None] + np.arange(order)
         t[at] = half[:, None] * x + (0.5 * (hi[sel] + lo[sel]))[:, None]
         v[at] = half[:, None] * w
     return t, v
@@ -206,34 +273,34 @@ def _graded_breakpoints(a, b, grade_start, grade_end):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite Gauss-Legendre grid plus singular-integration parameters.
+    """Composite Gauss-Legendre grid plus its row quadratures.
 
     `nodes`/`weights` form the base rule used for norms and for smooth
     kernels; the per-node singular corrections live in the row quadratures
-    (`row_quadrature`), which replace the base weights near the diagonal:
-    dyadically graded panels, truncated at relative width 2^-sing_levels.
-    The dropped gap is not negligible: at 36 levels it leaves about 7e-10
-    relative error in the k = 0 part of W.  `panel_batches()` holds the
-    same pieces split by base panel, the layout `build_kernel_matrix`
-    assembles from.  Both take their pieces from `_row_pieces`, which lays
-    out the pieces of many (panel, row) cells in one pass of array
-    operations.
+    (`row_quadrature`), which replace the base weights near the diagonal.
+    On the panel that holds a row's node r0, each side of r0 gets a few
+    dyadic levels and then one log tail piece, exact for x^j and x^j log x
+    in the distance x from r0, which reaches r0 itself.  So one row
+    quadrature integrates every kernel a build meets: the k = 0 kernels,
+    whose log singularity sits at r0, the kernel(k) of the kernel route
+    and the moment rows.  `panel_batches()` holds the same pieces split by
+    base panel, the layout `build_kernel_matrix` assembles from.  Both take
+    their pieces from `_row_pieces`, which lays out the pieces of many
+    (panel, row) cells in one pass of array operations.
 
-    `regular_rule()` derives the rule for the bounded remainder of a split
-    build: the same grid with REG_LEVELS levels and `close_gap` set, so
-    that its innermost panel reaches the singular point.  The panel
-    batches, the derived rule, the k-independent parts of each split build
-    and the series moments (G1, 2D J0 Y0 and Struve) are cached on the
-    rule (`_cache`).  One rule of radius 1 serves every eps of one
-    discretization and its limiting operators (module docstring).
+    `gap_quadrature()` gives the points of the open gaps [0, h 2^-GAP_LEVELS]
+    next to each node that W_sing leaves out (module docstring).  The panel
+    batches, the k-independent parts of each split build and the series
+    moments (G1, 2D J0 Y0 and Struve) are cached on the rule (`_cache`).
+    One rule of radius 1 serves every eps of one discretization and its
+    limiting operators (module docstring).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     panels: np.ndarray  # breakpoints, shape (n_panels+1,)
     counts: tuple  # nodes per panel
-    sing_levels: int = SING_LEVELS
-    close_gap: bool = False  # only for integrands bounded at the singular point
+    radial: bool = True  # on [0, R], whose kernels are also singular at -r0
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -248,7 +315,7 @@ class QuadratureRule:
         where eigenfunctions of the nonlocal operators have weak
         derivative singularities."""
         brk = _graded_breakpoints(0.0, radius, False, True)
-        return cls._from_breakpoints(brk, n_radial)
+        return cls._from_breakpoints(brk, n_radial, True)
 
     @classmethod
     def make_interval(cls, a, b, n_nodes=64):
@@ -256,10 +323,10 @@ class QuadratureRule:
         if b <= a:
             raise ValueError("need a < b")
         brk = _graded_breakpoints(a, b, True, True)
-        return cls._from_breakpoints(brk, n_nodes)
+        return cls._from_breakpoints(brk, n_nodes, False)
 
     @classmethod
-    def _from_breakpoints(cls, brk, n_nodes):
+    def _from_breakpoints(cls, brk, n_nodes, radial):
         if n_nodes < 8:
             raise ValueError("need at least 8 radial nodes")
         widths = np.diff(brk)
@@ -282,7 +349,7 @@ class QuadratureRule:
                 new_counts.append(base + (1 if j < extra else 0))
         brk = np.asarray(new_brk, dtype=float)
         nodes, weights = _gauss_pieces(brk[:-1], brk[1:], np.array(new_counts))
-        return cls(nodes=nodes, weights=weights, panels=brk, counts=tuple(new_counts))
+        return cls(nodes=nodes, weights=weights, panels=brk, counts=tuple(new_counts), radial=radial)
 
     # -- geometry helpers ------------------------------------------------
 
@@ -301,19 +368,27 @@ class QuadratureRule:
     # -- singular row quadrature -----------------------------------------
 
     def _row_pieces(self, p, r0):
-        """(lo, hi, Gauss order) of the row-quadrature pieces of the rows at
-        r0 on base panels p, broadcast together into cells, cell after cell,
-        with each cell's number of pieces (at least one).
+        """(lo, hi, order) of the row-quadrature pieces of the rows at r0 on
+        base panels p, broadcast together into cells, cell after cell, with
+        each cell's number of pieces (at least one).
 
-        A cell whose panel holds r0 is split there and each side refined
-        dyadically toward r0.  A panel that r0 or -r0 (which the image term
-        of even one-dimensional kernels sees near the origin) lies within
-        0.75 panel widths of is refined toward that end, only until the
-        pieces are as narrow as the distance, whose gap piece is then kept.
-        Any other panel is one piece.  Refinement stops at sing_levels;
-        the innermost gap at a singular point is kept only with close_gap.
-        Pieces narrower than 0.9 of the panel get SING_POINTS points, the
-        others PLAIN_POINTS."""
+        A cell whose panel holds r0 is split there.  Each side, of width h,
+        is refined dyadically toward r0 and ends in a log tail piece of
+        TAIL_POINTS points, from r0 (its lo, above its hi on the left side)
+        out to h 2^-levels.  A radial rule takes ceil(log2(h / (TAIL_REACH
+        r0))) levels, so that the tail keeps away from the singularities of
+        its kernels at t = 0 and -r0, and at least one, so that the tail
+        covers at most half the panel, where the panel's degree-23
+        interpolant times the kernel stays within the tail rule's degree
+        (with none, W_sing moved by 1.7e-12 of max |W| at N = 96).  An
+        interval rule takes INTERVAL_LEVELS wherever the interval lies (with
+        one, 1.3e-12).  A panel that r0 or -r0 (which the image term of even
+        one-dimensional kernels sees near the origin) lies within 0.75 panel
+        widths of is refined toward that end, only until the pieces are as
+        narrow as the distance (at most GAP_LEVELS levels), and its last
+        piece reaches that end.  Any other panel is one piece.  Gauss pieces
+        narrower than 0.9 of the panel get SING_POINTS points, the others
+        PLAIN_POINTS."""
         p, r0 = (c.ravel() for c in np.broadcast_arrays(p, np.asarray(r0, dtype=float)))
         a, b = self.panels[p], self.panels[p + 1]
         width = b - a
@@ -331,15 +406,19 @@ class QuadratureRule:
         lo = np.where(split & right, r0[:, None], a[:, None]).ravel()
         hi = np.where(split & ~right, r0[:, None], b[:, None]).ravel()
         toward_lo = np.where(split, right, near_lo[:, None]).ravel()
-        min_width = np.where(split, 0.0, np.maximum(dist, 1e-300)[:, None]).ravel()
-        dyadic = (split | (near[:, None] & ~right)).ravel()
+        tail = split.ravel()
+        dyadic = tail | (near[:, None] & ~right).ravel()
         h = hi - lo
-        levels = np.minimum(self.sing_levels, np.maximum(1, np.ceil(np.log2(
-            np.maximum(h / np.maximum(min_width, 1e-300), 2.0))))).astype(int)
-        keep_gap = self.close_gap | ((min_width > 0) & (min_width >= np.ldexp(h, -levels)))
-        n_seg = np.where(dyadic, levels + keep_gap, ~right.ravel())
+        with np.errstate(divide="ignore", invalid="ignore"):  # unused where r0 or dist is 0
+            if self.radial:
+                tail_levels = np.maximum(1, np.ceil(np.log2(h / (TAIL_REACH * np.repeat(r0, 2)))))
+            else:
+                tail_levels = INTERVAL_LEVELS
+            near_levels = np.ceil(np.log2(np.maximum(h / np.repeat(dist, 2), 2.0)))
+        levels = np.where(tail, tail_levels, np.minimum(GAP_LEVELS, near_levels)).astype(int)
+        n_seg = np.where(dyadic, levels + 1, ~right.ravel())
         # piece j of a dyadic segment spans h 2^-(j+1) .. h 2^-j from its
-        # singular end; the gap piece (j = levels) reaches that end
+        # singular end; the last piece (j = levels) reaches that end
         seg = np.repeat(np.arange(len(n_seg)), n_seg)
         j = np.arange(len(seg)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
         outer = np.ldexp(h[seg], -j)
@@ -348,7 +427,11 @@ class QuadratureRule:
         piece_lo = np.where(whole, lo, np.where(toward_lo, lo + inner, hi - outer))
         piece_hi = np.where(whole, hi, np.where(toward_lo, lo + outer, hi - inner))
         order = np.where(piece_hi - piece_lo < 0.9 * width[seg // 2], SING_POINTS, PLAIN_POINTS)
-        return piece_lo, piece_hi, order, n_seg.reshape(-1, 2).sum(axis=1)
+        is_tail = tail[seg] & (j == levels[seg])
+        order[is_tail] = TAIL_POINTS
+        flip = is_tail & ~toward_lo  # a left tail runs down from r0, its piece_hi
+        return (np.where(flip, piece_hi, piece_lo), np.where(flip, piece_lo, piece_hi), order,
+                n_seg.reshape(-1, 2).sum(axis=1))
 
     def row_quadrature(self, r0):
         """Nodes and weights resolving log singularities at r0 (and at -r0,
@@ -380,13 +463,27 @@ class QuadratureRule:
         self._cache["batches"] = batches
         return batches
 
-    def regular_rule(self):
-        """The derived rule for the remainder kernel(k) - kernel(0)."""
-        hit = self._cache.get("regular")
-        if hit is None:
-            hit = self._cache["regular"] = replace(
-                self, sing_levels=REG_LEVELS, close_gap=True, _cache={})
-        return hit
+    def gap_quadrature(self):
+        """(r0, t, weights) of the open gaps [0, h 2^-GAP_LEVELS] on both
+        sides of every node r0, h the side's width in the node's panel: node
+        0's left and right gap, then node 1's, and so on, one point each.
+
+        Over a gap the integrand is A + B log x up to terms 2^-GAP_LEVELS
+        smaller, so the one-point rule at x = GAP_POINT = 1/e, weight 1,
+        exact for 1 and log x, suffices.  Its point stays 1/e of the gap from r0: on the narrow
+        end panels of make_interval(6, 8, 48) the gap is 1.9 units in the
+        last place of r0, and a point within half a unit rounds onto r0.
+        A four-point rule for 1, x, log x and x log x with its points on
+        [1/2, 1] has weights up to 44 in size, which amplify that rounding:
+        it moved the spectrum of the translated intervals of
+        test_translated_interval_has_the_same_spectrum by up to 96 ulps,
+        the one-point rule by 17."""
+        panel = np.repeat(np.arange(len(self.counts)), self.counts)
+        x = self.nodes
+        gap = np.ldexp(np.stack([self.panels[panel] - x, self.panels[panel + 1] - x], axis=1),
+                       -GAP_LEVELS).ravel()  # signed: left gaps negative
+        r0 = np.repeat(x, 2)
+        return r0, r0 + GAP_POINT * gap, np.abs(gap)
 
     # -- interpolation ----------------------------------------------------
 
@@ -707,33 +804,46 @@ def kernel_a1_reduced(d, k):
 def build_split_matrix(rule, family, k, branch, measure_power):
     """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
 
-    W_sing = Q_sing[family(0)] is assembled once per rule, and is the
-    whole build on Branch.ZERO.  In the resonance regime (`_moment_series`:
-    |k| rho_max <= G1_SERIES_RADIUS for the G1 families, |k| R <=
-    J0Y0_SERIES_RADIUS for kernel_2d_singular), W_reg(k) is a sum of the
-    rule's cached moment matrices times closed-form coefficients, and no
-    kernel is evaluated.
-    Otherwise W_sing - Q_reg[family(0)] is cached too, and each call
-    integrates family(k, branch) on the derived rule only (see the module
-    docstring).
+    W_sing = Q[family(0)] - Q_gap[family(0)] is assembled once per rule,
+    and is the whole build on Branch.ZERO.  In the resonance regime
+    (`_moment_series`: |k| rho_max <= G1_SERIES_RADIUS for the G1
+    families, |k| R <= J0Y0_SERIES_RADIUS for kernel_2d_singular), W_reg(k)
+    is a sum of the rule's cached moment matrices times closed-form
+    coefficients, and no kernel is evaluated.  Otherwise the build is
+    Q[family(k, branch)] - Q_gap[family(0)], with the gap term cached with
+    W_sing (see the module docstring).
     """
-    sing_key = ("sing", family, measure_power)
-    sing = rule._cache.get(sing_key)
-    if sing is None:
-        sing = rule._cache[sing_key] = build_kernel_matrix(
-            rule, family(0.0, Branch.ZERO), measure_power)
+    key = ("sing", family, measure_power)
+    hit = rule._cache.get(key)
+    if hit is None:
+        hit = rule._cache[key] = _k0_matrix(rule, family(0.0, Branch.ZERO), measure_power)
+    sing, gap = hit
     if branch is Branch.ZERO:
         return sing.copy()
     series = _moment_series(rule, family, k, branch)
     if series is not None:
         return _moment_sum(rule, ("moments", family, measure_power), measure_power, *series, sing)
-    reg = rule.regular_rule()
-    key = (family, measure_power)
-    fixed = rule._cache.get(key)
-    if fixed is None:
-        fixed = rule._cache[key] = sing - build_kernel_matrix(
-            reg, family(0.0, Branch.ZERO), measure_power)
-    return fixed + build_kernel_matrix(reg, family(k, branch), measure_power)
+    W = build_kernel_matrix(rule, family(k, branch), measure_power)
+    W[np.diag_indices(len(gap))] -= gap
+    return W
+
+
+def _k0_matrix(rule, kernel, measure_power):
+    """(W_sing, gap) for the k = 0 kernel: gap[i] is the integral over the
+    two open gaps next to node i that W_sing leaves out (`gap_quadrature`),
+    and W_sing the row quadratures' integral less that gap.
+
+    A gap spans 2^-GAP_LEVELS of its side of the node's panel, where the
+    panel's interpolant is 1 at the node and 0 at its other nodes up to a
+    slope times the gap; so the gap term sits on the diagonal, off the
+    exact one by less than 1e-20 of max |W|."""
+    r0, t, v = rule.gap_quadrature()
+    a = kernel(r0, t)
+    _require_finite(a, r0, t, "kernel")
+    gap = (a * v * t**measure_power).reshape(len(rule.nodes), -1).sum(axis=1)
+    W = build_kernel_matrix(rule, kernel, measure_power)
+    W[np.diag_indices(len(gap))] -= gap
+    return W, gap
 
 
 def _moment_series(rule, family, k, branch):
@@ -828,14 +938,14 @@ def _moment_sum(rule, key, measure_power, coefficients, rows, sing):
     """sing + sum_f sum_i coefficients[f][i] M_f[i], the moment route of
     every series build (d = 1, 2, 3).
 
-    M_f[i] is the derived rule's integral of row i of kind f of the
-    reduced basis.  The moments are cached on the rule under `key` and
+    M_f[i] is the rule's integral of row i of kind f of the reduced
+    basis.  The moments are cached on the rule under `key` and
     grown, in one stacked build of the missing rows (`rows`), when a
     larger |k| needs more terms."""
     moments = rule._cache.setdefault(key, [[] for _ in coefficients])
     missing = [range(len(M), max(len(M), len(c))) for M, c in zip(moments, coefficients)]
     if any(missing):
-        stack = iter(build_kernel_matrix(rule.regular_rule(), rows(missing), measure_power))
+        stack = iter(build_kernel_matrix(rule, rows(missing), measure_power))
         for M, r in zip(moments, missing):
             M.extend(itertools.islice(stack, len(r)))
     W = sing.astype(complex)

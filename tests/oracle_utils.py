@@ -196,50 +196,63 @@ def bisect_real_root(f, a, b, iters=200):
     return 0.5 * (a + b)
 
 
-def _dyadic_pieces(rule, a, b, toward_start, min_width):
-    """Panels on [a, b] geometrically refined toward one endpoint."""
+def _dyadic_pieces(a, b, toward_start, levels, last):
+    """Panels on [a, b] geometrically refined toward one endpoint, in
+    `levels` dyadic levels and then the last piece, which reaches the
+    endpoint: (lo, hi, None) for Gauss pieces, whose order is set later,
+    and (singular end, far end, order) for a log tail (last = "tail")."""
     h = b - a
-    if h <= 0:
-        return []
-    levels = min(rule.sing_levels,
-                 max(1, int(math.ceil(math.log2(max(h / max(min_width, 1e-300), 2.0))))))
     edges = h * 2.0 ** (-np.arange(levels + 1, dtype=float))
     out = []
     for j in range(levels):
         lo, hi = edges[j + 1], edges[j]
-        out.append((a + lo, a + hi) if toward_start else (b - hi, b - lo))
-    if rule.close_gap or (min_width > 0 and min_width >= h * 2.0 ** (-levels)):
-        # integrand bounded there, or singularity beyond it: keep the gap
-        out.append((a, a + edges[levels]) if toward_start else (b - edges[levels], b))
+        out.append((a + lo, a + hi, None) if toward_start else (b - hi, b - lo, None))
+    if last == "tail":
+        out.append((a, a + edges[levels], ny.TAIL_POINTS) if toward_start
+                   else (b, b - edges[levels], ny.TAIL_POINTS))
+    else:
+        out.append((a, a + edges[levels], None) if toward_start else (b - edges[levels], b, None))
     return out
 
 
 def row_pieces(rule, p, r0):
-    """(lo, hi, Gauss points) of each piece of the row quadrature at r0 on
-    base panel p, one row and one panel at a time: the per-row reference
-    for `QuadratureRule._row_pieces`."""
+    """(lo, hi, points) of each piece of the row quadrature at r0 on base
+    panel p, one row and one panel at a time: the per-row reference for
+    `QuadratureRule._row_pieces`."""
     a, b = float(rule.panels[p]), float(rule.panels[p + 1])
     width = b - a
     if a < r0 < b:
-        pieces = (_dyadic_pieces(rule, a, r0, False, 0.0)
-                  + _dyadic_pieces(rule, r0, b, True, 0.0))
+        pieces = []
+        for lo, hi, toward_start in ((a, r0, False), (r0, b, True)):
+            if rule.radial:
+                levels = max(1, math.ceil(math.log2((hi - lo) / (ny.TAIL_REACH * r0))))
+            else:
+                levels = ny.INTERVAL_LEVELS
+            pieces += _dyadic_pieces(lo, hi, toward_start, levels, "tail")
     else:
         sing = (float(r0), float(-r0))
         dist = min(abs(s - a) if s <= a else abs(s - b) for s in sing if not (a < s < b))
         near_lo = any(0 <= a - s < 0.75 * width for s in sing)
         near_hi = any(0 <= s - b < 0.75 * width for s in sing)
         if near_lo or near_hi:
-            pieces = _dyadic_pieces(rule, a, b, near_lo, max(dist, 1e-300))
+            levels = min(ny.GAP_LEVELS, math.ceil(math.log2(max(width / max(dist, 1e-300), 2.0))))
+            pieces = _dyadic_pieces(a, b, near_lo, levels, "gauss")
         else:
-            pieces = [(a, b)]
-    return [(lo, hi, ny.SING_POINTS if (hi - lo) < 0.9 * width else ny.PLAIN_POINTS)
-            for lo, hi in pieces]
+            pieces = [(a, b, None)]
+    return [(lo, hi, n if n is not None else
+             ny.SING_POINTS if (hi - lo) < 0.9 * width else ny.PLAIN_POINTS)
+            for lo, hi, n in pieces]
 
 
 def gauss_points(pieces):
-    """Gauss points and weights of (lo, hi, order) pieces, piece by piece."""
+    """Points and weights of (lo, hi, order) pieces, piece by piece: Gauss
+    on [lo, hi], or for order TAIL_POINTS the log tail from lo to hi."""
     t, v = [], []
     for lo, hi, n in pieces:
+        if n == ny.TAIL_POINTS:
+            t.append(lo + (hi - lo) * ny._TAIL_NODES)
+            v.append(abs(hi - lo) * ny._TAIL_WEIGHTS)
+            continue
         x, w = leggauss(n)
         t.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         v.append(0.5 * (hi - lo) * w)

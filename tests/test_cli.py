@@ -400,13 +400,14 @@ epsilon_grid = 0.01, 0.005
 
 @pytest.mark.parametrize("experiment, edit, key", (
     ("resonances", {"d = 3": "d = 1"}, "numerics.n_modes"),
-    ("trace-epsilon", {"radial_nodes = 24": "radial_nodes = 8", "n_modes = 2": "n_modes = 9"},
+    ("trace-epsilon", {"radial_nodes = 24": "radial_nodes = 8", "n_modes = 2": "n_modes = 31"},
      "numerics.n_modes"),
     ("asymptotics-compare", {"radial_nodes = 24": "radial_nodes = 8", "n_modes = 2": "mode_index = 70"},
      "numerics.mode_index"),
 ))
 def test_mode_count_beyond_the_limiting_operator_exits_1(tmp_path, capsys, experiment, edit, key):
-    # d = 1 has one limiting mode, d = 2, 3 radial_nodes of them
+    # d = 1 has one limiting mode, d = 2, 3 one per rule node: 30 for
+    # radial_nodes = 8, whose panels get at least 6 nodes each
     cfg = RES_CFG + "epsilon_grid = 0.1, 0.05\n"
     for old, new in edit.items():
         cfg = cfg.replace(old, new)
@@ -446,7 +447,7 @@ half_width = 1.0
 
 
 def test_bound_states_flush_rows_before_a_linalg_failure(tmp_path, monkeypatch, capsys):
-    def solve(params, n, n_nodes):
+    def solve(params, n, n_nodes, rule=None):
         if n == 2:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return boundstates.BoundState(-0.5, 1.0)
@@ -499,12 +500,23 @@ def test_solve_configs_build_one_unit_rule(path, tmp_path, monkeypatch):
         post_init(rule)
 
     monkeypatch.setattr(nystrom.QuadratureRule, "__post_init__", counted)
+    setups = []  # batches made by each first panel_batches call
+    batches = nystrom.QuadratureRule.panel_batches
+
+    def counted_batches(rule):
+        first = "batches" not in rule._cache
+        out = batches(rule)
+        if first:
+            setups.append(len(out))
+        return out
+
+    monkeypatch.setattr(nystrom.QuadratureRule, "panel_batches", counted_batches)
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
     assert cli.run(cfg)[0] == 0
     n = cfg.sections["numerics"]["radial_nodes"]
-    # the rule and its derived rule for the regular part
-    assert [(r.domain, len(r.nodes), r.close_gap) for r in rules] == [
-        ((0.0, 1.0), n, False), ((0.0, 1.0), n, True)]
+    # one rule, whose panel batches are set up once, panel by panel
+    assert [(r.domain, len(r.nodes)) for r in rules] == [((0.0, 1.0), n)]
+    assert setups == [len(rules[0].counts)]
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -539,3 +551,42 @@ def test_resonance_regime_runs_load_no_scipy_special(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[False, False]"
+
+
+def test_unit_rule_admits_one_mode_per_rule_node(tmp_path):
+    # radial_nodes = 8 makes a rule of 30 nodes: its limiting operator has 30 modes
+    cfg = RES_CFG.replace("radial_nodes = 24", "radial_nodes = 8")
+    res = cli.resolve_config(cli.parse_config(write_cfg(tmp_path, cfg.replace("n_modes = 2", "n_modes = 30"))),
+                             None, str(tmp_path / "a"))
+    assert len(cli._unit_rule(res, "n_modes").nodes) == 30
+    res.sections["numerics"]["n_modes"] = 31
+    with pytest.raises(ConfigError, match="exceeds the 30 limiting modes.* has 30 nodes"):
+        cli._unit_rule(res, "n_modes")
+
+
+def test_bound_state_modes_share_one_rule(tmp_path, monkeypatch):
+    # configs/bound_states_2d.cfg with modes = 2: both modes solve on one
+    # rule, with the frequencies and mu of a rule of their own each
+    path = os.path.join(ROOT, "configs", "bound_states_2d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    cfg.sections["bound_states"]["modes"] = 2
+    rules = []
+    post_init = nystrom.QuadratureRule.__post_init__
+
+    def counted(rule):
+        rules.append(rule)
+        post_init(rule)
+
+    monkeypatch.setattr(nystrom.QuadratureRule, "__post_init__", counted)
+    code, csv_path = cli.run(cfg)
+    assert code == 0 and len(rules) == 1
+    monkeypatch.undo()
+    blk = cfg.sections["bound_states"]
+    params = replace(cfg.params, epsilon=boundstates.equal_volume_radius(2, blk["half_width"]),
+                     rho0=blk["rho0"], s0=None)
+    lines = Path(csv_path).read_text().splitlines()
+    assert len(lines) == 3
+    for n, line in enumerate(lines[1:], start=1):
+        st = boundstates.solve_bound_state(params, n, n_nodes=cfg.sections["numerics"]["radial_nodes"])
+        mode, omega, mu = line.split(",")
+        assert (int(mode), float(omega), float(mu)) == (n, st.omega, st.mu)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -254,9 +254,10 @@ def test_operator_norm_weights_and_dot():
 
 # max |W(k; eps) - eps W(eps k; 1)| / max |W| at N = 48.  d = 1 is looser:
 # its k = 0 kernel -(log rho + gamma) / pi gains a log eps on an eps rule,
-# where the open 2^-SING_LEVELS gap of W_sing drops part of it, while on the
-# unit rule log eps sits in W_reg(eps k), whose closed-gap rule integrates it
-# (measured <= 1.5e-10 for d = 1, <= 3.6e-14 for d = 2, 3)
+# where the open 2^-GAP_LEVELS gap of W_sing drops part of it, while on the
+# unit rule log eps sits in W_reg(eps k), which the row quadratures
+# integrate up to the node (measured <= 1.5e-10 for d = 1, <= 3.6e-14 for
+# d = 2, 3)
 HOMOGENEITY_TOL = {1: 2e-10, 2: 1e-13, 3: 1e-13}
 
 
@@ -306,15 +307,23 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _gap(rule, family, power):
+    # the k = 0 kernel on the open gaps next to each node, as the split
+    # build sums it (nystrom._k0_matrix)
+    r0, t, v = rule.gap_quadrature()
+    return (family(0.0, Branch.ZERO)(r0, t) * v * t**power).reshape(len(rule.nodes), -1).sum(axis=1)
+
+
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_build_matches_one_piece(case):
-    # W_sing + W_reg(k) against the whole kernel on the singular rule; the
-    # difference is the remainder's share of the 2^-36 gap that rule drops
+    # W_sing + W_reg(k) against the whole kernel on the same rule, less the
+    # k = 0 kernel's open gaps next to each node, which W_sing leaves out
     family, power, make = SPLIT_CASES[case]
     for n in (48, 96):
         rule = make(n)
+        gap = np.diag(_gap(rule, family, power))
         for k, branch in SPLIT_WAVENUMBERS:
-            one_piece = ny.build_kernel_matrix(rule, family(k, branch), power)
+            one_piece = ny.build_kernel_matrix(rule, family(k, branch), power) - gap
             split = ny.build_split_matrix(rule, family, k, branch, power)
             assert _rel(split, one_piece) <= 1e-10, (n, branch)
 
@@ -322,31 +331,44 @@ def test_split_build_matches_one_piece(case):
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_panel_assembly_matches_per_row_reference(case):
     # each row integrated on its own quadrature through interp_matrix; the
-    # k = 0 kernels (kernel_a0_reduced in 2D and 3D) on the singular rule,
-    # the others on the derived rule, as a split build uses them
+    # k = 0 kernels (kernel_a0_reduced in 2D and 3D) and the others on the
+    # one rule, as a split build uses them
     family, power, make = SPLIT_CASES[case]
     for n in (48, 96):
         rule = make(n)
         for k, branch in ((0.0, Branch.ZERO),) + SPLIT_WAVENUMBERS:
-            r = rule if branch is Branch.ZERO else rule.regular_rule()
             kernel = family(k, branch)
             ref = []
-            for r0 in r.nodes:
-                t, v = r.row_quadrature(r0)
-                ref.append((kernel(r0, t) * v * t**power) @ r.interp_matrix(t))
-            assert _rel(ny.build_kernel_matrix(r, kernel, power), np.array(ref)) <= 1e-14, (n, branch)
+            for r0 in rule.nodes:
+                t, v = rule.row_quadrature(r0)
+                ref.append((kernel(r0, t) * v * t**power) @ rule.interp_matrix(t))
+            assert _rel(ny.build_kernel_matrix(rule, kernel, power), np.array(ref)) <= 1e-14, (n, branch)
+
+
+def _deeper(make, n, monkeypatch):
+    # the rule with two more dyadic levels before every log tail
+    with monkeypatch.context() as m:
+        m.setattr(ny, "TAIL_REACH", ny.TAIL_REACH / 4)
+        m.setattr(ny, "INTERVAL_LEVELS", ny.INTERVAL_LEVELS + 2)
+        rule = make(n)
+        rule.panel_batches()
+    return rule
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-def test_regular_part_converged_in_levels(case):
+def test_regular_part_converged_in_levels(case, monkeypatch):
+    # the k-dependent remainder kernel(k) - kernel(0) of a split build, and
+    # W_sing, against a rule with two more levels before every log tail
     family, power, make = SPLIT_CASES[case]
     for n in (48, 96):
-        rule = make(n)
-        deeper = replace(rule.regular_rule(), sing_levels=2 * ny.REG_LEVELS, _cache={})
+        rule, deeper = make(n), _deeper(make, n, monkeypatch)
+        assert sum(len(b.t) for b in deeper.panel_batches()) > sum(len(b.t) for b in rule.panel_batches())
+        w_sing, w_sing_ref = (ny.build_split_matrix(r, family, 0.0, Branch.ZERO, power) for r in (rule, deeper))
+        assert _rel(w_sing, w_sing_ref) <= 1e-13, n
         for k, branch in SPLIT_WAVENUMBERS:
             def remainder(r0, t):
                 return family(k, branch)(r0, t) - family(0.0, Branch.ZERO)(r0, t)
-            w_reg = ny.build_kernel_matrix(rule.regular_rule(), remainder, power)
+            w_reg = ny.build_kernel_matrix(rule, remainder, power)
             w_ref = ny.build_kernel_matrix(deeper, remainder, power)
             assert _rel(w_reg, w_ref) <= 1e-13, (n, branch)
 
@@ -387,7 +409,7 @@ def test_second_build_skips_k0_kernel(monkeypatch):
     k0_points.clear()
     ny.build_full_operator(params3(0.1), 0.8 - 0.001j, rule)
     assert k0_points == []
-    assert sum(points) <= 0.4 * one_piece
+    assert sum(points) <= one_piece  # one pass over the rule's points: the grown moment rows
     assert len(points) <= len(rule.counts)  # one kernel call per base panel
     assert interp_calls == []
 
@@ -519,13 +541,12 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
 def test_row_quadrature_matches_per_piece_gauss_panels():
     # one broadcast per Gauss order gives the per-piece panels bit for bit
     for rule in (QuadratureRule.make(0.1, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
-        for r in (rule, rule.regular_rule()):
-            for r0 in r.nodes:
-                t, v = r.row_quadrature(r0)
-                lo, hi, n, _ = r._row_pieces(np.arange(len(r.counts)), r0)
-                ref_t, ref_v = orc.gauss_points(zip(lo, hi, n))
-                assert np.array_equal(t, ref_t)
-                assert np.array_equal(v, ref_v)
+        for r0 in rule.nodes:
+            t, v = rule.row_quadrature(r0)
+            lo, hi, n, _ = rule._row_pieces(np.arange(len(rule.counts)), r0)
+            ref_t, ref_v = orc.gauss_points(zip(lo, hi, n))
+            assert np.array_equal(t, ref_t)
+            assert np.array_equal(v, ref_v)
 
 
 ORACLE_RULES = {
@@ -549,15 +570,14 @@ def test_panel_batches_match_the_per_row_oracle(name):
     # the array-form pieces of every row at once against the scalar per-row,
     # per-panel reference: points, weights, counts and node hits, dtypes too
     rule = ORACLE_RULES[name]()
-    for r in (rule, rule.regular_rule()):
-        batches = r.panel_batches()
-        assert len(batches) == len(r.counts)
-        for p, (batch, ref) in enumerate(zip(batches, orc.panel_batches(r))):
-            for field, want in zip(("t", "weights", "counts", "exact"), ref):
-                assert _identical(getattr(batch, field), want), (r.sing_levels, p, field)
-        for r0 in r.nodes:
-            for got, want in zip(r.row_quadrature(r0), orc.row_quadrature(r, r0)):
-                assert _identical(got, want), (r.sing_levels, r0)
+    batches = rule.panel_batches()
+    assert len(batches) == len(rule.counts)
+    for p, (batch, ref) in enumerate(zip(batches, orc.panel_batches(rule))):
+        for field, want in zip(("t", "weights", "counts", "exact"), ref):
+            assert _identical(getattr(batch, field), want), (p, field)
+    for r0 in rule.nodes:
+        for got, want in zip(rule.row_quadrature(r0), orc.row_quadrature(rule, r0)):
+            assert _identical(got, want), r0
 
 
 def test_bary_basis_matches_the_per_node_oracle():
@@ -575,16 +595,15 @@ def test_panel_batches_split_the_row_quadratures():
     # row i's slices of the batches, in panel order, are its row quadrature
     # bit for bit, with each weight times its panel's barycentric normalizer
     for rule in (QuadratureRule.make(1.0, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
-        for r in (rule, rule.regular_rule()):
-            batches = r.panel_batches()
-            starts = [np.r_[0, np.cumsum(b.counts)] for b in batches]
-            scales = [ny._bary_basis(b.t, r.nodes[b.nodes])[0] for b in batches]
-            for i, r0 in enumerate(r.nodes):
-                t, v = r.row_quadrature(r0)
-                rows = [slice(s[i], s[i + 1]) for s in starts]
-                assert np.array_equal(t, np.concatenate([b.t[sl] for b, sl in zip(batches, rows)]))
-                assert np.array_equal(v * np.concatenate([s[sl] for s, sl in zip(scales, rows)]),
-                                      np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
+        batches = rule.panel_batches()
+        starts = [np.r_[0, np.cumsum(b.counts)] for b in batches]
+        scales = [ny._bary_basis(b.t, rule.nodes[b.nodes])[0] for b in batches]
+        for i, r0 in enumerate(rule.nodes):
+            t, v = rule.row_quadrature(r0)
+            rows = [slice(s[i], s[i + 1]) for s in starts]
+            assert np.array_equal(t, np.concatenate([b.t[sl] for b, sl in zip(batches, rows)]))
+            assert np.array_equal(v * np.concatenate([s[sl] for s, sl in zip(scales, rows)]),
+                                  np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
 
 
 def _moment_stack(family, rule, k):
@@ -594,7 +613,7 @@ def _moment_stack(family, rule, k):
 
 
 ROW_PRODUCT_CASES = {
-    # W_sing: one real row on the singular rule
+    # W_sing: one real row
     "3d W_sing, make(1, 48)": (lambda: QuadratureRule.make(1.0, 48),
                                lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
     "3d W_sing, make(1, 96)": (lambda: QuadratureRule.make(1.0, 96),
@@ -602,16 +621,16 @@ ROW_PRODUCT_CASES = {
     "1d W_sing, make_interval(-1, 1, 48)": (
         lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
         lambda rule: ny.kernel_1d_interval(0.0, Branch.ZERO), 0),
-    # real moment stacks on the derived rule: the 37 rows of the bound state
-    # of configs/bound_states_1d.cfg at its deep bracket end, 3D, and 2D
-    "1d G1 stack": (lambda: QuadratureRule.make_interval(-1.0, 1.0, 48).regular_rule(),
+    # real moment stacks: the 37 rows of the bound state of
+    # configs/bound_states_1d.cfg at its deep bracket end, 3D, and 2D
+    "1d G1 stack": (lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
                     lambda rule: _moment_stack(ny.kernel_1d_interval, rule, -1.0), 0),
-    "3d G1 stack": (lambda: QuadratureRule.make(1.0, 48).regular_rule(),
+    "3d G1 stack": (lambda: QuadratureRule.make(1.0, 48),
                     lambda rule: _moment_stack(ny.kernel_3d_reduced, rule, -0.975), 2),
-    "2d J0 Y0 stack, N = 96": (lambda: QuadratureRule.make(1.0, 96).regular_rule(),
+    "2d J0 Y0 stack, N = 96": (lambda: QuadratureRule.make(1.0, 96),
                                lambda rule: _moment_stack(ny.kernel_2d_singular, rule, -2.9), 1),
     # a complex kernel-route kernel
-    "3d outgoing kernel": (lambda: QuadratureRule.make(0.1, 48).regular_rule(),
+    "3d outgoing kernel": (lambda: QuadratureRule.make(0.1, 48),
                            lambda rule: ny.kernel_3d_reduced(45.0 - 0.5j, Branch.OUTGOING), 2),
 }
 
@@ -673,11 +692,10 @@ def _rho_max(family, rule):
 
 
 def _kernel_route(rule, family, k, branch, power):
-    # the build above G1_SERIES_RADIUS: W_sing - Q_reg[kernel(0)] + Q_reg[kernel(k)]
-    reg = rule.regular_rule()
-    kernel0 = family(0.0, Branch.ZERO)
-    return (ny.build_kernel_matrix(rule, kernel0, power) - ny.build_kernel_matrix(reg, kernel0, power)
-            + ny.build_kernel_matrix(reg, family(k, branch), power))
+    # the build above G1_SERIES_RADIUS: Q[kernel(k)] - Q_gap[kernel(0)]
+    W = ny.build_kernel_matrix(rule, family(k, branch), power)
+    W[np.diag_indices(len(rule.nodes))] -= _gap(rule, family, power)
+    return W
 
 
 @pytest.mark.parametrize("case", G1_CASES)
@@ -854,3 +872,91 @@ def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
     assert all(a > b for a, b in zip(after, before)) and len(set(after)) == 1
     fresh = ny.build_full_operator(params2(), 12.0 - 0.01j, QuadratureRule.make(0.2, n_radial=48))
     assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
+
+
+def test_log_tail_rule_moments():
+    # the tail rule against the exact moments of x^j and x^j log x on [0, 1],
+    # summed in mpmath; the one-point gap rule (weight 1) against those of 1
+    # and log x
+    import mpmath as mp
+    with mp.workdps(40):
+        for nodes, weights, degree in ((ny._TAIL_NODES, ny._TAIL_WEIGHTS, 30), ([ny.GAP_POINT], [1.0], 0)):
+            x = [mp.mpf(float(v)) for v in nodes]
+            w = [mp.mpf(float(v)) for v in weights]
+            for j in range(degree + 1):
+                plain = mp.fsum(wi * xi**j for xi, wi in zip(x, w))
+                log = mp.fsum(wi * xi**j * mp.log(xi) for xi, wi in zip(x, w))
+                assert abs(plain - mp.mpf(1) / (j + 1)) <= 1e-15, j
+                assert abs(log + mp.mpf(1) / (j + 1) ** 2) <= 1e-15, j
+    assert len(ny._TAIL_NODES) == ny.TAIL_POINTS == 62
+    assert np.sum(np.abs(ny._TAIL_WEIGHTS)) <= 3.0
+    assert np.all(np.diff(ny._TAIL_NODES) > 0) and 0.0 < ny._TAIL_NODES[0] and ny._TAIL_NODES[-1] < 1.0
+
+
+def _w_sing_entry(kernel, power, rule, i, j):
+    # the open-gap row integral of W_sing in mpmath: the k = 0 kernel at
+    # node i times the Lagrange basis of node j on its panel, over that
+    # panel less the two gaps [0, h 2^-GAP_LEVELS] next to node i if it
+    # lies there, split dyadically toward node i
+    import mpmath as mp
+    p = np.searchsorted(np.cumsum(rule.counts), j, side="right")
+    sl = rule._panel_slices()[p]
+    x = [mp.mpf(float(v)) for v in rule.nodes[sl]]
+    xj, r = mp.mpf(float(rule.nodes[j])), float(rule.nodes[i])
+    a, b = float(rule.panels[p]), float(rule.panels[p + 1])
+
+    def f(t):
+        basis = mp.fprod((t - xm) / (xj - xm) for xm in x if xm != xj)
+        return kernel(mp.mpf(r), t) * basis * t**power
+
+    if not a < r < b:
+        return mp.quad(f, mp.linspace(a, b, 9))
+    sides = []
+    for end, h in ((a, r - a), (b, b - r)):
+        gap = math.ldexp(h, -ny.GAP_LEVELS)
+        step = np.sign(end - r)
+        pts = [mp.mpf(r) + step * mp.mpf(math.ldexp(h, -m)) for m in range(ny.GAP_LEVELS)]
+        sides.append(-step * mp.quad(f, pts + [mp.mpf(r) + step * mp.mpf(gap)]))  # from the panel end in
+    return sum(sides)
+
+
+def _a0_mp(d):
+    import mpmath as mp
+    if d == 1:
+        return lambda r, t: -(mp.log(abs(r - t)) + mp.log(r + t) + 2 * mp.euler) / mp.pi
+    if d == 2:
+        return lambda r, t: 2 / mp.pi * mp.ellipk(4 * r * t / (r + t) ** 2) / (r + t)
+    return lambda r, t: mp.log((r + t) / abs(r - t)) / (mp.pi * r * t)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_w_sing_entries_against_mpmath(d):
+    # diagonal entries in the first panel and in the last, narrow one, a
+    # neighbour there and an entry across the radius, on make(1, 48)
+    import mpmath as mp
+    family, power = ny._FAMILIES[d], d - 1
+    rule = QuadratureRule.make(1.0, n_radial=48)
+    W = ny.build_split_matrix(rule, family, 0.0, Branch.ZERO, power)
+    n = len(rule.nodes)
+    with mp.workdps(25):
+        for i, j in ((0, 0), (n - 1, n - 1), (n - 1, n - 2), (0, n - 1), (n // 2, n // 2 + 1)):
+            ref = _w_sing_entry(_a0_mp(d), power, rule, i, j)
+            assert abs(W[i, j] - float(ref)) <= 1e-14 * np.max(np.abs(W)), (i, j)
+
+
+POINT_RULES = [(f"{name}, N = {n}", lambda n=n, make=make: make(n))
+               for n in (8, 16, 48, 96, 192)
+               for name, make in (("make(1)", lambda n: QuadratureRule.make(1.0, n)),
+                                  ("make_interval(-1, 1)", lambda n: QuadratureRule.make_interval(-1.0, 1.0, n)))]
+# the narrowest gaps relative to the last place of the node: 1.9 ulp
+POINT_RULES.append(("make_interval(6, 8), N = 48", lambda: QuadratureRule.make_interval(6.0, 8.0, 48)))
+
+
+@pytest.mark.parametrize("make", [m for _, m in POINT_RULES], ids=[name for name, _ in POINT_RULES])
+def test_no_tail_or_gap_point_on_its_rows_node(make):
+    # a point that rounds onto its row's node r0 would make the kernel infinite
+    rule = make()
+    for batch in rule.panel_batches():
+        assert np.all(batch.t != np.repeat(rule.nodes, batch.counts))
+    r0, t, _ = rule.gap_quadrature()
+    assert np.all(t != r0)
