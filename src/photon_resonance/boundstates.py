@@ -22,12 +22,21 @@ guessed, and the bracket stays at moderate |omega|.
 rho = params.density on the ball of radius params.epsilon, as for
 resonances.  The kernel depends on x - y only and rho is constant on its
 support, so a translated support has the same K_omega.
+
+In 1D, K_omega maps even functions on [-eps, eps] to even ones and odd to
+odd, so its spectrum is that of its even block, the d = 1 operator on [0,
+eps], merged with that of its odd block, the 3D s-wave operator of the same
+density and radius (`nystrom` module docstring).  Both solve on the radial
+rule QuadratureRule.make(eps, N).  The negative-branch kernel is positive,
+so the top eigenfunction is simple and positive (Jentzsch), hence even:
+mode 1 needs only the even block, and the odd block is built for modes
+n >= 2 and for count_bound_states_below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,17 +82,16 @@ class BoundState:
 
 
 def bound_state_rule(params, n_nodes):
-    """The rule a solve builds on: the interval [-eps, eps] in 1D, the
-    radial [0, eps] in 2D and 3D."""
-    if params.d == 1:
-        return QuadratureRule.make_interval(-params.epsilon, params.epsilon, n_nodes)
+    """The rule a solve builds on: the radial [0, eps], which serves both
+    parity blocks in 1D."""
     return QuadratureRule.make(params.epsilon, n_radial=n_nodes)
 
 
 def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule = None,
                       n_nodes=64) -> BSOperator:
     """Symmetric matrix of K_omega[rho] for real omega < 0, with rho =
-    params.density on the ball of radius params.epsilon.
+    params.density on the ball of radius params.epsilon; in 1D, its even
+    block (module docstring).
 
     The resolvent kernel is (1/c) G^{omega/c}(x - y) on the negative
     branch; inside the (constant) density support the square roots
@@ -96,14 +104,21 @@ def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule = None
         rule = bound_state_rule(params, n_nodes)
     k = omega / params.c
     pref = params.g**2 * params.density / (params.c * (params.omega_a + abs(omega)))
-    if params.d == 1:
-        W = nystrom.build_split_matrix(rule, nystrom.kernel_1d_interval, k, Branch.NEGATIVE, 0)
-        norm_w = rule.weights
-    else:
-        W = nystrom.full_kernel_matrix(rule, params.d, k, Branch.NEGATIVE)
-        norm_w = nystrom.volume_weights(params.d, rule)
-    B, asym = nystrom.weighted_symmetrize(pref * W.real, norm_w)
+    W = nystrom.full_kernel_matrix(rule, params.d, k, Branch.NEGATIVE)
+    B, asym = nystrom.weighted_symmetrize(pref * W.real, nystrom.volume_weights(params.d, rule))
     return BSOperator(B, asym)
+
+
+def _blocks(params, omega, rule, n_nodes, odd):
+    """The operators whose spectra together are that of K_omega: K_omega
+    itself in 2D and 3D; in 1D its even block and, if `odd`, its odd block,
+    the 3D s-wave operator of the same density (module docstring)."""
+    if rule is None:
+        rule = bound_state_rule(params, n_nodes)
+    ops = [build_bs_operator(params, omega, rule)]
+    if params.d == 1 and odd:
+        ops.append(build_bs_operator(replace(params, d=3, rho0=params.density, s0=None), omega, rule))
+    return ops
 
 
 def mu_spectrum(op: BSOperator, m: int) -> np.ndarray:
@@ -119,14 +134,14 @@ def mu_spectrum(op: BSOperator, m: int) -> np.ndarray:
 def count_bound_states_below(params: PhysicalParams, omega, rule: QuadratureRule = None,
                              n_nodes=64) -> int:
     """Number of Hamiltonian eigenvalues in (-infty, omega]."""
-    op = build_bs_operator(params, omega, rule, n_nodes)
-    ev = np.linalg.eigvalsh(op.matrix)
-    return int(np.count_nonzero(ev >= 1.0))
+    return sum(int(np.count_nonzero(np.linalg.eigvalsh(op.matrix) >= 1.0))
+               for op in _blocks(params, omega, rule, n_nodes, True))
 
 
 def _mu_n(params, omega, n, n_nodes, rule=None):
-    op = build_bs_operator(params, omega, rule=rule, n_nodes=n_nodes)
-    return float(mu_spectrum(op, n)[n - 1])
+    """mu_n(omega), the n-th largest eigenvalue over the blocks."""
+    mu = [mu_spectrum(op, n) for op in _blocks(params, omega, rule, n_nodes, n > 1)]
+    return float(np.sort(np.concatenate(mu))[-n])
 
 
 def deep_end_exponent(params: PhysicalParams) -> float:
@@ -201,8 +216,10 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
     (brentq) refines the crossing down to BRENT_XTOL in j, and omega* is
     returned only if |mu_n(omega*) - 1| <= tol.  (d ln mu_n / d ln|omega|
     is at most -|omega| / (Omega + |omega|), which gives MIN_SLOPE its
-    range.)  The returned mu is the one computed there, so it equals a
-    rebuild's.  The deep end is evaluated first, so that the moment route
+    range.)  f is 0 where |mu_n - 1| <= 8 MU_ROUNDOFF: there round-off,
+    not the operator, sets the sign of mu_n - 1, so Brent stops at such a
+    point whatever the round-off.  The returned mu is the one computed
+    there, so it equals a rebuild's.  The deep end is evaluated first, so that the moment route
     builds its stack in one pass.  `rule` defaults to bound_state_rule(params,
     n_nodes); the modes of one density can share it, and with it its cached
     W_sing and moment stacks.
@@ -223,7 +240,7 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
     def f(j):
         if j not in seen:
             seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, n_nodes, rule)
-        return seen[j] - 1.0
+        return 0.0 if abs(seen[j] - 1.0) <= 8 * MU_ROUNDOFF else seen[j] - 1.0
 
     f(j_deep)  # the deep end first, see the docstring
     if f(j_shallow) < 0.0:

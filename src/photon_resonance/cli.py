@@ -151,7 +151,7 @@ class RunConfig:
     sections: dict
     # set by the run: the node count of the rule it solves on, which can
     # exceed numerics.radial_nodes, as every panel of a rule gets at least
-    # 6 nodes (make(R, n) has 30 for n <= 30, make_interval 48 for n <= 48)
+    # 6 nodes (make(R, n) has 30 for n <= 30)
     rule_nodes: int | None = None
 
     def manifest(self):

@@ -1,9 +1,9 @@
 """Nyström discretization of the photon-cloud integral operators.
 
 The operators act on radially symmetric functions over a ball, disk or
-symmetric interval of radius R.  A function is represented by its values
-at the nodes of a composite Gauss-Legendre grid on [0, R] (or on [-R, R]
-for the one-dimensional bound states), and the integral
+symmetric interval of radius R (even functions in 1D; odd ones at the end
+of this docstring).  A function is represented by its values at the nodes
+of a composite Gauss-Legendre grid on [0, R], and the integral
 
     (W f)(r_i) = int K(r_i, r') f(r') r'^{d-1} dr'
 
@@ -15,11 +15,10 @@ the distance x from r0 (Kolm & Rokhlin 2001, Comput. Math. Appl. 41:327;
 the table comes from scripts/make_log_tail_rule.py), and integrand values
 are pulled back onto the grid through piecewise barycentric interpolation.
 The dyadic pieces keep SING_POINTS Gauss points, as they must integrate the
-degree-23 panel interpolant exactly: with 10 points the error on an N = 96
-interval rule was 3.4e-4.  Each rule builds its quadrature points panel by
-panel: one array pass makes the pieces of every row on a base panel, so a
-build makes one kernel call per base panel, on that panel's points of every
-row.  It contracts each row's integrand with the panel's interpolation
+degree-23 panel interpolant exactly.  Each rule builds its quadrature
+points panel by panel: one array pass makes the pieces of every row on a
+base panel, so a build makes one kernel call per base panel, on that
+panel's points of every row.  It contracts each row's integrand with the panel's interpolation
 basis at the row's points in small real matrix products
 (`build_kernel_matrix`): complex values as real and imaginary rows, stacks
 in slices of 4 rows, so that no product wakes a second OpenBLAS thread and
@@ -80,7 +79,10 @@ Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
   the Struve power series summed over angular moments of rho, which a
   three-term recurrence from the elliptic K and E grows and each rule
   caches, with NystromError where the series cancels;
-* d = 1: the two-point sum G1(|r-r'|) + G1(r+r') on even functions.
+* d = 1: the two-point sum G1(|r-r'|) + G1(r+r') on even functions.  An
+  odd function f(r) = r g(r) sees G1(|r-r'|) - G1(r+r'), r r' times the
+  d = 3 kernel, so the 3D s-wave operator on g is the 1D odd operator
+  (`boundstates` solves 1D bound states by parity this way).
 """
 
 from __future__ import annotations
@@ -102,8 +104,7 @@ from .specfun import (EULER_GAMMA, _h0, _jy0, _struve_h0_series,  # noqa: F401
                       bessel_j0, bessel_y0, elliptic_k, elliptic_ke)
 
 GAP_LEVELS = 36  # W_sing leaves out [0, h 2^-GAP_LEVELS] on each side of its row's node
-INTERVAL_LEVELS = 2  # dyadic levels before the log tail on an interval rule
-TAIL_REACH = 0.5  # a radial rule's log tail ends within TAIL_REACH r0 of r0
+TAIL_REACH = 0.5  # a row's log tail ends within TAIL_REACH r0 of r0
 SING_POINTS = 16  # Gauss points per dyadic panel
 PLAIN_POINTS = 28  # Gauss points on panels away from the singularity
 MAX_PANEL_NODES = 24  # interp degree cap; row quadratures must out-integrate it
@@ -260,17 +261,6 @@ def _gauss_pieces(lo, hi, n):
     return t, v
 
 
-def _graded_breakpoints(a, b, grade_start, grade_end):
-    fr = np.asarray(BOUNDARY_FRACTIONS)
-    pts = {0.0, 1.0}
-    if grade_end:
-        pts.update(fr)
-    if grade_start:
-        pts.update(1.0 - fr)
-    f = np.array(sorted(pts))
-    return a + (b - a) * f
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre grid plus its row quadratures.
@@ -300,7 +290,6 @@ class QuadratureRule:
     weights: np.ndarray
     panels: np.ndarray  # breakpoints, shape (n_panels+1,)
     counts: tuple  # nodes per panel
-    radial: bool = True  # on [0, R], whose kernels are also singular at -r0
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -314,28 +303,16 @@ class QuadratureRule:
         """Radial rule on [0, radius], graded toward the outer boundary,
         where eigenfunctions of the nonlocal operators have weak
         derivative singularities."""
-        brk = _graded_breakpoints(0.0, radius, False, True)
-        return cls._from_breakpoints(brk, n_radial, True)
-
-    @classmethod
-    def make_interval(cls, a, b, n_nodes=64):
-        """Rule on a general interval [a, b], graded toward both ends."""
-        if b <= a:
-            raise ValueError("need a < b")
-        brk = _graded_breakpoints(a, b, True, True)
-        return cls._from_breakpoints(brk, n_nodes, False)
-
-    @classmethod
-    def _from_breakpoints(cls, brk, n_nodes, radial):
-        if n_nodes < 8:
+        if n_radial < 8:
             raise ValueError("need at least 8 radial nodes")
+        brk = radius * np.array((0.0, *BOUNDARY_FRACTIONS, 1.0))
         widths = np.diff(brk)
         # allocate nodes ~ proportionally to width^(1/3), min 6 per panel
         raw = widths ** (1.0 / 3.0)
-        counts = np.maximum(6, np.floor(n_nodes * raw / raw.sum()).astype(int))
-        while counts.sum() > n_nodes and np.any(counts > 6):
+        counts = np.maximum(6, np.floor(n_radial * raw / raw.sum()).astype(int))
+        while counts.sum() > n_radial and np.any(counts > 6):
             counts[np.argmax(counts)] -= 1
-        while counts.sum() < n_nodes:
+        while counts.sum() < n_radial:
             counts[np.argmax(widths / counts)] += 1
         # cap the interpolation degree: split panels that drew too many nodes
         new_brk = [brk[0]]
@@ -349,7 +326,7 @@ class QuadratureRule:
                 new_counts.append(base + (1 if j < extra else 0))
         brk = np.asarray(new_brk, dtype=float)
         nodes, weights = _gauss_pieces(brk[:-1], brk[1:], np.array(new_counts))
-        return cls(nodes=nodes, weights=weights, panels=brk, counts=tuple(new_counts), radial=radial)
+        return cls(nodes=nodes, weights=weights, panels=brk, counts=tuple(new_counts))
 
     # -- geometry helpers ------------------------------------------------
 
@@ -375,20 +352,18 @@ class QuadratureRule:
         A cell whose panel holds r0 is split there.  Each side, of width h,
         is refined dyadically toward r0 and ends in a log tail piece of
         TAIL_POINTS points, from r0 (its lo, above its hi on the left side)
-        out to h 2^-levels.  A radial rule takes ceil(log2(h / (TAIL_REACH
-        r0))) levels, so that the tail keeps away from the singularities of
-        its kernels at t = 0 and -r0, and at least one, so that the tail
-        covers at most half the panel, where the panel's degree-23
-        interpolant times the kernel stays within the tail rule's degree
-        (with none, W_sing moved by 1.7e-12 of max |W| at N = 96).  An
-        interval rule takes INTERVAL_LEVELS wherever the interval lies (with
-        one, 1.3e-12).  A panel that r0 or -r0 (which the image term of even
-        one-dimensional kernels sees near the origin) lies within 0.75 panel
-        widths of is refined toward that end, only until the pieces are as
-        narrow as the distance (at most GAP_LEVELS levels), and its last
-        piece reaches that end.  Any other panel is one piece.  Gauss pieces
-        narrower than 0.9 of the panel get SING_POINTS points, the others
-        PLAIN_POINTS."""
+        out to h 2^-levels.  It takes ceil(log2(h / (TAIL_REACH r0)))
+        levels, so that the tail keeps away from the singularities of its
+        kernels at t = 0 and -r0, and at least one, so that the tail covers
+        at most half the panel, where the panel's degree-23 interpolant
+        times the kernel stays within the tail rule's degree (with none,
+        W_sing moved by 1.7e-12 of max |W| at N = 96).  A panel that r0 or
+        -r0 (which the image term of even one-dimensional kernels sees near
+        the origin) lies within 0.75 panel widths of is refined toward that
+        end, only until the pieces are as narrow as the distance (at most
+        GAP_LEVELS levels), and its last piece reaches that end.  Any other
+        panel is one piece.  Gauss pieces narrower than 0.9 of the panel get
+        SING_POINTS points, the others PLAIN_POINTS."""
         p, r0 = (c.ravel() for c in np.broadcast_arrays(p, np.asarray(r0, dtype=float)))
         a, b = self.panels[p], self.panels[p + 1]
         width = b - a
@@ -410,10 +385,7 @@ class QuadratureRule:
         dyadic = tail | (near[:, None] & ~right).ravel()
         h = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):  # unused where r0 or dist is 0
-            if self.radial:
-                tail_levels = np.maximum(1, np.ceil(np.log2(h / (TAIL_REACH * np.repeat(r0, 2)))))
-            else:
-                tail_levels = INTERVAL_LEVELS
+            tail_levels = np.maximum(1, np.ceil(np.log2(h / (TAIL_REACH * np.repeat(r0, 2)))))
             near_levels = np.ceil(np.log2(np.maximum(h / np.repeat(dist, 2), 2.0)))
         levels = np.where(tail, tail_levels, np.minimum(GAP_LEVELS, near_levels)).astype(int)
         n_seg = np.where(dyadic, levels + 1, ~right.ravel())
@@ -470,20 +442,18 @@ class QuadratureRule:
 
         Over a gap the integrand is A + B log x up to terms 2^-GAP_LEVELS
         smaller, so the one-point rule at x = GAP_POINT = 1/e, weight 1,
-        exact for 1 and log x, suffices.  Its point stays 1/e of the gap from r0: on the narrow
-        end panels of make_interval(6, 8, 48) the gap is 1.9 units in the
-        last place of r0, and a point within half a unit rounds onto r0.
-        A four-point rule for 1, x, log x and x log x with its points on
-        [1/2, 1] has weights up to 44 in size, which amplify that rounding:
-        it moved the spectrum of the translated intervals of
-        test_translated_interval_has_the_same_spectrum by up to 96 ulps,
-        the one-point rule by 17."""
+        exact for 1 and log x, suffices.  From N = 320 on, the gap of a node
+        close to a panel break is below half a unit in the last place of r0,
+        and its point would round onto r0, where the kernel is infinite:
+        such a point moves to the next float beyond r0."""
         panel = np.repeat(np.arange(len(self.counts)), self.counts)
         x = self.nodes
         gap = np.ldexp(np.stack([self.panels[panel] - x, self.panels[panel + 1] - x], axis=1),
                        -GAP_LEVELS).ravel()  # signed: left gaps negative
         r0 = np.repeat(x, 2)
-        return r0, r0 + GAP_POINT * gap, np.abs(gap)
+        t = r0 + GAP_POINT * gap
+        t = np.where(t == r0, np.nextafter(r0, np.copysign(np.inf, gap)), t)
+        return r0, t, np.abs(gap)
 
     # -- interpolation ----------------------------------------------------
 
@@ -583,13 +553,6 @@ def kernel_1d(k, branch):
     return f
 
 
-def kernel_1d_interval(k, branch):
-    """Kernel on a general interval (no even reduction)."""
-    def f(x0, t):
-        return greens._g1(k, np.abs(x0 - t), branch)
-    return f
-
-
 def kernel_3d_reduced(k, branch):
     if branch is Branch.ZERO:
         return kernel_a0_reduced(3)
@@ -615,12 +578,6 @@ def _basis_1d(rho_max):
         for (a, log_a), (b, log_b) in zip(_powers_and_logs(np.abs(r0 - t) / rho_max),
                                           _powers_and_logs((r0 + t) / rho_max)):
             yield a + b, (None if log_a is None else log_a + log_b)
-    return terms
-
-
-def _basis_1d_interval(rho_max):
-    def terms(x0, t):
-        return _powers_and_logs(np.abs(x0 - t) / rho_max)
     return terms
 
 
@@ -670,9 +627,8 @@ def _moment_kernel(terms, powers, logs):
     return f
 
 
-# G1 family -> (its reduced basis, rho_max / rule width)
-_G1_MOMENTS = {kernel_1d: (_basis_1d, 2.0), kernel_1d_interval: (_basis_1d_interval, 1.0),
-               kernel_3d_reduced: (_basis_3d, 2.0)}
+# G1 family -> its reduced basis in rho / rho_max, rho_max = 2 R (the largest r + t)
+_G1_MOMENTS = {kernel_1d: _basis_1d, kernel_3d_reduced: _basis_3d}
 
 
 def kernel_2d_singular(k, branch):
@@ -860,8 +816,8 @@ def _moment_series(rule, family, k, branch):
         return _j0y0_series(k, branch, radius), lambda orders: _j0y0_rows(radius, orders[0])
     if family not in _G1_MOMENTS:
         return None
-    basis, reach = _G1_MOMENTS[family]
-    rho_max = reach * (rule.domain[1] - rule.domain[0])
+    basis = _G1_MOMENTS[family]
+    rho_max = 2.0 * rule.domain[1]
     if abs(k) * rho_max > G1_SERIES_RADIUS:
         return None
     a, b = greens.g1_series(k, branch, SERIES_MAX_ORDER)

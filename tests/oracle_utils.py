@@ -224,10 +224,7 @@ def row_pieces(rule, p, r0):
     if a < r0 < b:
         pieces = []
         for lo, hi, toward_start in ((a, r0, False), (r0, b, True)):
-            if rule.radial:
-                levels = max(1, math.ceil(math.log2((hi - lo) / (ny.TAIL_REACH * r0))))
-            else:
-                levels = ny.INTERVAL_LEVELS
+            levels = max(1, math.ceil(math.log2((hi - lo) / (ny.TAIL_REACH * r0))))
             pieces += _dyadic_pieces(lo, hi, toward_start, levels, "tail")
     else:
         sing = (float(r0), float(-r0))

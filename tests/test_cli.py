@@ -161,14 +161,13 @@ def test_manifest_records_defaults(tmp_path):
 
 def test_manifest_records_the_nodes_solved_on(tmp_path):
     # every panel of a rule gets at least 6 nodes: radial_nodes = 16 solves
-    # the 1D bound state on the 48 nodes of make_interval (the same rule as
-    # radial_nodes = 48) and resonances on the 30 of make; no rule: null
+    # the 1D bound state and resonances on the 30 nodes of make; no rule: null
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
     cfg.sections["numerics"]["radial_nodes"] = 16
     assert cli.run(cfg)[0] == 0
     man = json.loads(Path(tmp_path, "out", "manifest.json").read_text())
-    assert (man["numerics"]["radial_nodes"], man["rule_nodes"]) == (16, 48)
+    assert (man["numerics"]["radial_nodes"], man["rule_nodes"]) == (16, 30)
     res = cli.resolve_config(cli.parse_config(write_cfg(tmp_path, RES_CFG)), None, str(tmp_path))
     for radial_nodes, nodes in ((16, 30), (64, 64)):
         res.sections["numerics"]["radial_nodes"] = radial_nodes
@@ -198,7 +197,7 @@ def test_bound_states_builds_only_for_the_solve(tmp_path, monkeypatch):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
     assert cli.run(cfg)[0] == 0
-    assert calls["all"] == calls["solve"] == 9
+    assert calls["all"] == calls["solve"] == 8
 
 
 def test_bound_states_1d_solve_evaluates_no_e1(tmp_path, monkeypatch):

@@ -295,8 +295,6 @@ def test_full_operator_on_unit_rule_matches_eps_rule(d, omega, unit48):
 # (reduced kernel family, measure power, rule factory) for each split build
 SPLIT_CASES = {
     "1d-even": (ny.kernel_1d, 0, lambda n: QuadratureRule.make(1.0, n_radial=n)),
-    "1d-interval": (ny.kernel_1d_interval, 0,
-                    lambda n: QuadratureRule.make_interval(-1.0, 1.0, n)),
     "2d": (ny.kernel_2d_singular, 1, lambda n: QuadratureRule.make(0.1, n_radial=n)),
     "3d": (ny.kernel_3d_reduced, 2, lambda n: QuadratureRule.make(0.1, n_radial=n)),
 }
@@ -349,7 +347,6 @@ def _deeper(make, n, monkeypatch):
     # the rule with two more dyadic levels before every log tail
     with monkeypatch.context() as m:
         m.setattr(ny, "TAIL_REACH", ny.TAIL_REACH / 4)
-        m.setattr(ny, "INTERVAL_LEVELS", ny.INTERVAL_LEVELS + 2)
         rule = make(n)
         rule.panel_batches()
     return rule
@@ -540,13 +537,13 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
 
 def test_row_quadrature_matches_per_piece_gauss_panels():
     # one broadcast per Gauss order gives the per-piece panels bit for bit
-    for rule in (QuadratureRule.make(0.1, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
-        for r0 in rule.nodes:
-            t, v = rule.row_quadrature(r0)
-            lo, hi, n, _ = rule._row_pieces(np.arange(len(rule.counts)), r0)
-            ref_t, ref_v = orc.gauss_points(zip(lo, hi, n))
-            assert np.array_equal(t, ref_t)
-            assert np.array_equal(v, ref_v)
+    rule = QuadratureRule.make(0.1, n_radial=48)
+    for r0 in rule.nodes:
+        t, v = rule.row_quadrature(r0)
+        lo, hi, n, _ = rule._row_pieces(np.arange(len(rule.counts)), r0)
+        ref_t, ref_v = orc.gauss_points(zip(lo, hi, n))
+        assert np.array_equal(t, ref_t)
+        assert np.array_equal(v, ref_v)
 
 
 ORACLE_RULES = {
@@ -554,8 +551,6 @@ ORACLE_RULES = {
     "make(1, 96)": lambda: QuadratureRule.make(1.0, 96),
     "make(0.1, 48)": lambda: QuadratureRule.make(0.1, 48),
     "make(1, 16)": lambda: QuadratureRule.make(1.0, 16),
-    "make_interval(-1, 1, 48)": lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
-    "make_interval(-0.3, 2, 32)": lambda: QuadratureRule.make_interval(-0.3, 2.0, 32),  # -r0 inside a panel
 }
 
 
@@ -594,16 +589,16 @@ def test_bary_basis_matches_the_per_node_oracle():
 def test_panel_batches_split_the_row_quadratures():
     # row i's slices of the batches, in panel order, are its row quadrature
     # bit for bit, with each weight times its panel's barycentric normalizer
-    for rule in (QuadratureRule.make(1.0, n_radial=48), QuadratureRule.make_interval(-1.0, 1.0, 48)):
-        batches = rule.panel_batches()
-        starts = [np.r_[0, np.cumsum(b.counts)] for b in batches]
-        scales = [ny._bary_basis(b.t, rule.nodes[b.nodes])[0] for b in batches]
-        for i, r0 in enumerate(rule.nodes):
-            t, v = rule.row_quadrature(r0)
-            rows = [slice(s[i], s[i + 1]) for s in starts]
-            assert np.array_equal(t, np.concatenate([b.t[sl] for b, sl in zip(batches, rows)]))
-            assert np.array_equal(v * np.concatenate([s[sl] for s, sl in zip(scales, rows)]),
-                                  np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
+    rule = QuadratureRule.make(1.0, n_radial=48)
+    batches = rule.panel_batches()
+    starts = [np.r_[0, np.cumsum(b.counts)] for b in batches]
+    scales = [ny._bary_basis(b.t, rule.nodes[b.nodes])[0] for b in batches]
+    for i, r0 in enumerate(rule.nodes):
+        t, v = rule.row_quadrature(r0)
+        rows = [slice(s[i], s[i + 1]) for s in starts]
+        assert np.array_equal(t, np.concatenate([b.t[sl] for b, sl in zip(batches, rows)]))
+        assert np.array_equal(v * np.concatenate([s[sl] for s, sl in zip(scales, rows)]),
+                              np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
 
 
 def _moment_stack(family, rule, k):
@@ -618,13 +613,10 @@ ROW_PRODUCT_CASES = {
                                lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
     "3d W_sing, make(1, 96)": (lambda: QuadratureRule.make(1.0, 96),
                                lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
-    "1d W_sing, make_interval(-1, 1, 48)": (
-        lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
-        lambda rule: ny.kernel_1d_interval(0.0, Branch.ZERO), 0),
     # real moment stacks: the 37 rows of the bound state of
     # configs/bound_states_1d.cfg at its deep bracket end, 3D, and 2D
-    "1d G1 stack": (lambda: QuadratureRule.make_interval(-1.0, 1.0, 48),
-                    lambda rule: _moment_stack(ny.kernel_1d_interval, rule, -1.0), 0),
+    "1d G1 stack": (lambda: QuadratureRule.make(1.0, 48),
+                    lambda rule: _moment_stack(ny.kernel_1d, rule, -1.0), 0),
     "3d G1 stack": (lambda: QuadratureRule.make(1.0, 48),
                     lambda rule: _moment_stack(ny.kernel_3d_reduced, rule, -0.975), 2),
     "2d J0 Y0 stack, N = 96": (lambda: QuadratureRule.make(1.0, 96),
@@ -677,18 +669,14 @@ def test_k0_kernels_are_real():
     # the k = 0 builds integrate real kernels; the public Green's function
     # stays complex on every branch
     r0, t = np.array([0.3, 0.5]), np.array([0.2, 0.7])
-    for family in (ny.kernel_1d, ny.kernel_1d_interval, ny.kernel_2d_singular, ny.kernel_3d_reduced):
+    for family in (ny.kernel_1d, ny.kernel_2d_singular, ny.kernel_3d_reduced):
         assert family(0.0, Branch.ZERO)(r0, t).dtype == np.float64
     for d in (1, 2, 3):
         assert greens.green(d, 0.0, t).dtype == np.complex128
         assert isinstance(greens.green(d, 0.0, 0.5), np.complex128)
 
 
-G1_CASES = ("1d-even", "1d-interval", "3d")
-
-
-def _rho_max(family, rule):
-    return ny._G1_MOMENTS[family][1] * (rule.domain[1] - rule.domain[0])
+G1_CASES = ("1d-even", "3d")
 
 
 def _kernel_route(rule, family, k, branch, power):
@@ -709,7 +697,7 @@ def test_g1_moment_route_matches_kernel_route(case):
     tol = 2e-13 if case == "3d" else 1e-13
     for n in (48, 96):
         rule = make(n)
-        rho_max = _rho_max(family, rule)
+        rho_max = 2.0 * rule.domain[1]
         for z in (0.1, 1.0, ny.G1_SERIES_RADIUS * (1 - 1e-12)):
             for phase, branch in ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
                                   (-1.0, Branch.NEGATIVE)):
@@ -771,9 +759,9 @@ def test_warm_3d_resonance_build_evaluates_no_kernel(monkeypatch):
 
 
 def test_build_above_radius_takes_kernel_route(monkeypatch):
-    rule = QuadratureRule.make_interval(-1.0, 1.0, 48)
-    family = ny.kernel_1d_interval
-    k_edge = -ny.G1_SERIES_RADIUS / _rho_max(family, rule)
+    rule = QuadratureRule.make(1.0, n_radial=48)
+    family = ny.kernel_1d
+    k_edge = -ny.G1_SERIES_RADIUS / (2.0 * rule.domain[1])
     e1_calls, kernel_calls = _counting(monkeypatch)
     ny.build_split_matrix(rule, family, k_edge, Branch.NEGATIVE, 0)
     assert e1_calls == []
@@ -944,18 +932,14 @@ def test_w_sing_entries_against_mpmath(d):
             assert abs(W[i, j] - float(ref)) <= 1e-14 * np.max(np.abs(W)), (i, j)
 
 
-POINT_RULES = [(f"{name}, N = {n}", lambda n=n, make=make: make(n))
-               for n in (8, 16, 48, 96, 192)
-               for name, make in (("make(1)", lambda n: QuadratureRule.make(1.0, n)),
-                                  ("make_interval(-1, 1)", lambda n: QuadratureRule.make_interval(-1.0, 1.0, n)))]
-# the narrowest gaps relative to the last place of the node: 1.9 ulp
-POINT_RULES.append(("make_interval(6, 8), N = 48", lambda: QuadratureRule.make_interval(6.0, 8.0, 48)))
+# from N = 320 on, some gap points round onto their node and are moved off it
+POINT_RULES = {f"make(1), N = {n}": n for n in (8, 16, 48, 96, 192, 384, 768)}
 
 
-@pytest.mark.parametrize("make", [m for _, m in POINT_RULES], ids=[name for name, _ in POINT_RULES])
-def test_no_tail_or_gap_point_on_its_rows_node(make):
+@pytest.mark.parametrize("n", POINT_RULES.values(), ids=POINT_RULES.keys())
+def test_no_tail_or_gap_point_on_its_rows_node(n):
     # a point that rounds onto its row's node r0 would make the kernel infinite
-    rule = make()
+    rule = QuadratureRule.make(1.0, n)
     for batch in rule.panel_batches():
         assert np.all(batch.t != np.repeat(rule.nodes, batch.counts))
     r0, t, _ = rule.gap_quadrature()
