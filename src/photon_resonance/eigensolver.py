@@ -3,17 +3,22 @@
 A frequency omega is an eigenvalue of the nonlinear problem when the
 matrix M(omega) built by the quadrature module is singular.  We track
 f(omega) = eigenvalue of M(omega) of smallest magnitude, by inverse
-iteration on one inverse of M(omega) (0.5 ms at N = 48 against 1.5 ms for
-`eigvals`, 2-core VM), and drive it to zero with Muller's method, seeded
-from the spectrum of the limiting operator.  The seeds are its eigenvalues
-only (`asymptotics.limiting_spectrum`, one `eigvalsh`): at N = 48 an `eigh`
-took about three times as long and woke a second OpenBLAS thread, which
-then spun through the rest of the solve.  Physically admissible roots have
-Im omega <= 0; a small positive slack absorbs roundoff.
+iteration on one inverse of M(omega) (about 0.25 ms at N = 48 near a
+root, against 1 ms for `eigvals`, 2-core VM), and drive it to zero with
+Muller's method, seeded from the spectrum of the limiting operator.  The
+seeds are its eigenvalues only (`asymptotics.limiting_spectrum`, one
+`eigvalsh`): at N = 48 an `eigh` took about three times as long and woke
+a second OpenBLAS thread, which then spun through the rest of the solve.
+Physically admissible roots have Im omega <= 0; a small positive slack
+absorbs roundoff.
 
 `find_resonances` and `trace_in_epsilon` share one mode loop,
 `_solve_modes`: the modes of one parameter set are solved in turn on one
-quadrature rule, each deflated against the roots already found.
+quadrature rule, largest |seed| first, each deflated against the roots
+already found.  The order is for the rule's moment caches: a build at a
+larger |k| needs more series terms, so solving the largest |k| first
+builds each moment stack at full height in one pass, where the reverse
+order grew it again for every larger mode (`nystrom._moment_sum`).
 """
 
 from __future__ import annotations
@@ -200,27 +205,33 @@ def _solve_modes(params: PhysicalParams, seeds: Sequence[complex], rule: Quadrat
                  tol: float, max_iter: int, modes: Sequence[int] = None) -> list[SpectrumResult]:
     """The one mode loop: one SpectrumResult per seed, in seed order.
 
-    Each mode deflates against the converged roots of the modes before it:
-    a root within DEFLATION_RADIUS of one of them is re-seeded.  A mode
-    whose Muller iteration fails, or meets an unsettled f, is logged and
-    returned with converged=False.  `modes` labels the seeds in that
-    warning (1, 2, ... by default).
+    The seeds are solved in order of decreasing |seed| (ties in seed
+    order), so the first build of the loop has its largest |k| and builds
+    the rule's moment stacks at full height once (`nystrom._moment_sum`);
+    smaller seeds then need no new rows.  Each mode deflates against the
+    converged roots of the modes solved before it: a root within
+    DEFLATION_RADIUS of one of them is re-seeded, so on a clash the mode
+    with the smaller |seed| is the one that moves.  A mode whose Muller
+    iteration fails, or meets an unsettled f, is logged and returned with
+    converged=False.  `modes` labels the seeds in that warning (1, 2, ...
+    by default).
     """
     if modes is None:
         modes = range(1, len(seeds) + 1)
-    results = []
+    results = [None] * len(seeds)
     roots = []
-    for j, w_seed in zip(modes, seeds):
+    for i in sorted(range(len(seeds)), key=lambda i: -abs(seeds[i])):
+        w_seed = seeds[i]
         res, extra = _solve_one_mode(params, w_seed, rule, tol, max_iter, roots)
         if extra is None:
             log.warning("mode %d did not converge (seed %s, best |f| = %.3e)",
-                        j, w_seed, abs(res.fvalue))
-            results.append(SpectrumResult(res.root, np.array([]), float("nan"),
-                                          res.iterations, w_seed, converged=False))
+                        modes[i], w_seed, abs(res.fvalue))
+            results[i] = SpectrumResult(res.root, np.array([]), float("nan"),
+                                        res.iterations, w_seed, converged=False)
             continue
         v, residual = extra
         roots.append(res.root)
-        results.append(SpectrumResult(res.root, v, residual, res.iterations, w_seed))
+        results[i] = SpectrumResult(res.root, v, residual, res.iterations, w_seed)
     return results
 
 

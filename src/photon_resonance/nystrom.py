@@ -45,7 +45,10 @@ In the resonance regime the remainder kernel(k) - kernel(0) is a series
 with closed-form coefficients in k times k-independent rows, so W_reg(k) is
 the same series over moment matrices, Q's integrals of those rows
 (`_moment_sum`).  They are cached per rule and grown when a larger |k|
-needs more terms, and a build evaluates no kernel:
+needs more terms, and a build evaluates no kernel.  A growth costs nearly
+a fresh build of the whole stack, so the callers build the largest |k|
+first: the bound-state solve its deep bracket end, the mode loop of
+`eigensolver` its largest |seed|.  The series:
 
 * d = 1, 3: G1(k, rho) - G1(0, rho) = sum_n a_n(k) rho^n + sum_m b_m(k)
   rho^2m log rho (`greens.g1_series`), with moments U_n, V_m of the same
@@ -658,28 +661,42 @@ def kernel_2d_singular(k, branch):
     return f
 
 
-def kernel_2d_struve(k, branch, r, t, moments):
+def kernel_2d_struve(k, branch, r, t, moments, maxima=None):
     """Exact angular reduction of the entire -(kappa/4) H0_struve(kappa rho)
     component as a (len(r), len(t)) matrix: the power series of H0 summed
     term by term over the k-independent moments of rho, which the list
-    `moments` keeps and grows on demand (`_grow_struve_moments`).  Raises
-    NystromError when the largest term exceeds the sum by more than
-    STRUVE_MAX_CANCELLATION."""
+    `moments` keeps and grows on demand (`_grow_struve_moments`), with
+    their largest entries in the list `maxima`.  Raises NystromError when
+    the largest term exceeds the sum by more than STRUVE_MAX_CANCELLATION.
+
+    The sum stops at the first term below 1e-18 of max |sum|.  That max
+    is a pass over the sum, taken only once the term is below 1e-18 of
+    2 sum_i |term_i| max M_i, a bound on it with room for rounding, so
+    the sum stops where a test at every term would stop it."""
+    if maxima is None:
+        maxima = []
     kappa = -k if branch is Branch.NEGATIVE else k
     z = complex(kappa) * (r.max() + t.max())
     term = z * 2.0 / np.pi  # (z/2) / Gamma(3/2)^2
-    total = peak = 0.0
+    total = peak = bound = 0.0
     for j in range(201):
         if j == len(moments):
             _grow_struve_moments(r, t, moments)
+        if j == len(maxima):
+            maxima.append(moments[j].max())
         total += term * moments[j]
-        peak = max(peak, abs(term) * moments[j].max())
+        size = abs(term) * maxima[j]
+        peak, bound = max(peak, size), bound + size
         term *= -((z / 2.0) ** 2) / ((j + 1.5) ** 2)
-        if abs(term) <= 1e-18 * np.max(np.abs(total)):  # moments are at most 1
-            break
+        if abs(term) <= 2e-18 * bound:
+            largest = np.max(np.abs(total))
+            if abs(term) <= 1e-18 * largest:  # moments are at most 1
+                break
         if not math.isfinite(abs(term)):
             raise NystromError(f"2d Struve series overflows at |kappa| (r + t)_max = {abs(z):.3g}")
-    if not peak <= STRUVE_MAX_CANCELLATION * np.max(np.abs(total)):  # NaN fails too
+    else:
+        largest = np.max(np.abs(total))
+    if not peak <= STRUVE_MAX_CANCELLATION * largest:  # NaN fails too
         raise NystromError(f"2d Struve series cancels at |kappa| (r + t)_max = {abs(z):.3g}")
     return -(np.pi * kappa / 2.0) * total
 
@@ -897,7 +914,10 @@ def _moment_sum(rule, key, measure_power, coefficients, rows, sing):
     M_f[i] is the rule's integral of row i of kind f of the reduced
     basis.  The moments are cached on the rule under `key` and
     grown, in one stacked build of the missing rows (`rows`), when a
-    larger |k| needs more terms."""
+    larger |k| needs more terms.  The row kernels evaluate every lower
+    order on the way, so a growth costs nearly a fresh build: callers
+    build their largest |k| first and the stack is built once (a grown
+    stack equals a fresh one bit for bit, see `_contract_panel`)."""
     moments = rule._cache.setdefault(key, [[] for _ in coefficients])
     missing = [range(len(M), max(len(M), len(c))) for M, c in zip(moments, coefficients)]
     if any(missing):
@@ -1056,8 +1076,9 @@ def full_kernel_matrix(rule, d, k, branch):
     the entire Struve component is added with the plain rule."""
     W = build_split_matrix(rule, _FAMILIES[d], k, branch, d - 1)
     if d == 2:
-        moments = rule._cache.setdefault("struve_moments", [])
-        W += kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments) * rule.weights * rule.nodes
+        moments, maxima = rule._cache.setdefault("struve_moments", ([], []))
+        W += (kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments, maxima)
+              * rule.weights * rule.nodes)
     return W
 
 

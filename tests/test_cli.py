@@ -518,6 +518,31 @@ def test_solve_configs_build_one_unit_rule(path, tmp_path, monkeypatch):
     assert setups == [len(rules[0].counts)]
 
 
+# build_kernel_matrix calls of each solve config: W_sing, one moment stack at
+# its full height, and in the asymptotics comparison the A1 kernel
+STACK_BUILDS = {"resonances_3d.cfg": 2, "trace_2d.cfg": 2, "trace_epsilon.cfg": 2,
+                "bound_states_1d.cfg": 2, "bound_states_2d.cfg": 2, "asymptotics_compare_3d.cfg": 3}
+
+
+@pytest.mark.parametrize("path", [p for p in SHIPPED_CONFIGS if os.path.basename(p) in STACK_BUILDS],
+                         ids=os.path.basename)
+def test_solve_configs_build_each_moment_stack_once(path, tmp_path, monkeypatch):
+    # the mode loop solves the largest |omega| first, so no later build grows a stack
+    shapes = []
+    build = nystrom.build_kernel_matrix
+
+    def counted(rule, kernel, measure_power):
+        W = build(rule, kernel, measure_power)
+        shapes.append(W.shape)
+        return W
+
+    monkeypatch.setattr(nystrom, "build_kernel_matrix", counted)
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
+    assert cli.run(cfg)[0] == 0
+    assert len(shapes) == STACK_BUILDS[os.path.basename(path)], shapes
+    assert sum(len(s) == 3 for s in shapes) == 1, shapes  # one stack of moment matrices
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # start-up: the test-only quadrature oracles live in tests/oracle_utils.py,
     # and the bound-state solve carries its own Brent, so neither

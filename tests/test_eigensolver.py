@@ -266,6 +266,68 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     assert np.isnan(res[1].residual)
 
 
+def test_resonance_roots_do_not_depend_on_the_solve_order():
+    # each mode of the loop, whose first build holds the largest |k|, has the
+    # root of its seed solved alone on a fresh rule, bit for bit
+    p = params3()
+    res = es.find_resonances(p, 5, QuadratureRule.make(1.0, n_radial=48))
+    for r in res:
+        [alone] = es._solve_modes(p, [r.seed], QuadratureRule.make(1.0, n_radial=48), 1e-10, 50)
+        assert alone.omega == r.omega, r.seed
+
+
+def _recorded_muller_seeds(monkeypatch):
+    first = []  # first seed of each Muller run
+    solve = es.muller_solve
+
+    def recorded(f, seeds, **kwargs):
+        first.append(seeds[0])
+        return solve(f, seeds, **kwargs)
+
+    monkeypatch.setattr(es, "muller_solve", recorded)
+    return first
+
+
+def test_mode_loop_solves_the_largest_seed_first_and_returns_seed_order(monkeypatch, caplog):
+    p = params3()
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    limit = es._limiting_frequencies(p, 3, rule)
+    order = [1, 2, 0]  # modes 2, 3, 1: not sorted by |omega|
+    seeds, modes = [limit[i] for i in order], [i + 1 for i in order]
+    cv = es.characteristic_value
+
+    def unsettled_mode_2(op):  # mode 2 fails, so its label shows in the log
+        if abs(op.omega.real - limit[1]) < 0.05:
+            raise es.EigensolverError("near-tied smallest eigenvalues")
+        return cv(op)
+
+    monkeypatch.setattr(es, "characteristic_value", unsettled_mode_2)
+    first = _recorded_muller_seeds(monkeypatch)
+    with caplog.at_level("WARNING", logger=es.__name__):
+        res = es._solve_modes(p, seeds, rule, 1e-10, 50, modes)
+    assert first == sorted(seeds, key=abs, reverse=True)
+    assert [r.seed for r in res] == seeds
+    assert [r.converged for r in res] == [False, True, True]
+    assert [abs(r.omega - s) < 0.05 for r, s in zip(res, seeds)] == [True] * 3
+    assert any("mode 2 did not converge" in r.getMessage() for r in caplog.records)
+
+
+def test_a_clash_reseeds_the_mode_solved_second(monkeypatch):
+    # two seeds in the basin of mode 1: the larger one keeps the root, the
+    # smaller one is re-seeded off it
+    p = params3()
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    s = es._limiting_frequencies(p, 1, rule)[0]
+    seeds = [s, s * (1 + 1e-4)]
+    first = _recorded_muller_seeds(monkeypatch)
+    small, large = es._solve_modes(p, seeds, rule, 1e-10, 50)
+    assert first[:2] == [seeds[1], seeds[0]]
+    assert len(first) > 2 and not set(first[2:]) & set(seeds)  # re-seeded runs
+    [alone] = es._solve_modes(p, [seeds[1]], QuadratureRule.make(1.0, n_radial=16), 1e-10, 50)
+    assert large.converged and large.omega == alone.omega
+    assert not (small.converged and abs(small.omega - large.omega) < es.DEFLATION_RADIUS)
+
+
 def test_one_dimensional_bound_mode_real():
     p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=0.3, epsilon=0.01, s0=1.0)
     res = es.find_resonances(p, 1, rule=QuadratureRule.make(1.0, n_radial=32))

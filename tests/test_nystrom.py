@@ -533,6 +533,8 @@ def test_second_2d_build_reuses_struve_moments(monkeypatch):
     monkeypatch.setattr(ny, "_grow_struve_moments", counted)
     ny.build_full_operator(p, 0.7601 - 0.003j, rule)
     assert calls == []
+    moments, maxima = rule._cache["struve_moments"]
+    assert maxima == [M.max() for M in moments]  # cached with their moments
 
 
 def test_row_quadrature_matches_per_piece_gauss_panels():
