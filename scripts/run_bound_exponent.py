@@ -3,8 +3,8 @@
 
 For Omega pi c / (g^2 s0 |B1|) > 1 the small negative eigenvalue follows
 omega(eps) ~ -c eps^p.  This script locates it by the Birman-Schwinger
-root finder on an eps sweep and prints the fitted exponent next to the
-predicted one.
+root finder on an eps sweep, every eps on one unit-domain rule, and prints
+the fitted exponent next to the predicted one.
 
     python scripts/run_bound_exponent.py --s0 0.7853981633974483
 """
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from photon_resonance import asymptotics, boundstates as bs
-from photon_resonance.nystrom import PhysicalParams
+from photon_resonance.nystrom import PhysicalParams, QuadratureRule
 
 
 def main():
@@ -31,11 +31,12 @@ def main():
     p_pred = asymptotics.bound_state_exponent_1d(
         PhysicalParams(d=1, c=1.0, g=1.0, omega_a=args.omega_a,
                        epsilon=args.eps[0], s0=args.s0))
+    rule = QuadratureRule.make(1.0, n_radial=args.nodes)  # shared by every eps
     rows = []
     for eps in args.eps:
         params = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=args.omega_a,
                                 epsilon=eps, s0=args.s0)
-        w = bs.solve_bound_state(params, 1, n_nodes=args.nodes).omega
+        w = bs.solve_bound_state(params, 1, rule).omega
         rows.append((eps, w))
         print(f"eps = {eps:.1e}: omega* = {w:.6e}", file=sys.stderr)
     slope = np.polyfit(np.log([r[0] for r in rows]),

@@ -23,14 +23,19 @@ rho = params.density on the ball of radius params.epsilon, as for
 resonances.  The kernel depends on x - y only and rho is constant on its
 support, so a translated support has the same K_omega.
 
+K_omega is built as the resonance operators are, on a rule of any radius R
+through W(k; eps) = s W(s k; R), s = eps / R (`nystrom.scaled_kernel_matrix`):
+the callers pass QuadratureRule.make(1.0, N), so one rule and its cached
+W_sing and moment stacks serve every mode, density and eps.
+
 In 1D, K_omega maps even functions on [-eps, eps] to even ones and odd to
 odd, so its spectrum is that of its even block, the d = 1 operator on [0,
 eps], merged with that of its odd block, the 3D s-wave operator of the same
-density and radius (`nystrom` module docstring).  Both solve on the radial
-rule QuadratureRule.make(eps, N).  The negative-branch kernel is positive,
-so the top eigenfunction is simple and positive (Jentzsch), hence even:
-mode 1 needs only the even block, and the odd block is built for modes
-n >= 2 and for count_bound_states_below.
+density and radius (`nystrom` module docstring); both build on the one
+rule.  The negative-branch kernel is positive, so the top eigenfunction is
+simple and positive (Jentzsch), hence even: mode 1 needs only the even
+block, and the odd block is built for modes n >= 2 and for
+count_bound_states_below.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ MIN_SLOPE = 0.1  # |d mu / d j| at the root, for roots with |omega| >= 0.17 Omeg
 # where the slope is at least MIN_SLOPE, so the sign of f there, and with it
 # the number of builds, does not depend on round-off
 BRENT_XTOL = 4 * MU_ROUNDOFF / MIN_SLOPE
+MU_TOL = 1e-10  # largest |mu_n - 1| at a returned root
 
 
 class BoundStateNotFound(RuntimeError):
@@ -81,40 +87,30 @@ class BoundState:
     mu: float
 
 
-def bound_state_rule(params, n_nodes):
-    """The rule a solve builds on: the radial [0, eps], which serves both
-    parity blocks in 1D."""
-    return QuadratureRule.make(params.epsilon, n_radial=n_nodes)
-
-
-def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule = None,
-                      n_nodes=64) -> BSOperator:
+def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule) -> BSOperator:
     """Symmetric matrix of K_omega[rho] for real omega < 0, with rho =
     params.density on the ball of radius params.epsilon; in 1D, its even
     block (module docstring).
 
     The resolvent kernel is (1/c) G^{omega/c}(x - y) on the negative
     branch; inside the (constant) density support the square roots
-    contribute a plain factor rho0.
+    contribute a plain factor rho0.  On a rule of radius R it is s times
+    the kernel at s k on the rule, s = eps / R
+    (`nystrom.scaled_kernel_matrix`).
     """
     omega = float(omega)
     if omega >= 0:
         raise ValueError("the bound-state operator needs omega < 0")
-    if rule is None:
-        rule = bound_state_rule(params, n_nodes)
-    k = omega / params.c
-    pref = params.g**2 * params.density / (params.c * (params.omega_a + abs(omega)))
-    W = nystrom.full_kernel_matrix(rule, params.d, k, Branch.NEGATIVE)
-    B, asym = nystrom.weighted_symmetrize(pref * W.real, nystrom.volume_weights(params.d, rule))
+    s, W, weights = nystrom.scaled_kernel_matrix(params, rule, omega / params.c, Branch.NEGATIVE)
+    pref = params.g**2 * params.density / (params.c * (params.omega_a + abs(omega))) * s
+    B, asym = nystrom.weighted_symmetrize(pref * W.real, weights)
     return BSOperator(B, asym)
 
 
-def _blocks(params, omega, rule, n_nodes, odd):
+def _blocks(params, omega, rule, odd):
     """The operators whose spectra together are that of K_omega: K_omega
     itself in 2D and 3D; in 1D its even block and, if `odd`, its odd block,
     the 3D s-wave operator of the same density (module docstring)."""
-    if rule is None:
-        rule = bound_state_rule(params, n_nodes)
     ops = [build_bs_operator(params, omega, rule)]
     if params.d == 1 and odd:
         ops.append(build_bs_operator(replace(params, d=3, rho0=params.density, s0=None), omega, rule))
@@ -131,16 +127,16 @@ def mu_spectrum(op: BSOperator, m: int) -> np.ndarray:
     return ev[::-1][:m].copy()
 
 
-def count_bound_states_below(params: PhysicalParams, omega, rule: QuadratureRule = None,
-                             n_nodes=64) -> int:
+def count_bound_states_below(params: PhysicalParams, omega, rule: QuadratureRule) -> int:
     """Number of Hamiltonian eigenvalues in (-infty, omega]."""
     return sum(int(np.count_nonzero(np.linalg.eigvalsh(op.matrix) >= 1.0))
-               for op in _blocks(params, omega, rule, n_nodes, True))
+               for op in _blocks(params, omega, rule, True))
 
 
-def _mu_n(params, omega, n, n_nodes, rule=None):
-    """mu_n(omega), the n-th largest eigenvalue over the blocks."""
-    mu = [mu_spectrum(op, n) for op in _blocks(params, omega, rule, n_nodes, n > 1)]
+def _mu_n(params, omega, n, rule):
+    """mu_n(omega), the n-th largest eigenvalue over the blocks, each of
+    which gives at most its size."""
+    mu = [mu_spectrum(op, min(n, len(op.matrix))) for op in _blocks(params, omega, rule, n > 1)]
     return float(np.sort(np.concatenate(mu))[-n])
 
 
@@ -204,8 +200,7 @@ def brentq(f, a, b, xtol):
     return xcur
 
 
-def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-10,
-                      n_nodes: int = 64, rule: QuadratureRule = None) -> BoundState:
+def solve_bound_state(params: PhysicalParams, mode_n: int, rule: QuadratureRule) -> BoundState:
     """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*).
 
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
@@ -214,15 +209,15 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
     puts mu_n at DEEP_END_BOUND (deep_end_exponent), capped at the deep end
     of BRACKET_EXPONENTS.  Once f changes sign over it, Brent's method
     (brentq) refines the crossing down to BRENT_XTOL in j, and omega* is
-    returned only if |mu_n(omega*) - 1| <= tol.  (d ln mu_n / d ln|omega|
+    returned only if |mu_n(omega*) - 1| <= MU_TOL.  (d ln mu_n / d ln|omega|
     is at most -|omega| / (Omega + |omega|), which gives MIN_SLOPE its
     range.)  f is 0 where |mu_n - 1| <= 8 MU_ROUNDOFF: there round-off,
     not the operator, sets the sign of mu_n - 1, so Brent stops at such a
     point whatever the round-off.  The returned mu is the one computed
-    there, so it equals a rebuild's.  The deep end is evaluated first, so that the moment route
-    builds its stack in one pass.  `rule` defaults to bound_state_rule(params,
-    n_nodes); the modes of one density can share it, and with it its cached
-    W_sing and moment stacks.
+    there, so it equals a rebuild's.  The modes of one density and every
+    density and eps of a sweep can share `rule` (module docstring), and the
+    deep end is evaluated first, so that the moment route builds the rule's
+    stack in one pass.
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
@@ -233,13 +228,11 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
             f"no bound state detected for mode {mode_n}: the norm bound keeps "
             f"mu_{mode_n} below 1 on the scanned bracket"
         )
-    if rule is None:
-        rule = bound_state_rule(params, n_nodes)
     seen: dict = {}  # j -> mu_n(-c 2^j)
 
     def f(j):
         if j not in seen:
-            seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, n_nodes, rule)
+            seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, rule)
         return 0.0 if abs(seen[j] - 1.0) <= 8 * MU_ROUNDOFF else seen[j] - 1.0
 
     f(j_deep)  # the deep end first, see the docstring
@@ -254,7 +247,7 @@ def solve_bound_state(params: PhysicalParams, mode_n: int = 1, tol: float = 1e-1
             f"{-params.c * 2.0**j_deep}; bracket does not cover the crossing"
         )
     j_star = brentq(f, j_shallow, j_deep, BRENT_XTOL)
-    if abs(f(j_star)) > tol:
+    if abs(f(j_star)) > MU_TOL:
         raise BoundStateNotFound(
             f"root refinement stalled for mode {mode_n}: "
             f"final |mu - 1| = {abs(f(j_star)):.2e}"

@@ -225,20 +225,21 @@ def _run_greens_table(cfg):
     return rows
 
 
-def _unit_rule(cfg, count_key):
-    """The run's one unit-domain rule, for the limiting operator and every
-    eps, once numerics[count_key] is checked against that operator's modes:
-    one in 1D (rank one), one per rule node in 2D and 3D (at least
-    radial_nodes: every panel gets at least 6)."""
-    n, nodes = cfg.sections["numerics"][count_key], cfg.sections["numerics"]["radial_nodes"]
+def _unit_rule(cfg, count_key, section="numerics"):
+    """The run's one unit-domain rule, for every eps and operator, once
+    section.count_key is checked against the modes of the run's operator:
+    one per rule node in 2D and 3D (at least radial_nodes: every panel gets
+    at least 6); in 1D one for the limiting operator (rank one) and two per
+    rule node for the K_omega of a bound-state run (its parity blocks)."""
+    n, nodes = cfg.sections[section][count_key], cfg.sections["numerics"]["radial_nodes"]
     rule = nystrom.QuadratureRule.make(1.0, n_radial=nodes)
-    if cfg.params.d == 1 and n > 1:
-        raise ConfigError(f"numerics.{count_key} = {n} exceeds the 1 limiting mode of d = 1")
-    if n > len(rule.nodes):
-        raise ConfigError(f"numerics.{count_key} = {n} exceeds the {len(rule.nodes)} limiting modes "
-                          f"of d = {cfg.params.d}: the rule of numerics.radial_nodes = {nodes} "
-                          f"has {len(rule.nodes)} nodes")
-    cfg.rule_nodes = len(rule.nodes)
+    size, d, bound = len(rule.nodes), cfg.params.d, cfg.experiment == "bound-states"
+    modes = (2 * size if bound else 1) if d == 1 else size
+    if n > modes:
+        raise ConfigError(f"{section}.{count_key} = {n} exceeds the {modes} "
+                          f"{'K_omega' if bound else 'limiting'} modes of d = {d}: the rule of "
+                          f"numerics.radial_nodes = {nodes} has {size} nodes")
+    cfg.rule_nodes = size
     return rule
 
 
@@ -273,14 +274,12 @@ def _run_bound_states(cfg):
     blk = cfg.sections["bound_states"]
     radius = boundstates.equal_volume_radius(cfg.params.d, blk["half_width"])
     params = replace(cfg.params, epsilon=radius, rho0=blk["rho0"], s0=None)
-    n_nodes = cfg.sections["numerics"]["radial_nodes"]
-    rule = boundstates.bound_state_rule(params, n_nodes)  # every mode solves on it
-    cfg.rule_nodes = len(rule.nodes)
+    rule = _unit_rule(cfg, "modes", "bound_states")  # every mode solves on it
     rows = []
     failures = False
     for n in range(1, blk["modes"] + 1):
         try:
-            st = boundstates.solve_bound_state(params, n, n_nodes=n_nodes, rule=rule)
+            st = boundstates.solve_bound_state(params, n, rule)
         except (boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
             print(f"solver failure: mode {n}: {exc}", file=sys.stderr)
             failures = True

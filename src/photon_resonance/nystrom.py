@@ -65,12 +65,13 @@ J0Y0_SERIES_RADIUS a build integrates the whole kernel, W(k) =
 Q[kernel(k)] - Q_gap[kernel(0)], with the gap term cached beside W_sing.
 
 As G^k(rho) = rho^(1-d) F_d(k rho), W(k; eps) = s W(s k; R) with s =
-eps / R, so one unit-domain rule and its caches serve every eps and the
-limiting operators (`build_full_operator`).  At N = 48 the rescaled
-build matches an eps rule to 3.6e-14 of max |W| for d = 2, 3, and to
-1.5e-10 for d = 1: there the k = 0 kernel's log eps sits in W_sing on an
-eps rule, whose open gaps drop part of it, but in W_reg(s k) on the unit
-rule, which Q integrates up to r0.
+eps / R (`scaled_kernel_matrix`), so one unit-domain rule and its caches
+serve every eps, the limiting operators and the bound-state operators
+(`build_full_operator`, `boundstates.build_bs_operator`).  At N = 48 the
+rescaled build matches an eps rule to 3.6e-14 of max |W| for d = 2, 3,
+and to 1.5e-10 for d = 1: there the k = 0 kernel's log eps sits in W_sing
+on an eps rule, whose open gaps drop part of it, but in W_reg(s k) on the
+unit rule, which Q integrates up to r0.
 
 Angular reduction of G^k(|x - y|) onto shells |x| = r, |y| = r':
 
@@ -630,10 +631,6 @@ def _moment_kernel(terms, powers, logs):
     return f
 
 
-# G1 family -> its reduced basis in rho / rho_max, rho_max = 2 R (the largest r + t)
-_G1_MOMENTS = {kernel_1d: _basis_1d, kernel_3d_reduced: _basis_3d}
-
-
 def kernel_2d_singular(k, branch):
     """Closed-form part of the 2D angular reduction (everything except the
     entire Struve component).  A split build evaluates it only above
@@ -774,29 +771,33 @@ def kernel_a1_reduced(d, k):
 # matrix assembly
 # ----------------------------------------------------------------------
 
-def build_split_matrix(rule, family, k, branch, measure_power):
-    """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch).
+# d -> (reduced kernel family, G1 moment basis in rho / 2 R); the measure power is d - 1
+_SPLIT = {1: (kernel_1d, _basis_1d), 2: (kernel_2d_singular, None), 3: (kernel_3d_reduced, _basis_3d)}
+
+
+def build_split_matrix(rule, d, k, branch):
+    """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch) of dimension d.
 
     W_sing = Q[family(0)] - Q_gap[family(0)] is assembled once per rule,
     and is the whole build on Branch.ZERO.  In the resonance regime
-    (`_moment_series`: |k| rho_max <= G1_SERIES_RADIUS for the G1
-    families, |k| R <= J0Y0_SERIES_RADIUS for kernel_2d_singular), W_reg(k)
-    is a sum of the rule's cached moment matrices times closed-form
-    coefficients, and no kernel is evaluated.  Otherwise the build is
-    Q[family(k, branch)] - Q_gap[family(0)], with the gap term cached with
-    W_sing (see the module docstring).
+    (`_moment_series`: |k| rho_max <= G1_SERIES_RADIUS in d = 1, 3, |k| R
+    <= J0Y0_SERIES_RADIUS in d = 2), W_reg(k) is a sum of the rule's
+    cached moment matrices times closed-form coefficients, and no kernel
+    is evaluated.  Otherwise the build is Q[family(k, branch)] -
+    Q_gap[family(0)], with the gap term cached with W_sing (see the module
+    docstring).
     """
-    key = ("sing", family, measure_power)
+    family, key = _SPLIT[d][0], ("sing", d)
     hit = rule._cache.get(key)
     if hit is None:
-        hit = rule._cache[key] = _k0_matrix(rule, family(0.0, Branch.ZERO), measure_power)
+        hit = rule._cache[key] = _k0_matrix(rule, family(0.0, Branch.ZERO), d - 1)
     sing, gap = hit
     if branch is Branch.ZERO:
         return sing.copy()
-    series = _moment_series(rule, family, k, branch)
+    series = _moment_series(rule, d, k, branch)
     if series is not None:
-        return _moment_sum(rule, ("moments", family, measure_power), measure_power, *series, sing)
-    W = build_kernel_matrix(rule, family(k, branch), measure_power)
+        return _moment_sum(rule, ("moments", d), d - 1, *series, sing)
+    W = build_kernel_matrix(rule, family(k, branch), d - 1)
     W[np.diag_indices(len(gap))] -= gap
     return W
 
@@ -819,21 +820,19 @@ def _k0_matrix(rule, kernel, measure_power):
     return W, gap
 
 
-def _moment_series(rule, family, k, branch):
-    """(coefficients, rows) of the moment route of family(k, branch) on
-    the rule, or None where the build takes the kernel route.
+def _moment_series(rule, d, k, branch):
+    """(coefficients, rows) of the moment route of the dimension-d split
+    build at k on the rule, or None where the build takes the kernel route.
 
     `coefficients` is a tuple of arrays, one per kind of moment, and
     rows(orders) the kernel stacking the reduced basis rows of each kind
     for the index ranges in `orders`, kind after kind (`_moment_sum`)."""
-    if family is kernel_2d_singular:
+    if d == 2:
         radius = rule.domain[1]
         if abs(k) * radius > J0Y0_SERIES_RADIUS:
             return None
         return _j0y0_series(k, branch, radius), lambda orders: _j0y0_rows(radius, orders[0])
-    if family not in _G1_MOMENTS:
-        return None
-    basis = _G1_MOMENTS[family]
+    basis = _SPLIT[d][1]
     rho_max = 2.0 * rule.domain[1]
     if abs(k) * rho_max > G1_SERIES_RADIUS:
         return None
@@ -1068,13 +1067,10 @@ def volume_weights(d, rule):
     return greens.surface_measure(d) * rule.weights * rule.nodes ** (d - 1)
 
 
-_FAMILIES = {1: kernel_1d, 2: kernel_2d_singular, 3: kernel_3d_reduced}  # by dimension
-
-
 def full_kernel_matrix(rule, d, k, branch):
     """Split build of the reduced resolvent kernel in dimension d; in 2D
     the entire Struve component is added with the plain rule."""
-    W = build_split_matrix(rule, _FAMILIES[d], k, branch, d - 1)
+    W = build_split_matrix(rule, d, k, branch)
     if d == 2:
         moments, maxima = rule._cache.setdefault("struve_moments", ([], []))
         W += (kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments, maxima)
@@ -1082,20 +1078,27 @@ def full_kernel_matrix(rule, d, k, branch):
     return W
 
 
+def scaled_kernel_matrix(params, rule, k, branch):
+    """(s, W(s k; R), weights) for the ball B_eps of params on a rule of
+    any radius R, s = eps / R: W(k; eps) = s W(s k; R) (module docstring),
+    and the volume weights of B_eps are volume_weights(d, rule) s^d."""
+    s = params.epsilon / rule.domain[1]
+    W = full_kernel_matrix(rule, params.d, s * k, branch)
+    return s, W, volume_weights(params.d, rule) * s**params.d
+
+
 def build_full_operator(params, omega, rule):
     """Matrix of the nonlinear-eigenvalue operator at frequency omega:
-    M = -(omega - Omega) I - (g^2 rho0 / c) s W(s k; R), k = omega / c, on
-    a rule of any radius R, s = eps / R.  The norm weights are those of
-    B_eps, volume_weights(d, rule) s^d."""
+    M = -(omega - Omega) I - (g^2 rho0 / c) s W(s k; R), k = omega / c,
+    s = eps / R, with the norm weights of B_eps (`scaled_kernel_matrix`)."""
     omega = complex(omega)
     if omega.real == 0.0:
         raise GreensDomainError("omega on the imaginary axis is outside the domain")
     k = omega / params.c
-    s = params.epsilon / rule.domain[1]
-    W = full_kernel_matrix(rule, params.d, s * k, greens.branch_for(k))
+    s, W, weights = scaled_kernel_matrix(params, rule, k, greens.branch_for(k))
     pref = params.g**2 * params.density / params.c * s
     M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - pref * W
-    return RadialOperator(M, rule, omega, params, volume_weights(params.d, rule) * s**params.d)
+    return RadialOperator(M, rule, omega, params, weights)
 
 
 def build_l0_operator(params, rule):
@@ -1103,7 +1106,7 @@ def build_l0_operator(params, rule):
     the rule's cached k = 0 matrix W_sing."""
     if params.d not in (2, 3):
         raise ValueError("L0 is defined for d in {2, 3}; use the rank-1 form in 1D")
-    W = build_split_matrix(rule, _FAMILIES[params.d], 0.0, Branch.ZERO, params.d - 1)
+    W = build_split_matrix(rule, params.d, 0.0, Branch.ZERO)
     pref = params.g**2 * params.s0_effective / params.c
     return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, volume_weights(params.d, rule))
 

@@ -32,7 +32,7 @@ def resonances_3d():
 @pytest.fixture(scope="module")
 def bound_state_setup():
     params = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=1.0, rho0=1.0)
-    omega_star = bs.solve_bound_state(params, 1, n_nodes=48).omega
+    omega_star = bs.solve_bound_state(params, 1, QuadratureRule.make(1.0, n_radial=48)).omega
     return params, omega_star
 
 
@@ -189,7 +189,7 @@ def test_criterion_08_bound_state_suite(bound_state_setup):
     params, omega_star = bound_state_setup
     # (a) the 1D square density always binds through a mu_1 = 1 crossing
     assert omega_star < 0
-    mu = bs._mu_n(params, omega_star, 1, 48)
+    mu = bs._mu_n(params, omega_star, 1, QuadratureRule.make(1.0, n_radial=48))
     assert abs(mu - 1.0) <= 1e-9
     # (b) necessary condition
     assert params.g**2 * params.density >= omega_star * (omega_star - params.omega_a)
@@ -198,18 +198,19 @@ def test_criterion_08_bound_state_suite(bound_state_setup):
     p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0,
                         epsilon=bs.equal_volume_radius(2, 1.0), rho0=0.5)
     assert 2 * p2.g**2 * p2.density * p2.epsilon / (p2.omega_a * p2.c) < bs.sobolev_threshold(2)
-    counts = [bs.count_bound_states_below(p2, w, n_nodes=32)
-              for w in (-0.02, -0.2, -1.0, -5.0)]
+    rule = QuadratureRule.make(1.0, n_radial=32)
+    counts = [bs.count_bound_states_below(p2, w, rule) for w in (-0.02, -0.2, -1.0, -5.0)]
     assert all(c == 0 for c in counts)
     # (d) small-eps exponent fit against the power law p = Omega pi c/(g^2 s0 |B1|) - 1
     s0 = np.pi / 4.0
     p_pred = asym.bound_state_exponent_1d(
         PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=0.01, s0=s0))
     eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+    rule = QuadratureRule.make(1.0, n_radial=40)  # one rule for the whole sweep
     ws = []
     for eps in eps_list:
         pe = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=s0)
-        ws.append(bs.solve_bound_state(pe, 1, n_nodes=40).omega)
+        ws.append(bs.solve_bound_state(pe, 1, rule).omega)
     slope = np.polyfit(np.log(eps_list), np.log(-np.asarray(ws)), 1)[0]
     assert abs(slope - p_pred) <= 0.05 * p_pred
     print(f"\nPASS criterion 8 (bound-state suite): omega* = {omega_star:.6f} with "

@@ -10,6 +10,10 @@ from photon_resonance.nystrom import PhysicalParams, QuadratureRule
 import oracle_utils as orc
 
 
+def unit(n):
+    return QuadratureRule.make(1.0, n_radial=n)
+
+
 def p1d(rho0=1.0, omega_a=1.0, half_width=1.0):
     return PhysicalParams(d=1, c=1.0, g=1.0, omega_a=omega_a, epsilon=half_width, rho0=rho0)
 
@@ -33,28 +37,28 @@ def test_profile_validation():
 
 
 def test_bs_operator_symmetric_positive():
-    op = bs.build_bs_operator(p1d(), -0.5, n_nodes=48)
+    op = bs.build_bs_operator(p1d(), -0.5, unit(48))
     assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-12
     assert op.asymmetry < 1e-3  # pre-symmetrization, discretization scale
     ev = np.linalg.eigvalsh(op.matrix)
     assert np.all(ev >= -1e-10)
     with pytest.raises(ValueError):
-        bs.build_bs_operator(p1d(), 0.5)
+        bs.build_bs_operator(p1d(), 0.5, unit(48))
 
 
 def test_norm_vanishes_deep_below():
-    mu_deep = bs.mu_spectrum(bs.build_bs_operator(p1d(), -100.0, n_nodes=40), 1)[0]
-    mu_ref = bs.mu_spectrum(bs.build_bs_operator(p1d(), -1.0, n_nodes=40), 1)[0]
+    mu_deep = bs.mu_spectrum(bs.build_bs_operator(p1d(), -100.0, unit(40)), 1)[0]
+    mu_ref = bs.mu_spectrum(bs.build_bs_operator(p1d(), -1.0, unit(40)), 1)[0]
     assert mu_deep < 0.01 * mu_ref
 
 
 def test_mu_monotone_decreasing_in_depth():
-    mus = [bs._mu_n(p1d(), w, 1, 40) for w in (-0.1, -0.5, -1.0, -2.0)]
+    mus = [bs._mu_n(p1d(), w, 1, unit(40)) for w in (-0.1, -0.5, -1.0, -2.0)]
     assert all(a > b for a, b in zip(mus, mus[1:]))
 
 
 def test_mu_spectrum_shape():
-    op = bs.build_bs_operator(p1d(), -0.5, n_nodes=40)
+    op = bs.build_bs_operator(p1d(), -0.5, unit(40))
     mu = bs.mu_spectrum(op, 4)
     assert len(mu) == 4 and np.all(np.diff(mu) <= 0)
     with pytest.raises(ValueError):
@@ -65,27 +69,27 @@ def test_density_monotonicity():
     # rho1 <= rho2 pointwise implies mu1 ordering
     small = p1d(rho0=0.5, half_width=0.8)
     large = p1d(rho0=1.0, half_width=0.8)
-    m_small = bs._mu_n(small, -0.4, 1, 40)
-    m_large = bs._mu_n(large, -0.4, 1, 40)
+    m_small = bs._mu_n(small, -0.4, 1, unit(40))
+    m_large = bs._mu_n(large, -0.4, 1, unit(40))
     assert m_small <= m_large + 1e-10
 
 
 def test_tiny_coupling_has_no_bound_states():
     weak = PhysicalParams(d=1, c=1.0, g=1e-4, omega_a=1.0, epsilon=1.0, rho0=1.0)
-    assert bs.count_bound_states_below(weak, -0.5, n_nodes=32) == 0
+    assert bs.count_bound_states_below(weak, -0.5, unit(32)) == 0
     # the norm bound already keeps mu below 1/2 at the shallow end
     with pytest.raises(BoundStateNotFound, match="norm bound"):
-        bs.solve_bound_state(weak, 1, n_nodes=32)
+        bs.solve_bound_state(weak, 1, unit(32))
 
 
 @pytest.fixture(scope="module")
 def omega_star():
-    return bs.solve_bound_state(p1d(), 1, n_nodes=48).omega
+    return bs.solve_bound_state(p1d(), 1, unit(48)).omega
 
 
 def test_one_dimensional_square_always_binds(omega_star):
     assert omega_star < 0
-    mu = bs._mu_n(p1d(), omega_star, 1, 48)
+    mu = bs._mu_n(p1d(), omega_star, 1, unit(48))
     assert abs(mu - 1.0) <= 1e-9
 
 
@@ -99,10 +103,10 @@ def test_bound_state_build_count(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(bs, "build_bs_operator", counted)
-    st = bs.solve_bound_state(p1d(), 1, n_nodes=48)
+    st = bs.solve_bound_state(p1d(), 1, unit(48))
     assert len(calls) <= 14
     # the solver's mu at the root is the one a rebuild on a fresh rule gives
-    assert st.mu == bs._mu_n(p1d(), st.omega, 1, 48)
+    assert st.mu == bs._mu_n(p1d(), st.omega, 1, unit(48))
     assert abs(st.mu - 1.0) <= 1e-10
 
 
@@ -119,18 +123,12 @@ def test_bound_state_builds_its_moment_stack_in_one_pass(monkeypatch):
         return W
 
     monkeypatch.setattr(ny, "build_kernel_matrix", counted)
-    one_pass = bs.solve_bound_state(p1d(), 1, n_nodes=48)
+    one_pass = bs.solve_bound_state(p1d(), 1, unit(48))
     assert shapes == [(48, 48), (37, 48, 48)]
-    make_rule = bs.bound_state_rule
-
-    def shallow_end_first(params, n_nodes):
-        rule = make_rule(params, n_nodes)
-        bs._mu_n(params, -params.c * 2.0 ** bs.BRACKET_EXPONENTS[0], 1, n_nodes, rule)
-        return rule
-
-    monkeypatch.setattr(bs, "bound_state_rule", shallow_end_first)
+    rule = unit(48)
     shapes.clear()
-    two_passes = bs.solve_bound_state(p1d(), 1, n_nodes=48)
+    bs._mu_n(p1d(), -2.0 ** bs.BRACKET_EXPONENTS[0], 1, rule)  # the shallow end first
+    two_passes = bs.solve_bound_state(p1d(), 1, rule)
     assert shapes == [(48, 48), (4, 48, 48), (33, 48, 48)]
     assert (two_passes.omega, two_passes.mu) == (one_pass.omega, one_pass.mu)
 
@@ -151,7 +149,7 @@ def test_bound_state_build_count_ignores_roundoff(monkeypatch, ulps):
             return mu
 
         monkeypatch.setattr(bs, "_mu_n", shifted)
-        st = bs.solve_bound_state(p1d(), 1, n_nodes=48)
+        st = bs.solve_bound_state(p1d(), 1, unit(48))
         assert abs(st.mu - 1.0) <= 1e-10
         return len(calls)
 
@@ -161,7 +159,7 @@ def test_bound_state_build_count_ignores_roundoff(monkeypatch, ulps):
 def test_crossing_below_deepest_bracket_end_rejected():
     # mu_1 = 9.5 already at omega = -1024, the deep end of the bracket
     with pytest.raises(BoundStateNotFound, match="deepest"):
-        bs.solve_bound_state(p1d(rho0=1e7), 1, n_nodes=32)
+        bs.solve_bound_state(p1d(rho0=1e7), 1, unit(32))
 
 
 @pytest.mark.parametrize("omega_a", (1.0, 0.3))
@@ -171,7 +169,7 @@ def test_mu_at_deep_bracket_end_below_half(d, omega_a):
     for rho0 in (0.5, 1.0, 4.0, 20.0):
         p = square(d, rho0, 1.0, omega_a=omega_a)
         omega = -p.c * 2.0 ** bs.deep_end_exponent(p)
-        assert bs._mu_n(p, omega, 1, 32) <= 0.5
+        assert bs._mu_n(p, omega, 1, unit(32)) <= 0.5
 
 
 def test_deep_bracket_end_of_the_unit_square():
@@ -224,7 +222,7 @@ def test_brentq_port_matches_scipy_on_the_bound_state():
 
     def f(j):
         if j not in seen:
-            seen[j] = bs._mu_n(p1d(), -2.0**j, 1, 48) - 1.0
+            seen[j] = bs._mu_n(p1d(), -2.0**j, 1, unit(48)) - 1.0
         return seen[j]
 
     a, b = bs.BRACKET_EXPONENTS[0], bs.deep_end_exponent(p1d())
@@ -254,9 +252,9 @@ def test_subcritical_2d_has_no_crossings():
     p = square(2, 0.5, 1.0)
     assert 2 * p.g**2 * p.density * p.epsilon / (p.omega_a * p.c) < bs.sobolev_threshold(2)
     for w in (-0.02, -0.2, -1.0, -5.0):
-        assert bs.count_bound_states_below(p, w, n_nodes=32) == 0
+        assert bs.count_bound_states_below(p, w, unit(32)) == 0
     with pytest.raises(BoundStateNotFound, match="stays below 1"):
-        bs.solve_bound_state(p, 1, n_nodes=32)
+        bs.solve_bound_state(p, 1, unit(32))
 
 
 def test_sobolev_threshold_values():
@@ -279,7 +277,7 @@ def test_3d_bound_state_two_routes_agree():
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9  # bound modes carry no width
     assert w_muller.real < 0
-    w_bisect = bs.solve_bound_state(p, 1, n_nodes=40).omega
+    w_bisect = bs.solve_bound_state(p, 1, unit(40)).omega
     assert abs(w_muller.real - w_bisect) <= 1e-6
 
 
@@ -292,7 +290,7 @@ def test_2d_bound_state_two_routes_agree():
     w_muller = res[0].omega
     assert abs(w_muller.imag) <= 1e-9
     assert w_muller.real < 0
-    w_bisect = bs.solve_bound_state(p, 1, n_nodes=40).omega
+    w_bisect = bs.solve_bound_state(p, 1, unit(40)).omega
     assert abs(w_muller.real - w_bisect) <= 1e-6
 
 
@@ -305,12 +303,12 @@ def test_2d_negative_branch_operator_real():
 def test_second_mode_crossing_strong_coupling():
     # a strong density binds several modes; their frequencies are ordered
     p = p1d(rho0=30.0)
-    assert bs.count_bound_states_below(p, -1e-3, n_nodes=40) >= 2
-    w1 = bs.solve_bound_state(p, 1, n_nodes=40).omega
-    w2 = bs.solve_bound_state(p, 2, n_nodes=40).omega
+    assert bs.count_bound_states_below(p, -1e-3, unit(40)) >= 2
+    w1 = bs.solve_bound_state(p, 1, unit(40)).omega
+    w2 = bs.solve_bound_state(p, 2, unit(40)).omega
     assert w1 < w2 < 0
     # mode 2 is odd: its mu is the second of the spectrum merged over both blocks
-    assert abs(bs._mu_n(p, w2, 2, 40) - 1.0) <= 1e-9
+    assert abs(bs._mu_n(p, w2, 2, unit(40)) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("rho0", (1.0, 30.0))
@@ -318,17 +316,48 @@ def test_second_mode_crossing_strong_coupling():
 def test_one_dimensional_mode_1_is_even(rho0, omega):
     # the negative-branch kernel is positive, so the top eigenfunction is
     # positive, hence even: the even block alone gives mu_1
-    even, odd = bs._blocks(p1d(rho0=rho0), omega, None, 48, True)
+    even, odd = bs._blocks(p1d(rho0=rho0), omega, unit(48), True)
     assert bs.mu_spectrum(even, 1)[0] > bs.mu_spectrum(odd, 1)[0]
 
 
 def test_one_dimensional_count_takes_both_parities():
     # 19 bound states below -1e-3 at rho0 = 30: the even count plus the odd one
     p = p1d(rho0=30.0)
-    even, odd = bs._blocks(p, -1e-3, None, 40, True)
+    even, odd = bs._blocks(p, -1e-3, unit(40), True)
     counts = [int(np.count_nonzero(np.linalg.eigvalsh(op.matrix) >= 1.0)) for op in (even, odd)]
-    assert bs.count_bound_states_below(p, -1e-3, n_nodes=40) == sum(counts) == 19
+    assert bs.count_bound_states_below(p, -1e-3, unit(40)) == sum(counts) == 19
     assert counts[1] > 0
+
+
+def test_mu_n_reaches_every_mode_of_both_1d_blocks():
+    # mu_n of n > N takes what it needs from each block, as a CLI run with
+    # up to 2 N modes on an N-node rule asks
+    rule = unit(8)
+    even, odd = bs._blocks(p1d(), -0.5, rule, True)
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(op.matrix) for op in (even, odd)]))[::-1]
+    for n in (len(rule.nodes) + 1, 2 * len(rule.nodes)):
+        assert bs._mu_n(p1d(), -0.5, n, rule) == merged[n - 1], n
+
+
+def test_eps_sweep_on_one_rule_matches_a_rule_per_eps(monkeypatch):
+    # two eps of the 1D log-scaled density, as scripts/run_bound_exponent.py
+    # sweeps them: one shared unit-domain rule gives the (omega, mu) of a
+    # fresh rule per eps, bit for bit, and builds W_sing once
+    sweep = [PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=np.pi / 4)
+             for eps in (1e-2, 3e-3)]
+    fresh = [bs.solve_bound_state(p, 1, unit(40)) for p in sweep]
+    k0_builds = []
+    k0_matrix = ny._k0_matrix
+
+    def counted(*args):
+        k0_builds.append(args[0])
+        return k0_matrix(*args)
+
+    monkeypatch.setattr(ny, "_k0_matrix", counted)
+    rule = unit(40)
+    shared = [bs.solve_bound_state(p, 1, rule) for p in sweep]
+    assert [(st.omega, st.mu) for st in shared] == [(st.omega, st.mu) for st in fresh]
+    assert k0_builds == [rule]
 
 
 def test_one_dimensional_modes_converged_at_48_nodes():
@@ -336,7 +365,7 @@ def test_one_dimensional_modes_converged_at_48_nodes():
     # (measured 6.9e-10 and 4.4e-9 relative)
     p = p1d(rho0=30.0)
     for n in (1, 2):
-        coarse, fine = (bs.solve_bound_state(p, n, n_nodes=nodes).omega for nodes in (48, 192))
+        coarse, fine = (bs.solve_bound_state(p, n, unit(nodes)).omega for nodes in (48, 192))
         assert abs(coarse - fine) <= 1e-8 * abs(fine), n
 
 
@@ -347,7 +376,7 @@ def test_scaled_1d_matches_log_limit_real_part():
     eps_list = (1e-2, 1e-3, 1e-4)
     for eps in eps_list:
         p = PhysicalParams(d=1, c=1.0, g=1.0, omega_a=0.3, epsilon=eps, s0=1.0)
-        w = bs.solve_bound_state(p, 1, n_nodes=40).omega
+        w = bs.solve_bound_state(p, 1, unit(40)).omega
         gaps.append(abs(w - target))
     inv_log = [1.0 / abs(np.log(e)) for e in eps_list]
     assert gaps[0] > gaps[1] > gaps[2]

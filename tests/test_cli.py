@@ -403,11 +403,17 @@ epsilon_grid = 0.01, 0.005
      "numerics.n_modes"),
     ("asymptotics-compare", {"radial_nodes = 24": "radial_nodes = 8", "n_modes = 2": "mode_index = 70"},
      "numerics.mode_index"),
+    # configs/bound_states_2d.cfg: K_omega has one mode per rule node
+    ("bound-states", {"radial_nodes = 32": "radial_nodes = 8", "modes = 1": "modes = 31"},
+     "bound_states.modes"),
 ))
 def test_mode_count_beyond_the_limiting_operator_exits_1(tmp_path, capsys, experiment, edit, key):
     # d = 1 has one limiting mode, d = 2, 3 one per rule node: 30 for
     # radial_nodes = 8, whose panels get at least 6 nodes each
-    cfg = RES_CFG + "epsilon_grid = 0.1, 0.05\n"
+    if experiment == "bound-states":
+        cfg = Path(os.path.dirname(__file__), os.pardir, "configs", "bound_states_2d.cfg").read_text()
+    else:
+        cfg = RES_CFG + "epsilon_grid = 0.1, 0.05\n"
     for old, new in edit.items():
         cfg = cfg.replace(old, new)
     path = write_cfg(tmp_path, cfg)
@@ -446,7 +452,7 @@ half_width = 1.0
 
 
 def test_bound_states_flush_rows_before_a_linalg_failure(tmp_path, monkeypatch, capsys):
-    def solve(params, n, n_nodes, rule=None):
+    def solve(params, n, rule):
         if n == 2:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return boundstates.BoundState(-0.5, 1.0)
@@ -588,6 +594,18 @@ def test_unit_rule_admits_one_mode_per_rule_node(tmp_path):
         cli._unit_rule(res, "n_modes")
 
 
+def test_bound_state_rule_admits_two_modes_per_rule_node_in_1d(tmp_path):
+    # the even and odd blocks of K_omega each have one mode per rule node
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_1d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path / "out"))
+    cfg.sections["numerics"]["radial_nodes"] = 8
+    cfg.sections["bound_states"]["modes"] = 60
+    assert len(cli._unit_rule(cfg, "modes", "bound_states").nodes) == cfg.rule_nodes == 30
+    cfg.sections["bound_states"]["modes"] = 61
+    with pytest.raises(ConfigError, match="bound_states.modes = 61 exceeds the 60 K_omega modes"):
+        cli._unit_rule(cfg, "modes", "bound_states")
+
+
 def test_bound_state_modes_share_one_rule(tmp_path, monkeypatch):
     # configs/bound_states_2d.cfg with modes = 2: both modes solve on one
     # rule, with the frequencies and mu of a rule of their own each
@@ -611,6 +629,7 @@ def test_bound_state_modes_share_one_rule(tmp_path, monkeypatch):
     lines = Path(csv_path).read_text().splitlines()
     assert len(lines) == 3
     for n, line in enumerate(lines[1:], start=1):
-        st = boundstates.solve_bound_state(params, n, n_nodes=cfg.sections["numerics"]["radial_nodes"])
+        rule = nystrom.QuadratureRule.make(1.0, n_radial=cfg.sections["numerics"]["radial_nodes"])
+        st = boundstates.solve_bound_state(params, n, rule)
         mode, omega, mu = line.split(",")
         assert (int(mode), float(omega), float(mu)) == (n, st.omega, st.mu)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photon_resonance import asymptotics, greens, nystrom as ny
+from photon_resonance import asymptotics, boundstates, greens, nystrom as ny
 from photon_resonance.greens import Branch, WaveNumber
 from photon_resonance.nystrom import PhysicalParams, QuadratureRule
 
@@ -292,11 +293,39 @@ def test_full_operator_on_unit_rule_matches_eps_rule(d, omega, unit48):
         assert np.max(np.abs(scaled.norm_weights / direct.norm_weights - 1.0)) <= 1e-14
 
 
-# (reduced kernel family, measure power, rule factory) for each split build
+def _bs_on_eps_rule(p, omega):
+    # K_omega built on the rule of radius eps itself, with no rescaling
+    rule = QuadratureRule.make(p.epsilon, n_radial=48)
+    pref = p.g**2 * p.density / (p.c * (p.omega_a + abs(omega)))
+    W = ny.full_kernel_matrix(rule, p.d, omega / p.c, Branch.NEGATIVE)
+    return ny.weighted_symmetrize(pref * W.real, ny.volume_weights(p.d, rule))[0]
+
+
+@pytest.mark.parametrize("block", ("1d even", "1d odd", "2d", "3d"))
+def test_bound_state_operator_on_unit_rule_matches_eps_rule(block, unit48):
+    # omega = -10 takes the kernel route at eps = 0.5 (the Struve series at
+    # |kappa| 2R = 10 in 2D), the rest the moment route; at eps = 1 the two
+    # rules are alike and K_omega is the same bit for bit
+    d = int(block[0])
+    ref_d = 3 if block == "1d odd" else d  # the odd block is the 3D s-wave operator
+    for eps in (1.0, 0.5, 0.1):
+        p = PhysicalParams(d=d, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, rho0=2.0)
+        for omega in (-0.5, -10.0):
+            K = boundstates._blocks(p, omega, unit48, block == "1d odd")[-1].matrix
+            ref = _bs_on_eps_rule(replace(p, d=ref_d), omega)
+            if eps == 1.0:
+                assert np.array_equal(K, ref), omega
+            else:
+                err = np.max(np.abs(K - ref)) / np.max(np.abs(ref))
+                assert err <= HOMOGENEITY_TOL[ref_d], (eps, omega)
+
+
+# (dimension, reduced kernel family, rule factory) for each split build; the
+# measure power is d - 1
 SPLIT_CASES = {
-    "1d-even": (ny.kernel_1d, 0, lambda n: QuadratureRule.make(1.0, n_radial=n)),
-    "2d": (ny.kernel_2d_singular, 1, lambda n: QuadratureRule.make(0.1, n_radial=n)),
-    "3d": (ny.kernel_3d_reduced, 2, lambda n: QuadratureRule.make(0.1, n_radial=n)),
+    "1d-even": (1, ny.kernel_1d, lambda n: QuadratureRule.make(1.0, n_radial=n)),
+    "2d": (2, ny.kernel_2d_singular, lambda n: QuadratureRule.make(0.1, n_radial=n)),
+    "3d": (3, ny.kernel_3d_reduced, lambda n: QuadratureRule.make(0.1, n_radial=n)),
 }
 SPLIT_WAVENUMBERS = ((0.8 - 0.01j, Branch.OUTGOING), (-0.7, Branch.NEGATIVE))
 
@@ -316,13 +345,14 @@ def _gap(rule, family, power):
 def test_split_build_matches_one_piece(case):
     # W_sing + W_reg(k) against the whole kernel on the same rule, less the
     # k = 0 kernel's open gaps next to each node, which W_sing leaves out
-    family, power, make = SPLIT_CASES[case]
+    d, family, make = SPLIT_CASES[case]
+    power = d - 1
     for n in (48, 96):
         rule = make(n)
         gap = np.diag(_gap(rule, family, power))
         for k, branch in SPLIT_WAVENUMBERS:
             one_piece = ny.build_kernel_matrix(rule, family(k, branch), power) - gap
-            split = ny.build_split_matrix(rule, family, k, branch, power)
+            split = ny.build_split_matrix(rule, d, k, branch)
             assert _rel(split, one_piece) <= 1e-10, (n, branch)
 
 
@@ -331,7 +361,8 @@ def test_panel_assembly_matches_per_row_reference(case):
     # each row integrated on its own quadrature through interp_matrix; the
     # k = 0 kernels (kernel_a0_reduced in 2D and 3D) and the others on the
     # one rule, as a split build uses them
-    family, power, make = SPLIT_CASES[case]
+    d, family, make = SPLIT_CASES[case]
+    power = d - 1
     for n in (48, 96):
         rule = make(n)
         for k, branch in ((0.0, Branch.ZERO),) + SPLIT_WAVENUMBERS:
@@ -356,11 +387,12 @@ def _deeper(make, n, monkeypatch):
 def test_regular_part_converged_in_levels(case, monkeypatch):
     # the k-dependent remainder kernel(k) - kernel(0) of a split build, and
     # W_sing, against a rule with two more levels before every log tail
-    family, power, make = SPLIT_CASES[case]
+    d, family, make = SPLIT_CASES[case]
+    power = d - 1
     for n in (48, 96):
         rule, deeper = make(n), _deeper(make, n, monkeypatch)
         assert sum(len(b.t) for b in deeper.panel_batches()) > sum(len(b.t) for b in rule.panel_batches())
-        w_sing, w_sing_ref = (ny.build_split_matrix(r, family, 0.0, Branch.ZERO, power) for r in (rule, deeper))
+        w_sing, w_sing_ref = (ny.build_split_matrix(r, d, 0.0, Branch.ZERO) for r in (rule, deeper))
         assert _rel(w_sing, w_sing_ref) <= 1e-13, n
         for k, branch in SPLIT_WAVENUMBERS:
             def remainder(r0, t):
@@ -505,7 +537,7 @@ def test_struve_part_of_2d_operator_against_quadrature(kappa):
     # the Struve share of a 2D build, on a rule of radius 1 (kappa 2R = 2, 10, 20)
     rule = QuadratureRule.make(1.0, n_radial=16)
     whole = ny.full_kernel_matrix(rule, 2, kappa, Branch.OUTGOING)
-    singular = ny.build_split_matrix(rule, ny.kernel_2d_singular, kappa, Branch.OUTGOING, 1)
+    singular = ny.build_split_matrix(rule, 2, kappa, Branch.OUTGOING)
     struve = (whole - singular) / (rule.weights * rule.nodes)[None, :]
     ref = _struve_reference(kappa, rule.nodes)
     assert np.max(np.abs(struve - ref)) <= 1e-8 * np.max(np.abs(ref))
@@ -603,9 +635,9 @@ def test_panel_batches_split_the_row_quadratures():
                               np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
 
 
-def _moment_stack(family, rule, k):
+def _moment_stack(d, rule, k):
     # every row of the moment route's stack at k on the negative branch
-    coefficients, rows = ny._moment_series(rule, family, k, Branch.NEGATIVE)
+    coefficients, rows = ny._moment_series(rule, d, k, Branch.NEGATIVE)
     return rows([range(len(c)) for c in coefficients])
 
 
@@ -618,11 +650,11 @@ ROW_PRODUCT_CASES = {
     # real moment stacks: the 37 rows of the bound state of
     # configs/bound_states_1d.cfg at its deep bracket end, 3D, and 2D
     "1d G1 stack": (lambda: QuadratureRule.make(1.0, 48),
-                    lambda rule: _moment_stack(ny.kernel_1d, rule, -1.0), 0),
+                    lambda rule: _moment_stack(1, rule, -1.0), 0),
     "3d G1 stack": (lambda: QuadratureRule.make(1.0, 48),
-                    lambda rule: _moment_stack(ny.kernel_3d_reduced, rule, -0.975), 2),
+                    lambda rule: _moment_stack(3, rule, -0.975), 2),
     "2d J0 Y0 stack, N = 96": (lambda: QuadratureRule.make(1.0, 96),
-                               lambda rule: _moment_stack(ny.kernel_2d_singular, rule, -2.9), 1),
+                               lambda rule: _moment_stack(2, rule, -2.9), 1),
     # a complex kernel-route kernel
     "3d outgoing kernel": (lambda: QuadratureRule.make(0.1, 48),
                            lambda rule: ny.kernel_3d_reduced(45.0 - 0.5j, Branch.OUTGOING), 2),
@@ -695,7 +727,8 @@ def test_g1_moment_route_matches_kernel_route(case):
     # r = 1e-4 against mpmath, where the moment basis keeps 1e-15, see
     # test_3d_moment_basis_against_mpmath), which reaches 1.1e-13 of the
     # max at N = 96; hence 2e-13 there.
-    family, power, make = SPLIT_CASES[case]
+    d, family, make = SPLIT_CASES[case]
+    power = d - 1
     tol = 2e-13 if case == "3d" else 1e-13
     for n in (48, 96):
         rule = make(n)
@@ -704,7 +737,7 @@ def test_g1_moment_route_matches_kernel_route(case):
             for phase, branch in ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
                                   (-1.0, Branch.NEGATIVE)):
                 k = z / rho_max * phase
-                moments = ny.build_split_matrix(rule, family, k, branch, power)
+                moments = ny.build_split_matrix(rule, d, k, branch)
                 direct = _kernel_route(rule, family, k, branch, power)
                 assert np.max(np.abs(moments - direct)) <= tol * np.max(np.abs(direct)), (n, z, branch)
 
@@ -765,10 +798,10 @@ def test_build_above_radius_takes_kernel_route(monkeypatch):
     family = ny.kernel_1d
     k_edge = -ny.G1_SERIES_RADIUS / (2.0 * rule.domain[1])
     e1_calls, kernel_calls = _counting(monkeypatch)
-    ny.build_split_matrix(rule, family, k_edge, Branch.NEGATIVE, 0)
+    ny.build_split_matrix(rule, 1, k_edge, Branch.NEGATIVE)
     assert e1_calls == []
     kernel_calls.clear()
-    W = ny.build_split_matrix(rule, family, 1.01 * k_edge, Branch.NEGATIVE, 0)
+    W = ny.build_split_matrix(rule, 1, 1.01 * k_edge, Branch.NEGATIVE)
     assert sum(e1_calls) > 0 and sum(kernel_calls) > 0
     assert np.array_equal(W, _kernel_route(rule, family, 1.01 * k_edge, Branch.NEGATIVE, 0))
 
@@ -776,7 +809,7 @@ def test_build_above_radius_takes_kernel_route(monkeypatch):
 def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
     rule = QuadratureRule.make(0.1, n_radial=48)
     ny.build_full_operator(params3(0.1), 0.5 - 0.001j, rule)
-    key = ("moments", ny.kernel_3d_reduced, 2)
+    key = ("moments", 3)
     n_powers, n_logs = (len(m) for m in rule._cache[key])
     k0_calls = []
     a0 = ny.kernel_a0_reduced
@@ -806,7 +839,7 @@ def test_j0y0_moment_route_matches_kernel_route(n):
         for phase, branch in ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
                               (-1.0, Branch.NEGATIVE)):
             k = z / radius * phase
-            moments = ny.build_split_matrix(rule, ny.kernel_2d_singular, k, branch, 1)
+            moments = ny.build_split_matrix(rule, 2, k, branch)
             direct = _kernel_route(rule, ny.kernel_2d_singular, k, branch, 1)
             assert np.max(np.abs(moments - direct)) <= 1e-13 * np.max(np.abs(direct)), (z, branch)
 
@@ -836,9 +869,9 @@ def test_2d_build_above_radius_takes_kernel_route(monkeypatch):
     family = ny.kernel_2d_singular
     k_edge = ny.J0Y0_SERIES_RADIUS / rule.domain[1] * np.exp(-0.01j)
     bessel_calls = _counting_bessel(monkeypatch)
-    ny.build_split_matrix(rule, family, k_edge, Branch.OUTGOING, 1)
+    ny.build_split_matrix(rule, 2, k_edge, Branch.OUTGOING)
     assert bessel_calls == []
-    W = ny.build_split_matrix(rule, family, 1.01 * k_edge, Branch.OUTGOING, 1)
+    W = ny.build_split_matrix(rule, 2, 1.01 * k_edge, Branch.OUTGOING)
     assert {"jv", "_h0"} <= set(bessel_calls)
     assert np.array_equal(W, _kernel_route(rule, family, 1.01 * k_edge, Branch.OUTGOING, 1))
 
@@ -846,7 +879,7 @@ def test_2d_build_above_radius_takes_kernel_route(monkeypatch):
 def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
     rule = QuadratureRule.make(0.2, n_radial=48)
     ny.build_full_operator(params2(), 0.1 - 0.02j, rule)
-    key = ("moments", ny.kernel_2d_singular, 1)
+    key = ("moments", 2)
     before = [len(m) for m in rule._cache[key]]
     k0_calls = []
     a0 = ny.kernel_a0_reduced
@@ -924,9 +957,9 @@ def test_w_sing_entries_against_mpmath(d):
     # diagonal entries in the first panel and in the last, narrow one, a
     # neighbour there and an entry across the radius, on make(1, 48)
     import mpmath as mp
-    family, power = ny._FAMILIES[d], d - 1
+    power = d - 1
     rule = QuadratureRule.make(1.0, n_radial=48)
-    W = ny.build_split_matrix(rule, family, 0.0, Branch.ZERO, power)
+    W = ny.build_split_matrix(rule, d, 0.0, Branch.ZERO)
     n = len(rule.nodes)
     with mp.workdps(25):
         for i, j in ((0, 0), (n - 1, n - 1), (n - 1, n - 2), (0, n - 1), (n // 2, n // 2 + 1)):
