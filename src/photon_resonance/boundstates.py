@@ -26,7 +26,9 @@ support, so a translated support has the same K_omega.
 K_omega is built as the resonance operators are, on a rule of any radius R
 through W(k; eps) = s W(s k; R), s = eps / R (`nystrom.scaled_kernel_matrix`):
 the callers pass QuadratureRule.make(1.0, N), so one rule and its cached
-W_sing and moment stacks serve every mode, density and eps.
+moment stacks serve every mode, density and eps.  The solve builds its
+deep bracket end first, which makes the stack, W_sing its kind 0, in one
+pass.
 
 In 1D, K_omega maps even functions on [-eps, eps] to even ones and odd to
 odd, so its spectrum is that of its even block, the d = 1 operator on [0,
@@ -215,9 +217,8 @@ def solve_bound_state(params: PhysicalParams, mode_n: int, rule: QuadratureRule)
     not the operator, sets the sign of mu_n - 1, so Brent stops at such a
     point whatever the round-off.  The returned mu is the one computed
     there, so it equals a rebuild's.  The modes of one density and every
-    density and eps of a sweep can share `rule` (module docstring), and the
-    deep end is evaluated first, so that the moment route builds the rule's
-    stack in one pass.
+    density and eps of a sweep can share `rule`, and the deep end is
+    evaluated first (module docstring).
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")

@@ -5,19 +5,22 @@
 Experiments: greens-table, resonances, trace-epsilon, bound-states,
 asymptotics-compare, dynamics.  Each run writes one CSV with a fixed
 column schema plus a JSON manifest recording every resolved parameter
-(defaults included), the library version and the node count of the rule
-the run solved on (``rule_nodes``).  Floats are written with 17
+of the sections its experiment reads (defaults included), the library
+version and the node count of the rule the run solved on
+(``rule_nodes``).  Floats are written with 17
 significant digits.  A root is converged only to |f| <= ``muller_tol``, so
 the trailing digits of a weakly damped imaginary part depend on round-off:
 output is byte-identical only for a fixed config, code version and BLAS.
 
 Config files are plain text: top-level ``key = value`` lines plus
 ``[section]`` blocks; unknown sections or keys are rejected with the
-offending line number.  ``#`` starts a comment.  Every section and key is
-declared once, in ``_SCHEMA``.  ``bound-states`` solves the density of
-``[bound_states]`` and ignores ``[params]`` epsilon, s0 and rho0.  Exit
-codes: 0 success, 1 configuration error, 2 solver failure (non-convergence,
-LinAlgError or NystromError; partial results are flushed first).
+offending line number, and so is a section that neither the run's
+experiment nor the config's own reads.  ``#`` starts a comment.  Every
+section and key is declared once, in ``_SCHEMA``.  ``bound-states`` solves
+the density of ``[bound_states]`` and ignores ``[params]`` epsilon, s0 and
+rho0.  Exit codes: 0 success, 1 configuration error, 2 solver failure
+(non-convergence, LinAlgError or NystromError; partial results are flushed
+first).
 """
 
 from __future__ import annotations
@@ -142,8 +145,8 @@ def parse_config(path):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description: every section other than the top
-    level and [params], defaults filled in, in `sections`."""
+    """Fully resolved run description: the sections the experiment reads
+    (`_EXPERIMENTS`), defaults filled in, in `sections`."""
 
     experiment: str
     out_dir: str
@@ -156,9 +159,9 @@ class RunConfig:
 
     def manifest(self):
         blocks = dict(self.sections)
-        # complex k has no JSON form: the [greens] lists are recorded as strings
-        blocks["greens"] = {k: [str(v) for v in vs] if isinstance(vs, list) else vs
-                            for k, vs in blocks["greens"].items()}
+        if "greens" in blocks:  # complex k has no JSON form: its lists are recorded as strings
+            blocks["greens"] = {k: [str(v) for v in vs] if isinstance(vs, list) else vs
+                                for k, vs in blocks["greens"].items()}
         return {"version": __version__, "experiment": self.experiment,
                 "out_dir": self.out_dir, "rule_nodes": self.rule_nodes,
                 "params": None if self.params is None else asdict(self.params), **blocks}
@@ -178,9 +181,15 @@ def resolve_config(parsed, experiment=None, out_override=None):
             raise ConfigError(f"[params]: {exc}") from None
     elif exp != "greens-table":
         raise ConfigError(f"experiment {exp} requires a [params] section")
+    # a config may be run as another experiment: the sections of its own are allowed
+    read = {name for e in (exp, top.get("experiment")) if e in _EXPERIMENTS
+            for name in _EXPERIMENTS[e][1]}
+    unread = [f"[{name}]" for name in parsed if name not in ("", "params", *read)]
+    if unread:
+        raise ConfigError(f"experiment {exp} does not read {', '.join(unread)}")
     sections = {name: {key: parsed.get(name, {}).get(key, default)
-                       for key, (_, default, _) in keys.items()}
-                for name, keys in _SCHEMA.items() if name not in ("", "params")}
+                       for key, (_, default, _) in _SCHEMA[name].items()}
+                for name in _EXPERIMENTS[exp][1]}
     out_dir = out_override or top.get("out_dir") or _SCHEMA[""]["out_dir"][1]
     return RunConfig(exp, out_dir, params, sections)
 
@@ -355,17 +364,18 @@ def _run_dynamics(cfg):
     return rows
 
 
-# experiment -> (runner, CSV columns): the one place an experiment is declared
+# experiment -> (runner, the config sections it reads and records, CSV columns)
 _EXPERIMENTS = {
-    "greens-table": (_run_greens_table, ("d", "re_k", "im_k", "r", "re_G", "im_G")),
-    "resonances": (_run_resonances, ("j", "re_omega", "im_omega", "residual", "iterations")),
-    "trace-epsilon": (_run_trace, ("j", "epsilon", "re_omega", "im_omega")),
-    "bound-states": (_run_bound_states, ("mode", "omega", "mu_check")),
-    "asymptotics-compare": (_run_asymptotics_compare,
+    "greens-table": (_run_greens_table, ("greens",), ("d", "re_k", "im_k", "r", "re_G", "im_G")),
+    "resonances": (_run_resonances, ("numerics",),
+                   ("j", "re_omega", "im_omega", "residual", "iterations")),
+    "trace-epsilon": (_run_trace, ("numerics",), ("j", "epsilon", "re_omega", "im_omega")),
+    "bound-states": (_run_bound_states, ("numerics", "bound_states"), ("mode", "omega", "mu_check")),
+    "asymptotics-compare": (_run_asymptotics_compare, ("numerics", "asymptotics"),
                             ("epsilon", "re_num", "im_num", "re_asym", "im_asym")),
-    "dynamics": (_run_dynamics, ("t", "mass", "window_mass", "survival")),
+    "dynamics": (_run_dynamics, ("dynamics",), ("t", "mass", "window_mass", "survival")),
 }
-CSV_SCHEMAS = {name: columns for name, (_, columns) in _EXPERIMENTS.items()}
+CSV_SCHEMAS = {name: columns for name, (_, _, columns) in _EXPERIMENTS.items()}
 EXPERIMENTS = tuple(CSV_SCHEMAS)
 
 
@@ -375,7 +385,7 @@ def run(cfg: RunConfig):
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     status = 0
-    runner, columns = _EXPERIMENTS[cfg.experiment]
+    runner, _, columns = _EXPERIMENTS[cfg.experiment]
     try:
         rows = runner(cfg)
     except SolverFailure as exc:

@@ -39,16 +39,17 @@ pinned frequency stays where it is.  The gaps leave about 7e-10 relative
 error in the k = 0 part of W; closing them moves the frequencies past their
 pins (ROADMAP item 1).  Q_gap is a one-point rule per gap and, as the
 panel's interpolant is 1 at r0 and 0 at its other nodes there, a diagonal
-matrix (`_k0_matrix`).  W_sing is assembled once per rule.
+matrix (`_k0_gap`).
 
 In the resonance regime the remainder kernel(k) - kernel(0) is a series
 with closed-form coefficients in k times k-independent rows, so W_reg(k) is
-the same series over moment matrices, Q's integrals of those rows
-(`_moment_sum`).  They are cached per rule and grown when a larger |k|
-needs more terms, and a build evaluates no kernel.  A growth costs nearly
-a fresh build of the whole stack, so the callers build the largest |k|
-first: the bound-state solve its deep bracket end, the mode loop of
-`eigensolver` its largest |seed|.  The series:
+the same series over moment matrices, Q's integrals of those rows.  Each
+rule caches them in one stack whose kind 0 is W_sing, so a build, k = 0
+included, is one sum (`_moment_sum`), float64 at k = 0, and evaluates no
+kernel.  Growing the stack for a larger |k| costs nearly a fresh build of
+it, so the callers build the largest |k| first: the bound-state solve its
+deep bracket end (W_sing in the same pass), the mode loop of `eigensolver`
+its largest |seed| (after L0's W_sing).  The series:
 
 * d = 1, 3: G1(k, rho) - G1(0, rho) = sum_n a_n(k) rho^n + sum_m b_m(k)
   rho^2m log rho (`greens.g1_series`), with moments U_n, V_m of the same
@@ -62,7 +63,7 @@ route the G1 sum stays within 3e-15 of the max at |k| rho_max = 4
 (1.8e-14 at 6, 8e-14 at 8 in 1D), the 2D sum within 2e-15 at |k| R = 2,
 1.5e-14 at 3 and 4e-14 at 4.  So beyond G1_SERIES_RADIUS and
 J0Y0_SERIES_RADIUS a build integrates the whole kernel, W(k) =
-Q[kernel(k)] - Q_gap[kernel(0)], with the gap term cached beside W_sing.
+Q[kernel(k)] - Q_gap[kernel(0)], with the gap term cached per rule.
 
 As G^k(rho) = rho^(1-d) F_d(k rho), W(k; eps) = s W(s k; R) with s =
 eps / R (`scaled_kernel_matrix`), so one unit-domain rule and its caches
@@ -284,8 +285,8 @@ class QuadratureRule:
 
     `gap_quadrature()` gives the points of the open gaps [0, h 2^-GAP_LEVELS]
     next to each node that W_sing leaves out (module docstring).  The panel
-    batches, the k-independent parts of each split build and the series
-    moments (G1, 2D J0 Y0 and Struve) are cached on the rule (`_cache`).
+    batches, the gap terms, the moment stacks (W_sing their kind 0) and
+    the Struve moments are cached on the rule (`_cache`).
     One rule of radius 1 serves every eps of one discretization and its
     limiting operators (module docstring).
     """
@@ -617,17 +618,20 @@ def _basis_3d(rho_max):
     return terms
 
 
-def _moment_kernel(terms, powers, logs):
-    """Kernel stacking the power rows n in `powers`, then the log rows
-    m in `logs` (row 2m of `terms`), of the reduced basis `terms`."""
+def _moment_kernel(terms, powers, logs, k0=None):
+    """Kernel stacking the kernel k0 if given, the power rows n in
+    `powers`, then the log rows m in `logs` (row 2m of `terms`), of the
+    reduced basis `terms`."""
     def f(r0, t):
-        out = np.empty((len(powers) + len(logs), len(t)))
+        out = np.empty((1 + len(powers) + len(logs), len(t)))  # row 0: k0's
+        if k0 is not None:
+            out[0] = k0(r0, t)
         for n, (row, log_row) in zip(range(powers.stop), terms(r0, t)):
             if n in powers:
-                out[n - powers.start] = row
+                out[1 + n - powers.start] = row
             if n % 2 == 0 and n // 2 in logs:
-                out[len(powers) + n // 2 - logs.start] = log_row
-        return out
+                out[1 + len(powers) + n // 2 - logs.start] = log_row
+        return out if k0 is not None else out[1:]
     return f
 
 
@@ -778,74 +782,67 @@ _SPLIT = {1: (kernel_1d, _basis_1d), 2: (kernel_2d_singular, None), 3: (kernel_3
 def build_split_matrix(rule, d, k, branch):
     """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch) of dimension d.
 
-    W_sing = Q[family(0)] - Q_gap[family(0)] is assembled once per rule,
-    and is the whole build on Branch.ZERO.  In the resonance regime
-    (`_moment_series`: |k| rho_max <= G1_SERIES_RADIUS in d = 1, 3, |k| R
-    <= J0Y0_SERIES_RADIUS in d = 2), W_reg(k) is a sum of the rule's
-    cached moment matrices times closed-form coefficients, and no kernel
-    is evaluated.  Otherwise the build is Q[family(k, branch)] -
-    Q_gap[family(0)], with the gap term cached with W_sing (see the module
-    docstring).
+    At k = 0 and in the resonance regime (`_moment_series`) it is one sum
+    over the rule's moment stack, whose kind 0 is W_sing = Q[family(0)] -
+    Q_gap[family(0)] (`_moment_sum`); above, the kernel route
+    Q[family(k, branch)] - Q_gap[family(0)] (`_k0_gap`).
     """
-    family, key = _SPLIT[d][0], ("sing", d)
-    hit = rule._cache.get(key)
-    if hit is None:
-        hit = rule._cache[key] = _k0_matrix(rule, family(0.0, Branch.ZERO), d - 1)
-    sing, gap = hit
-    if branch is Branch.ZERO:
-        return sing.copy()
     series = _moment_series(rule, d, k, branch)
     if series is not None:
-        return _moment_sum(rule, ("moments", d), d - 1, *series, sing)
-    W = build_kernel_matrix(rule, family(k, branch), d - 1)
-    W[np.diag_indices(len(gap))] -= gap
+        return _moment_sum(rule, d, *series)
+    W = build_kernel_matrix(rule, _SPLIT[d][0](k, branch), d - 1)
+    W[np.diag_indices(len(W))] -= _k0_gap(rule, d)
     return W
 
 
-def _k0_matrix(rule, kernel, measure_power):
-    """(W_sing, gap) for the k = 0 kernel: gap[i] is the integral over the
-    two open gaps next to node i that W_sing leaves out (`gap_quadrature`),
-    and W_sing the row quadratures' integral less that gap.
-
-    A gap spans 2^-GAP_LEVELS of its side of the node's panel, where the
-    panel's interpolant is 1 at the node and 0 at its other nodes up to a
-    slope times the gap; so the gap term sits on the diagonal, off the
-    exact one by less than 1e-20 of max |W|."""
-    r0, t, v = rule.gap_quadrature()
-    a = kernel(r0, t)
-    _require_finite(a, r0, t, "kernel")
-    gap = (a * v * t**measure_power).reshape(len(rule.nodes), -1).sum(axis=1)
-    W = build_kernel_matrix(rule, kernel, measure_power)
-    W[np.diag_indices(len(gap))] -= gap
-    return W, gap
+def _k0_gap(rule, d):
+    """gap[i], the k = 0 kernel's integral over the two open gaps next to
+    node i that W_sing leaves out (`gap_quadrature`), cached per rule.  The
+    interpolant is 1 at the node and 0 at the others up to a slope times
+    the gap, so the term is diagonal to within 1e-20 of max |W|."""
+    gap = rule._cache.get(("gap", d))
+    if gap is None:
+        r0, t, v = rule.gap_quadrature()
+        a = _SPLIT[d][0](0.0, Branch.ZERO)(r0, t)
+        _require_finite(a, r0, t, "kernel")
+        gap = rule._cache[("gap", d)] = (a * v * t**(d - 1)).reshape(len(rule.nodes), -1).sum(axis=1)
+    return gap
 
 
 def _moment_series(rule, d, k, branch):
     """(coefficients, rows) of the moment route of the dimension-d split
     build at k on the rule, or None where the build takes the kernel route.
 
-    `coefficients` is a tuple of arrays, one per kind of moment, and
-    rows(orders) the kernel stacking the reduced basis rows of each kind
-    for the index ranges in `orders`, kind after kind (`_moment_sum`)."""
-    if d == 2:
-        radius = rule.domain[1]
-        if abs(k) * radius > J0Y0_SERIES_RADIUS:
-            return None
-        return _j0y0_series(k, branch, radius), lambda orders: _j0y0_rows(radius, orders[0])
-    basis = _SPLIT[d][1]
-    rho_max = 2.0 * rule.domain[1]
-    if abs(k) * rho_max > G1_SERIES_RADIUS:
+    `coefficients` is a tuple of arrays, one per kind of moment: kind 0,
+    the k = 0 kernel, with coefficient 1, then the series, empty at k = 0.
+    rows(orders) stacks the rows of each kind for the index ranges in
+    `orders` (`_moment_sum`)."""
+    family, basis = _SPLIT[d]
+    radius = rule.domain[1]
+    rho_max = radius if d == 2 else 2.0 * radius
+    if abs(k) * rho_max > (J0Y0_SERIES_RADIUS if d == 2 else G1_SERIES_RADIUS):
         return None
-    a, b = greens.g1_series(k, branch, SERIES_MAX_ORDER)
-    scale = rho_max ** np.arange(len(a))
-    a, b = a * scale, b * scale[::2]
-    a[2::2] += b[1:] * math.log(rho_max)  # log rho = log s + log rho_max
-    size = np.abs(a)
-    size[::2] += np.abs(b)
-    order = _series_order(size, abs(k) * rho_max)
-    return ((a[:order + 1], b[1:order // 2 + 1]),
-            lambda orders: _moment_kernel(basis(rho_max), orders[0],
-                                          range(orders[1].start + 1, orders[1].stop + 1)))
+    if branch is Branch.ZERO:
+        series = (np.zeros(0),) * (3 if d == 2 else 2)
+    elif d == 2:
+        series = _j0y0_series(k, branch, radius)
+    else:
+        a, b = greens.g1_series(k, branch, SERIES_MAX_ORDER)
+        scale = rho_max ** np.arange(len(a))
+        a, b = a * scale, b * scale[::2]
+        a[2::2] += b[1:] * math.log(rho_max)  # log rho = log s + log rho_max
+        size = np.abs(a)
+        size[::2] += np.abs(b)
+        order = _series_order(size, abs(k) * rho_max)
+        series = (a[:order + 1], b[1:order // 2 + 1])
+
+    def rows(orders):  # kind 0's kernel is made only for a build that grows it
+        k0 = family(0.0, Branch.ZERO) if orders[0] else None
+        if d == 2:
+            return _j0y0_rows(radius, orders[1], k0)
+        logs = range(orders[2].start + 1, orders[2].stop + 1)  # b[0] = 0 has no row
+        return _moment_kernel(basis(rho_max), orders[1], logs, k0)
+    return (np.ones(1),) + series, rows
 
 
 def _series_order(size, kr):
@@ -887,13 +884,14 @@ def _j0y0_series(k, branch, radius):
     return tuple(scale[:order + 1] * cj for cj in c)
 
 
-def _j0y0_rows(radius, orders):
-    """Kernel stacking the rows U_n, then U_n log y, then H_n, n in
-    `orders`, of the 2D remainder: with x = min(r, t) / R and y = max(r,
-    t) / R, U_n = sum_{a+b=n} x^2a y^2b / (a! b!)^2 and H_n is the same
-    sum with each term weighted by the harmonic number H_b.  All terms are
-    positive, so the rows do not cancel."""
+def _j0y0_rows(radius, orders, k0=None):
+    """Kernel stacking the kernel k0 if given, then the rows U_n, U_n log
+    y and H_n, n in `orders`, of the 2D remainder: with x = min(r, t) / R
+    and y = max(r, t) / R, U_n = sum_{a+b=n} x^2a y^2b / (a! b!)^2 and H_n
+    is the same sum with each term weighted by the harmonic number H_b.
+    All terms are positive, so the rows do not cancel."""
     def f(r0, t):
+        head = [] if k0 is None else [k0(r0, t)]
         x2, y = (np.minimum(r0, t) / radius) ** 2, np.maximum(r0, t) / radius
         p, q = [np.ones_like(y)], [np.ones_like(y)]  # x^2a / a!^2, y^2b / b!^2
         for j in range(1, orders.stop):
@@ -901,29 +899,29 @@ def _j0y0_rows(radius, orders):
             q.append(q[-1] * (y * y) / j**2)
         U = [sum(p[a] * q[n - a] for a in range(n + 1)) for n in orders]
         H = [sum(p[a] * q[n - a] * _HARMONIC[n - a] for a in range(n + 1)) for n in orders]
-        log_y = np.log(y)
-        return np.array(U + [u * log_y for u in U] + H)
+        log_y = np.log(y) if U else None  # none for kind 0 alone
+        return np.array(head + U + [u * log_y for u in U] + H)
     return f
 
 
-def _moment_sum(rule, key, measure_power, coefficients, rows, sing):
-    """sing + sum_f sum_i coefficients[f][i] M_f[i], the moment route of
-    every series build (d = 1, 2, 3).
+def _moment_sum(rule, d, coefficients, rows):
+    """sum_f sum_i coefficients[f][i] M_f[i], the moment route of every
+    split build (d = 1, 2, 3), in float64 where the coefficients are real.
 
-    M_f[i] is the rule's integral of row i of kind f of the reduced
-    basis.  The moments are cached on the rule under `key` and
-    grown, in one stacked build of the missing rows (`rows`), when a
-    larger |k| needs more terms.  The row kernels evaluate every lower
-    order on the way, so a growth costs nearly a fresh build: callers
-    build their largest |k| first and the stack is built once (a grown
-    stack equals a fresh one bit for bit, see `_contract_panel`)."""
-    moments = rule._cache.setdefault(key, [[] for _ in coefficients])
+    M_f[i] is the rule's integral of row i of kind f of the reduced basis;
+    kind 0 less its gap term (`_k0_gap`) is W_sing, and the sum adds it
+    first.  The moments are cached on the rule and grown, in one stacked
+    build of the missing rows (`rows`), when a larger |k| needs more terms;
+    a grown stack equals a fresh one bit for bit (`_contract_panel`)."""
+    moments = rule._cache.setdefault(("moments", d), [[] for _ in coefficients])
     missing = [range(len(M), max(len(M), len(c))) for M, c in zip(moments, coefficients)]
     if any(missing):
-        stack = iter(build_kernel_matrix(rule, rows(missing), measure_power))
+        stack = iter(build_kernel_matrix(rule, rows(missing), d - 1))
         for M, r in zip(moments, missing):
             M.extend(itertools.islice(stack, len(r)))
-    W = sing.astype(complex)
+        if missing[0]:
+            moments[0][0][np.diag_indices(len(rule.nodes))] -= _k0_gap(rule, d)
+    W = np.zeros(moments[0][0].shape, np.result_type(*coefficients))
     # elementwise on purpose: a BLAS contraction (tensordot) wakes a second
     # OpenBLAS thread, which costs more CPU time than it saves wall time
     for c, M in zip(coefficients, moments):
@@ -1103,7 +1101,7 @@ def build_full_operator(params, omega, rule):
 
 def build_l0_operator(params, rule):
     """Positive compact operator L0 on the unit domain: (g^2 s0 / c) times
-    the rule's cached k = 0 matrix W_sing."""
+    the k = 0 matrix W_sing, kind 0 of the rule's moment stack."""
     if params.d not in (2, 3):
         raise ValueError("L0 is defined for d in {2, 3}; use the rank-1 form in 1D")
     W = build_split_matrix(rule, params.d, 0.0, Branch.ZERO)

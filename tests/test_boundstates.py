@@ -111,9 +111,10 @@ def test_bound_state_build_count(monkeypatch):
 
 
 def test_bound_state_builds_its_moment_stack_in_one_pass(monkeypatch):
-    # configs/bound_states_1d.cfg: W_sing, then the 37-row moment stack of
-    # the deep bracket end, which every later build reads; omega and mu are
-    # those of the shallow end first, whose stack grew in two passes
+    # configs/bound_states_1d.cfg: the deep bracket end builds the moment
+    # stack, W_sing (kind 0) and its 37 rows, which every later build reads;
+    # omega and mu are those of the shallow end first, whose stack grew in
+    # two passes
     shapes = []
     build = ny.build_kernel_matrix
 
@@ -124,12 +125,12 @@ def test_bound_state_builds_its_moment_stack_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(ny, "build_kernel_matrix", counted)
     one_pass = bs.solve_bound_state(p1d(), 1, unit(48))
-    assert shapes == [(48, 48), (37, 48, 48)]
+    assert shapes == [(38, 48, 48)]
     rule = unit(48)
     shapes.clear()
     bs._mu_n(p1d(), -2.0 ** bs.BRACKET_EXPONENTS[0], 1, rule)  # the shallow end first
     two_passes = bs.solve_bound_state(p1d(), 1, rule)
-    assert shapes == [(48, 48), (4, 48, 48), (33, 48, 48)]
+    assert shapes == [(5, 48, 48), (33, 48, 48)]
     assert (two_passes.omega, two_passes.mu) == (one_pass.omega, one_pass.mu)
 
 
@@ -342,18 +343,20 @@ def test_mu_n_reaches_every_mode_of_both_1d_blocks():
 def test_eps_sweep_on_one_rule_matches_a_rule_per_eps(monkeypatch):
     # two eps of the 1D log-scaled density, as scripts/run_bound_exponent.py
     # sweeps them: one shared unit-domain rule gives the (omega, mu) of a
-    # fresh rule per eps, bit for bit, and builds W_sing once
+    # fresh rule per eps, bit for bit, and builds W_sing once: a kind-0
+    # build subtracts the gap term (nystrom._k0_gap), which only the kernel
+    # route, not taken here, calls besides
     sweep = [PhysicalParams(d=1, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=np.pi / 4)
              for eps in (1e-2, 3e-3)]
     fresh = [bs.solve_bound_state(p, 1, unit(40)) for p in sweep]
     k0_builds = []
-    k0_matrix = ny._k0_matrix
+    k0_gap = ny._k0_gap
 
     def counted(*args):
         k0_builds.append(args[0])
-        return k0_matrix(*args)
+        return k0_gap(*args)
 
-    monkeypatch.setattr(ny, "_k0_matrix", counted)
+    monkeypatch.setattr(ny, "_k0_gap", counted)
     rule = unit(40)
     shared = [bs.solve_bound_state(p, 1, rule) for p in sweep]
     assert [(st.omega, st.mu) for st in shared] == [(st.omega, st.mu) for st in fresh]

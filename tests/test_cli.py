@@ -114,6 +114,14 @@ def test_missing_params_section(tmp_path):
         cli.resolve_config(cli.parse_config(path))
 
 
+def test_section_the_experiment_does_not_read_rejected(tmp_path):
+    # a [bound_states] block in a resonances config is an error, not dropped
+    path = write_cfg(tmp_path, RES_CFG + "\n[bound_states]\nmodes = 2\n")
+    with pytest.raises(ConfigError, match=r"resonances does not read \[bound_states\]"):
+        cli.resolve_config(cli.parse_config(path))
+    assert cli.resolve_config(cli.parse_config(path), "bound-states").sections["bound_states"]["modes"] == 2
+
+
 def test_greens_table_values_and_schema(tmp_path):
     path = write_cfg(tmp_path, GREENS_CFG)
     out = str(tmp_path / "out")
@@ -155,8 +163,17 @@ def test_manifest_records_defaults(tmp_path):
     # defaults the user never set are resolved and recorded
     assert man["numerics"]["muller_tol"] == 1e-10
     assert man["numerics"]["max_iter"] == 50
-    assert man["dynamics"]["grid_points"] == 8192
+    assert "dynamics" not in man  # a section the run does not read
     assert man["params"]["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize("name, sections", [("bound_states_1d.cfg", {"numerics", "bound_states"}),
+                                            ("greens_table.cfg", {"greens"})])
+def test_manifest_records_only_the_sections_its_experiment_reads(name, sections, tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
+    assert cli.run(cli.resolve_config(cli.parse_config(path), None, str(tmp_path)))[0] == 0
+    man = json.loads(Path(tmp_path, "manifest.json").read_text())
+    assert (set(cli._SCHEMA) - {"", "params"}) & set(man) == sections
 
 
 def test_manifest_records_the_nodes_solved_on(tmp_path):
@@ -481,10 +498,12 @@ def test_shipped_configs_resolve(path, tmp_path):
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
 def test_manifest_records_every_schema_key(path, tmp_path):
     parsed = cli.parse_config(path)
-    man = cli.resolve_config(parsed, None, str(tmp_path)).manifest()
-    for section, keys in cli._SCHEMA.items():
-        if section in ("", "params"):
-            continue
+    cfg = cli.resolve_config(parsed, None, str(tmp_path))
+    man = cfg.manifest()
+    read = cli._EXPERIMENTS[cfg.experiment][1]
+    assert not (set(cli._SCHEMA) - {"", "params", *read}) & set(man)  # none the run does not read
+    for section in read:
+        keys = cli._SCHEMA[section]
         assert set(man[section]) == set(keys)
         for key, (_, default, _) in keys.items():
             want = parsed.get(section, {}).get(key, default)
@@ -524,10 +543,12 @@ def test_solve_configs_build_one_unit_rule(path, tmp_path, monkeypatch):
     assert setups == [len(rules[0].counts)]
 
 
-# build_kernel_matrix calls of each solve config: W_sing, one moment stack at
-# its full height, and in the asymptotics comparison the A1 kernel
+# build_kernel_matrix calls of each solve config: one moment stack at its full
+# height, which a bound state builds with W_sing (kind 0) and a resonance or
+# trace solve after L0's one-row kind 0, and in the asymptotics comparison the
+# A1 kernel
 STACK_BUILDS = {"resonances_3d.cfg": 2, "trace_2d.cfg": 2, "trace_epsilon.cfg": 2,
-                "bound_states_1d.cfg": 2, "bound_states_2d.cfg": 2, "asymptotics_compare_3d.cfg": 3}
+                "bound_states_1d.cfg": 1, "bound_states_2d.cfg": 1, "asymptotics_compare_3d.cfg": 3}
 
 
 @pytest.mark.parametrize("path", [p for p in SHIPPED_CONFIGS if os.path.basename(p) in STACK_BUILDS],
@@ -546,7 +567,9 @@ def test_solve_configs_build_each_moment_stack_once(path, tmp_path, monkeypatch)
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
     assert cli.run(cfg)[0] == 0
     assert len(shapes) == STACK_BUILDS[os.path.basename(path)], shapes
-    assert sum(len(s) == 3 for s in shapes) == 1, shapes  # one stack of moment matrices
+    # one stack of moment matrices, after L0's one-row kind 0 where the run has L0
+    heights = [s[0] for s in shapes if len(s) == 3]
+    assert heights[-1] > 1 and heights[:-1] in ([], [1]), shapes
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -336,7 +336,7 @@ def _rel(a, b):
 
 def _gap(rule, family, power):
     # the k = 0 kernel on the open gaps next to each node, as the split
-    # build sums it (nystrom._k0_matrix)
+    # build sums it (nystrom._k0_gap)
     r0, t, v = rule.gap_quadrature()
     return (family(0.0, Branch.ZERO)(r0, t) * v * t**power).reshape(len(rule.nodes), -1).sum(axis=1)
 
@@ -647,7 +647,7 @@ ROW_PRODUCT_CASES = {
                                lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
     "3d W_sing, make(1, 96)": (lambda: QuadratureRule.make(1.0, 96),
                                lambda rule: ny.kernel_3d_reduced(0.0, Branch.ZERO), 2),
-    # real moment stacks: the 37 rows of the bound state of
+    # real moment stacks: W_sing and the 37 rows of the bound state of
     # configs/bound_states_1d.cfg at its deep bracket end, 3D, and 2D
     "1d G1 stack": (lambda: QuadratureRule.make(1.0, 48),
                     lambda rule: _moment_stack(1, rule, -1.0), 0),
@@ -699,6 +699,17 @@ def test_a_row_does_not_depend_on_its_stack(case):
         assert np.array_equal(part, W[rows]), rows
 
 
+@pytest.mark.parametrize("d, k_deep", ((1, -1.0), (2, -2.9), (3, -0.975)))
+def test_l0_kind_0_equals_the_stacks_kind_0(d, k_deep):
+    # kind 0, W_sing, built alone for L0 is bit for bit the kind 0 of a bound
+    # state's deep bracket end, built with the whole stack
+    l0 = ny.build_split_matrix(QuadratureRule.make(1.0, 48), d, 0.0, Branch.ZERO)
+    rule = QuadratureRule.make(1.0, 48)
+    ny.build_split_matrix(rule, d, k_deep, Branch.NEGATIVE)
+    [in_stack], *rows = rule._cache[("moments", d)]
+    assert all(rows) and np.array_equal(l0, in_stack)
+
+
 def test_k0_kernels_are_real():
     # the k = 0 builds integrate real kernels; the public Green's function
     # stays complex on every branch
@@ -708,6 +719,11 @@ def test_k0_kernels_are_real():
     for d in (1, 2, 3):
         assert greens.green(d, 0.0, t).dtype == np.complex128
         assert isinstance(greens.green(d, 0.0, 0.5), np.complex128)
+    # a k = 0 split build, kind 0 of the moment stack alone, is float64
+    rule = QuadratureRule.make(1.0, 48)
+    for d in (1, 2, 3):
+        W = ny.build_split_matrix(rule, d, 0.0, Branch.ZERO)
+        assert W.dtype == np.float64 and np.array_equal(W, rule._cache[("moments", d)][0][0]), d
 
 
 G1_CASES = ("1d-even", "3d")
@@ -810,7 +826,7 @@ def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
     rule = QuadratureRule.make(0.1, n_radial=48)
     ny.build_full_operator(params3(0.1), 0.5 - 0.001j, rule)
     key = ("moments", 3)
-    n_powers, n_logs = (len(m) for m in rule._cache[key])
+    n_powers, n_logs = (len(m) for m in rule._cache[key][1:])
     k0_calls = []
     a0 = ny.kernel_a0_reduced
 
@@ -821,8 +837,8 @@ def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
     monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
     grown = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, rule).matrix
     assert k0_calls == []
-    U, V = rule._cache[key]
-    assert len(U) > n_powers and len(V) > n_logs
+    W_sing, U, V = rule._cache[key]
+    assert len(W_sing) == 1 and len(U) > n_powers and len(V) > n_logs
     fresh = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, QuadratureRule.make(0.1, n_radial=48))
     assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
 
@@ -880,7 +896,7 @@ def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
     rule = QuadratureRule.make(0.2, n_radial=48)
     ny.build_full_operator(params2(), 0.1 - 0.02j, rule)
     key = ("moments", 2)
-    before = [len(m) for m in rule._cache[key]]
+    before = [len(m) for m in rule._cache[key][1:]]
     k0_calls = []
     a0 = ny.kernel_a0_reduced
 
@@ -891,8 +907,9 @@ def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
     monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
     grown = ny.build_full_operator(params2(), 12.0 - 0.01j, rule).matrix  # |k| R = 2.4
     assert k0_calls == []
-    after = [len(m) for m in rule._cache[key]]
-    assert all(a > b for a, b in zip(after, before)) and len(set(after)) == 1
+    W_sing, *rows = rule._cache[key]
+    after = [len(m) for m in rows]
+    assert len(W_sing) == 1 and all(a > b for a, b in zip(after, before)) and len(set(after)) == 1
     fresh = ny.build_full_operator(params2(), 12.0 - 0.01j, QuadratureRule.make(0.2, n_radial=48))
     assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
 
