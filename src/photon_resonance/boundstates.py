@@ -87,6 +87,7 @@ class BoundState:
 
     omega: float
     mu: float
+    asymmetry: float | None = None  # largest BSOperator.asymmetry of the solve's builds
 
 
 def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule) -> BSOperator:
@@ -135,10 +136,14 @@ def count_bound_states_below(params: PhysicalParams, omega, rule: QuadratureRule
                for op in _blocks(params, omega, rule, True))
 
 
-def _mu_n(params, omega, n, rule):
+def _mu_n(params, omega, n, rule, asymmetries=None):
     """mu_n(omega), the n-th largest eigenvalue over the blocks, each of
-    which gives at most its size."""
-    mu = [mu_spectrum(op, min(n, len(op.matrix))) for op in _blocks(params, omega, rule, n > 1)]
+    which gives at most its size; each block's asymmetry is appended to the
+    list `asymmetries`, if one is given."""
+    ops = _blocks(params, omega, rule, n > 1)
+    if asymmetries is not None:
+        asymmetries.extend(op.asymmetry for op in ops)
+    mu = [mu_spectrum(op, min(n, len(op.matrix))) for op in ops]
     return float(np.sort(np.concatenate(mu))[-n])
 
 
@@ -203,7 +208,8 @@ def brentq(f, a, b, xtol):
 
 
 def solve_bound_state(params: PhysicalParams, mode_n: int, rule: QuadratureRule) -> BoundState:
-    """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*).
+    """Frequency omega* < 0 at which mu_n crosses 1, with mu_n(omega*) and
+    the largest asymmetry of the operators the solve built.
 
     mu_n is continuous and increasing in omega, so f(j) = mu_n(-c 2^j) - 1
     decreases in the scan exponent j.  The bracket runs from the shallow
@@ -218,7 +224,9 @@ def solve_bound_state(params: PhysicalParams, mode_n: int, rule: QuadratureRule)
     point whatever the round-off.  The returned mu is the one computed
     there, so it equals a rebuild's.  The modes of one density and every
     density and eps of a sweep can share `rule`, and the deep end is
-    evaluated first (module docstring).
+    evaluated first (module docstring).  When mu_n stays below 1 at the
+    shallow end, the error names the number of bound states there
+    (count_bound_states_below, one more build on this failure path only).
     """
     if mode_n < 1:
         raise ValueError("mode index must be >= 1")
@@ -230,17 +238,21 @@ def solve_bound_state(params: PhysicalParams, mode_n: int, rule: QuadratureRule)
             f"mu_{mode_n} below 1 on the scanned bracket"
         )
     seen: dict = {}  # j -> mu_n(-c 2^j)
+    asymmetries: list = []
 
     def f(j):
         if j not in seen:
-            seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, rule)
+            seen[j] = _mu_n(params, -params.c * 2.0**j, mode_n, rule, asymmetries)
         return 0.0 if abs(seen[j] - 1.0) <= 8 * MU_ROUNDOFF else seen[j] - 1.0
 
     f(j_deep)  # the deep end first, see the docstring
     if f(j_shallow) < 0.0:
+        omega = -params.c * 2.0**j_shallow
+        count = count_bound_states_below(params, omega, rule)
         raise BoundStateNotFound(
             f"no bound state detected for mode {mode_n}: "
-            f"mu_{mode_n} stays below 1 on the scanned bracket"
+            f"mu_{mode_n} stays below 1 on the scanned bracket; "
+            f"bound states below its shallow end omega = {omega:.6g}: {count}"
         )
     if f(j_deep) >= 0.0:
         raise BoundStateNotFound(
@@ -253,7 +265,7 @@ def solve_bound_state(params: PhysicalParams, mode_n: int, rule: QuadratureRule)
             f"root refinement stalled for mode {mode_n}: "
             f"final |mu - 1| = {abs(f(j_star)):.2e}"
         )
-    return BoundState(float(-params.c * 2.0**j_star), seen[j_star])
+    return BoundState(float(-params.c * 2.0**j_star), seen[j_star], max(asymmetries))
 
 
 def sobolev_threshold(d: int) -> float:

@@ -6,11 +6,15 @@ Experiments: greens-table, resonances, trace-epsilon, bound-states,
 asymptotics-compare, dynamics.  Each run writes one CSV with a fixed
 column schema plus a JSON manifest recording every resolved parameter
 of the sections its experiment reads (defaults included), the library
-version and the node count of the rule the run solved on
-(``rule_nodes``).  Floats are written with 17
+version, the node count of the rule the run solved on (``rule_nodes``)
+and per-mode ``diagnostics`` (`RunConfig`).  Floats are written with 17
 significant digits.  A root is converged only to |f| <= ``muller_tol``, so
 the trailing digits of a weakly damped imaginary part depend on round-off:
 output is byte-identical only for a fixed config, code version and BLAS.
+At the shipped N (32 and 48) it does not depend on the BLAS thread count
+either; eigvalsh goes threaded from N = 96, and at N = 384 one thread
+against the default moved omega by up to 1.2e-15 relative and
+``residual`` by 2.7 %.
 
 Config files are plain text: top-level ``key = value`` lines plus
 ``[section]`` blocks; unknown sections or keys are rejected with the
@@ -29,7 +33,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -156,6 +160,10 @@ class RunConfig:
     # exceed numerics.radial_nodes, as every panel of a rule gets at least
     # 6 nodes (make(R, n) has 30 for n <= 30)
     rule_nodes: int | None = None
+    # set by the run, keyed by mode: a bound-state solve's largest operator
+    # asymmetry ("asymmetry"), a trace's continuity breaks as eps values
+    # ("continuity_breaks")
+    diagnostics: dict = field(default_factory=dict)
 
     def manifest(self):
         blocks = dict(self.sections)
@@ -164,6 +172,7 @@ class RunConfig:
                                 for k, vs in blocks["greens"].items()}
         return {"version": __version__, "experiment": self.experiment,
                 "out_dir": self.out_dir, "rule_nodes": self.rule_nodes,
+                "diagnostics": self.diagnostics,
                 "params": None if self.params is None else asdict(self.params), **blocks}
 
 
@@ -265,8 +274,11 @@ def _run_resonances(cfg):
 
 def _trace(cfg, modes, grid, rule):
     num = cfg.sections["numerics"]
-    return eigensolver.trace_in_epsilon(
+    traces = eigensolver.trace_in_epsilon(
         cfg.params, modes, grid, rule, tol=num["muller_tol"], max_iter=num["max_iter"])
+    cfg.diagnostics["continuity_breaks"] = {
+        tr.mode_index: [tr.epsilons[i] for i in tr.continuity_breaks] for tr in traces}
+    return traces
 
 
 def _run_trace(cfg):
@@ -286,6 +298,7 @@ def _run_bound_states(cfg):
     rule = _unit_rule(cfg, "modes", "bound_states")  # every mode solves on it
     rows = []
     failures = False
+    asymmetry = cfg.diagnostics["asymmetry"] = {}
     for n in range(1, blk["modes"] + 1):
         try:
             st = boundstates.solve_bound_state(params, n, rule)
@@ -294,6 +307,7 @@ def _run_bound_states(cfg):
             failures = True
             continue
         rows.append((n, st.omega, st.mu))
+        asymmetry[n] = st.asymmetry
     if failures:
         raise SolverFailure(rows)
     return rows

@@ -18,13 +18,17 @@ The dyadic pieces keep SING_POINTS Gauss points, as they must integrate the
 degree-23 panel interpolant exactly.  Each rule builds its quadrature
 points panel by panel: one array pass makes the pieces of every row on a
 base panel, so a build makes one kernel call per base panel, on that
-panel's points of every row.  It contracts each row's integrand with the panel's interpolation
-basis at the row's points in small real matrix products
-(`build_kernel_matrix`): complex values as real and imaginary rows, stacks
-in slices of 4 rows, so that no product wakes a second OpenBLAS thread and
-a row's value does not depend on the stack it is built in.  For smooth
-kernel components a plain Nyström rule (kernel times base weights) is used
-instead.
+panel's points of every row.  It contracts each row's integrand with the
+panel's interpolation basis at the row's points in small real matrix
+products (`build_kernel_matrix`): complex values as real and imaginary
+rows, stacks in slices of 4 rows, so that no product wakes a second
+OpenBLAS thread and a row's value does not depend on the stack it is built
+in.  A real kernel's values are scaled by the weights in place and
+contracted as they are, so a build holds one copy of a panel's values; a
+stack whose height is not a multiple of 4 ends in a slice of its last 4
+rows, which overlaps the slice before it, and only a stack below one slice
+is zero-padded.  For smooth kernel components a plain Nyström rule (kernel
+times base weights) is used instead.
 
 Every operator build is split by singularity subtraction,
 
@@ -943,13 +947,16 @@ def build_kernel_matrix(rule, kernel, measure_power):
     shape (..., len(t)) gives the stack of matrices (..., N, N), in the
     kernel's dtype, in the same pass.
 
-    The products take the real rows: a kernel's values, or the real parts
-    stacked on the imaginary ones.  A complex product of these sizes wakes
-    a second OpenBLAS thread (a 1152 x 14 one took 1.3 times its wall time
-    in CPU time, a 4000 x 14 one 1.9 times); a real one does not.  Zero
-    rows fill the last slice (`_contract_panel`): a single kernel is
-    contracted in slices of 2 rows, its real and imaginary parts or its
-    values and a zero row, a stack in slices of _STACK_SLICE rows.
+    The products take the real rows: a real kernel's own values, scaled by
+    the weights in place (so `kernel` must return a fresh float array), or
+    a copy of the real parts stacked on the imaginary ones.  A complex
+    product of these sizes wakes a second OpenBLAS thread (a 1152 x 14 one
+    took 1.3 times its wall time in CPU time, a 4000 x 14 one 1.9 times); a
+    real one does not.  A single kernel is contracted in slices of 2 rows,
+    its real and imaginary parts or its values and a zero row, a stack in
+    slices of _STACK_SLICE rows (`_contract_panel`).  Each panel's values
+    are released before the next panel's kernel call, so that the build's
+    peak holds one panel's values, not two.
     """
     nodes, batches = rule.nodes, rule.panel_batches()
     W = None
@@ -963,18 +970,14 @@ def build_kernel_matrix(rule, kernel, measure_power):
             stack = math.prod(a.shape[:-1])
             height = 2 * stack if np.iscomplexobj(a) else stack
             h = _STACK_SLICE if a.ndim > 1 else 2
-            W = np.empty((-(-height // h) * h,) + shape[-2:])
-            buffer = np.empty(len(W) * max(len(b.t) for b in batches))
-        rows = buffer[:len(W) * len(t)].reshape(len(W), len(t))
+            W = np.empty((max(height, h),) + shape[-2:])
         a = a.reshape(stack, len(t))
-        np.multiply(a.real, batch.weights, out=rows[:stack])
-        if height > stack:
-            np.multiply(a.imag, batch.weights, out=rows[stack:height])
-        del a  # free the kernel values before the next panel's kernel call
-        rows[height:] = 0.0
+        rows = np.concatenate((a.real, a.imag)) if height > stack else a
+        rows *= batch.weights  # a real kernel's own values, scaled in place
         if measure_power:
             rows *= t**measure_power
         _contract_panel(W[:, :, batch.nodes], rows, h, batch, nodes[batch.nodes])
+        del a, rows  # free the kernel values before the next panel's kernel call
     if height == stack:
         return W[:height].reshape(shape)
     out = np.empty(shape, dtype)
@@ -990,7 +993,11 @@ def _contract_panel(W, rows, h, batch, x):
     """W[:, i] = rows[:, row i's points] @ terms[:, row i's points].T for
     every row i of the batch, with W the (height, N, len(x)) view of the
     panel's columns and terms the node terms w_j / (t - x_j) (`_bary_terms`),
-    in products of h stack rows each.
+    in products of h stack rows each.  Where h does not divide the height,
+    the last product takes the last h rows and so overlaps the one before:
+    their shared rows are written twice, with the same bits, as a row sums
+    alike wherever it sits in a product.  No copy of `rows` is made, except
+    that a stack of fewer than h rows is zero-padded to h.
 
     A fixed h keeps a row of W independent of the height of the stack it
     is built in: OpenBLAS 0.3.31 on an AVX-512 Xeon summed a row in one
@@ -1005,7 +1012,12 @@ def _contract_panel(W, rows, h, batch, x):
     _TERM_BLOCK points into one buffer: those of a whole panel at once
     land on more fresh pages.  In a block, each run of rows with equal
     point counts is one batched product."""
-    t, exact, n, slices = batch.t, batch.exact, len(x), len(rows) // h
+    if len(rows) < h:  # a stack below one slice: zero rows fill it
+        rows = np.concatenate((rows, np.zeros((h - len(rows), rows.shape[1]))))
+    t, exact, n, full = batch.t, batch.exact, len(x), len(rows) // h * h
+    parts = [(rows[:full], W[:full])]
+    if full < len(rows):  # the last h rows, overlapping the slice before
+        parts.append((rows[-h:], W[-h:]))
     counts = batch.counts.tolist()
     ends = np.cumsum(batch.counts).tolist()
     buffer = np.empty(n * (_TERM_BLOCK + max(counts)))
@@ -1021,10 +1033,12 @@ def _contract_panel(W, rows, h, batch, x):
             while k < j and counts[k] == c:
                 k += 1
             lo, hi = ends[i] - c, ends[k - 1]
-            run = rows[:, lo:hi].reshape(slices, h, k - i, c).transpose(2, 0, 1, 3)
             run_terms = terms[:, lo - s:hi - s].reshape(n, k - i, 1, c).transpose(1, 2, 3, 0)
-            out = W[:, i:k].reshape(slices, h, k - i, n).transpose(2, 0, 1, 3)
-            np.matmul(run, run_terms, out=out)
+            for part, dest in parts:
+                slices = len(part) // h
+                run = part[:, lo:hi].reshape(slices, h, k - i, c).transpose(2, 0, 1, 3)
+                out = dest[:, i:k].reshape(slices, h, k - i, n).transpose(2, 0, 1, 3)
+                np.matmul(run, run_terms, out=out)
             i = k
 
 

@@ -439,6 +439,37 @@ def test_mode_count_beyond_the_limiting_operator_exits_1(tmp_path, capsys, exper
     assert err.startswith("config error:") and key in err
 
 
+def test_modes_beyond_the_bound_state_count_exits_2_naming_it(tmp_path, capsys):
+    # configs/bound_states_2d.cfg has 2 bound states: mode 3 fails, and the
+    # message counts them at the shallow bracket end
+    cfg = Path(os.path.dirname(__file__), os.pardir, "configs", "bound_states_2d.cfg").read_text()
+    path = write_cfg(tmp_path, cfg.replace("modes = 1", "modes = 3"))
+    out = tmp_path / "o"
+    assert cli.main(["bound-states", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mode 3: no bound state detected" in err and "stays below 1 on the scanned bracket" in err
+    assert err.rstrip().endswith(": 2") and "bound states below" in err
+    assert len(Path(out, "bound-states.csv").read_text().splitlines()) == 3  # modes 1 and 2
+
+
+@pytest.mark.parametrize("path, key, check", (
+    ("configs/bound_states_1d.cfg", "asymmetry", lambda a: 0.0 <= a < 1e-3),
+    ("perfbench/configs/trace_2d.cfg", "continuity_breaks", lambda breaks: breaks == []),
+))
+def test_manifest_records_the_diagnostics(tmp_path, path, key, check):
+    # each mode's largest BSOperator asymmetry over the solve's builds, or
+    # the eps values at which a traced mode jumped
+    path = os.path.join(os.path.dirname(__file__), os.pardir, path)
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
+    assert cli.run(cfg)[0] == 0
+    diagnostics = json.loads(Path(tmp_path, "manifest.json").read_text())["diagnostics"]
+    blk = cfg.sections.get("bound_states")
+    modes = blk["modes"] if blk else cfg.sections["numerics"]["n_modes"]
+    assert set(diagnostics) == {key}
+    assert list(diagnostics[key]) == [str(n) for n in range(1, modes + 1)]
+    assert all(check(v) for v in diagnostics[key].values()), diagnostics
+
+
 def test_2d_bound_state_solver_failure_exits_2(tmp_path, capsys):
     # at rho0 = 100 the deep bracket end puts the 2D Struve series past its
     # reach: it cancels at |kappa| (r + t)_max = 30.8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -697,6 +698,32 @@ def test_a_row_does_not_depend_on_its_stack(case):
     for rows in (slice(0, 1), slice(5, 7), slice(len(W) - 3, None)):
         part = ny.build_kernel_matrix(rule, lambda r0, t, rows=rows: stack(r0, t)[rows], power)
         assert np.array_equal(part, W[rows]), rows
+
+
+@pytest.mark.parametrize("n", (48, 192))
+def test_a_build_holds_one_copy_of_a_panels_values(n):
+    # a real kernel's values are scaled in place and contracted as they are:
+    # the build's peak above the stack it returns is one panel's values and
+    # its barycentric term buffer, within 10 %, not a second, weighted copy
+    heights = np.arange(1.0, 39.0)  # 38 rows, as the 1D bound state's moment stack
+
+    def stack(r0, t):
+        return np.multiply.outer(heights, t)
+
+    rule = QuadratureRule.make(1.0, n)
+    batches = rule.panel_batches()  # the rule's setup, not the build
+    tracemalloc.start()
+    try:
+        W = ny.build_kernel_matrix(rule, stack, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    widest = max(batches, key=lambda b: len(b.t))
+    values = 8 * len(heights) * len(widest.t)
+    nodes = widest.nodes.stop - widest.nodes.start
+    terms = 8 * nodes * (ny._TERM_BLOCK + int(widest.counts.max()))
+    assert W.shape == (len(heights), len(rule.nodes), len(rule.nodes))
+    assert peak - held <= 1.1 * (values + terms), (peak - held, values, terms)
 
 
 @pytest.mark.parametrize("d, k_deep", ((1, -1.0), (2, -2.9), (3, -0.975)))
