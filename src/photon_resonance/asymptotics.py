@@ -29,10 +29,12 @@ class LimitingMode:
     """Eigenpair of the limiting operator, with the derived quadratic forms.
 
     mass = integral of the normalized eigenfunction over the unit domain;
-    a1_quad = <psi, A1 psi> with the first-order correction operator at
-    the mode's own frequency (real part; the imaginary part of the 2D
-    correction is carried by the explicit formulas instead).  A1 is built
-    when a1_quad is first read, so modes used only as seeds cost no build.
+    a1_quad = <psi, A1 psi> with the first-order correction operator A1 =
+    omega_j / (4 pi c |x - y|) of d = 3 at the mode's own frequency (only
+    `resonance_expansion_3d` reads it; other d raise AsymptoticsError).
+    As a quadratic form it is -(g^2 s0 / c)(omega_j / c) <psi, Q psi>, Q
+    one real build of the reduced kernel 1 / max(r, r'), made when
+    a1_quad is first read, so modes used only as seeds cost no build.
     """
 
     j: int
@@ -48,8 +50,12 @@ class LimitingMode:
 
     @cached_property
     def a1_quad(self) -> float:
-        a1 = nystrom.build_a1_operator(self.params, self.omega_j, self.rule)
-        return float(np.real(np.sum(a1.norm_weights * self.psi * (a1.matrix @ self.psi))))
+        p = self.params
+        if p.d != 3:
+            raise AsymptoticsError("the A1 correction is read by the d = 3 expansion only")
+        Q = nystrom.build_kernel_matrix(self.rule, lambda r0, t: 1.0 / np.maximum(r0, t), 2)
+        form = np.sum(nystrom.volume_weights(3, self.rule) * self.psi * (Q @ self.psi))
+        return float(-(p.g**2 * p.s0_effective / p.c) * (self.omega_j / p.c) * form)
 
 
 def require_unit_domain(rule: QuadratureRule):
@@ -83,24 +89,22 @@ def limiting_spectrum(params: PhysicalParams, n: int, rule: QuadratureRule):
 def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list[LimitingMode]:
     """Top-n eigenpairs of the limiting operator, shifted by Omega.
 
-    The frequencies are those of `limiting_spectrum`; the eigenvectors, for
-    the masses and quadratic forms of the expansions, come from three
-    inverse-iteration solves with B - mu_j (1 + 1e-13) I, B the same
-    symmetrized matrix, from the all-ones vector (an `eigh` of B would wake a
-    second OpenBLAS thread).  They are normalized in the quadrature-weighted
-    norm and sign-fixed so the mass is nonnegative.
+    The frequencies are those of `limiting_spectrum`; each eigenvector, for
+    the masses and quadratic forms of the expansions, comes from the solver's
+    inverse iteration (`eigensolver._inverse_iteration`) on B - mu_j (1 +
+    1e-13) I, B the same symmetrized matrix (an `eigh` of B would wake a
+    second OpenBLAS thread).  Its real part is normalized in the
+    quadrature-weighted norm and sign-fixed so the mass is nonnegative.
     """
+    from .eigensolver import _inverse_iteration  # eigensolver imports this module
+
     omegas, op, B = limiting_spectrum(params, n, rule)
     W = op.norm_weights
     S = np.sqrt(W)
     out = []
     for j, omega_j in enumerate(omegas):
-        shifted = B - (params.omega_a - omega_j) * (1.0 + 1e-13) * np.eye(len(B))
-        u = np.ones(len(B))
-        for _ in range(3):
-            u = np.linalg.solve(shifted, u)
-            u /= np.linalg.norm(u)
-        psi = u / S  # back to function values; automatically unit weighted norm
+        u = _inverse_iteration(B, (params.omega_a - omega_j) * (1.0 + 1e-13))[1].real
+        psi = u / np.linalg.norm(u) / S  # function values of unit weighted norm
         mass = float(np.sum(W * psi))
         if mass < 0:
             psi = -psi

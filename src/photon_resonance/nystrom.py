@@ -27,8 +27,9 @@ in.  A real kernel's values are scaled by the weights in place and
 contracted as they are, so a build holds one copy of a panel's values; a
 stack whose height is not a multiple of 4 ends in a slice of its last 4
 rows, which overlaps the slice before it, and only a stack below one slice
-is zero-padded.  For smooth kernel components a plain Nyström rule (kernel
-times base weights) is used instead.
+is zero-padded.  One smooth kernel component, the entire 2D Struve term,
+takes a plain Nyström rule (kernel times base weights) instead; the one
+build function of every operator, `build_split_matrix`, adds it.
 
 Every operator build is split by singularity subtraction,
 
@@ -754,27 +755,6 @@ def kernel_a0_reduced(d):
     raise ValueError("A0 reduction applies to d in {2, 3}")
 
 
-def kernel_a1_reduced(d, k):
-    """Reduced kernel of the first regular correction A1^k.
-
-    A1^k(x) = k/(4 pi |x|) in 3D and -(k/2pi)(log(k|x|/2) + gamma) + ik/2
-    in 2D; both pinned numerically against the closed-form kernels (the
-    shell average of 1/|x| is 2 min(r,r')/(r r'), that of log|x| is
-    log max(r, r'), each times the sphere measure).
-    """
-    kc = complex(k)
-    if d == 3:
-        def f3(r0, t):
-            return (kc / np.maximum(r0, t)).astype(complex)
-        return f3
-    if d == 2:
-        def f2(r0, t):
-            hi = np.maximum(r0, t)
-            return -kc * (np.log(kc * hi / 2.0) + EULER_GAMMA) + 1j * np.pi * kc * np.ones_like(t)
-        return f2
-    raise ValueError("A1 reduction applies to d in {2, 3}")
-
-
 # ----------------------------------------------------------------------
 # matrix assembly
 # ----------------------------------------------------------------------
@@ -784,18 +764,27 @@ _SPLIT = {1: (kernel_1d, _basis_1d), 2: (kernel_2d_singular, None), 3: (kernel_3
 
 
 def build_split_matrix(rule, d, k, branch):
-    """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch) of dimension d.
+    """W(k) = W_sing + W_reg(k) for the reduced kernel family(k, branch) of
+    dimension d (`_SPLIT`): the one build of every operator, L0, M(omega)
+    and K_omega.
 
     At k = 0 and in the resonance regime (`_moment_series`) it is one sum
     over the rule's moment stack, whose kind 0 is W_sing = Q[family(0)] -
     Q_gap[family(0)] (`_moment_sum`); above, the kernel route
-    Q[family(k, branch)] - Q_gap[family(0)] (`_k0_gap`).
+    Q[family(k, branch)] - Q_gap[family(0)] (`_k0_gap`).  In 2D, except on
+    the ZERO branch of L0, it then adds the entire Struve component with
+    the plain rule (`kernel_2d_struve` on the rule's cached moments).
     """
     series = _moment_series(rule, d, k, branch)
     if series is not None:
-        return _moment_sum(rule, d, *series)
-    W = build_kernel_matrix(rule, _SPLIT[d][0](k, branch), d - 1)
-    W[np.diag_indices(len(W))] -= _k0_gap(rule, d)
+        W = _moment_sum(rule, d, *series)
+    else:
+        W = build_kernel_matrix(rule, _SPLIT[d][0](k, branch), d - 1)
+        W[np.diag_indices(len(W))] -= _k0_gap(rule, d)
+    if d == 2 and branch is not Branch.ZERO:
+        moments, maxima = rule._cache.setdefault("struve_moments", ([], []))
+        W += (kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments, maxima)
+              * rule.weights * rule.nodes)
     return W
 
 
@@ -1079,23 +1068,12 @@ def volume_weights(d, rule):
     return greens.surface_measure(d) * rule.weights * rule.nodes ** (d - 1)
 
 
-def full_kernel_matrix(rule, d, k, branch):
-    """Split build of the reduced resolvent kernel in dimension d; in 2D
-    the entire Struve component is added with the plain rule."""
-    W = build_split_matrix(rule, d, k, branch)
-    if d == 2:
-        moments, maxima = rule._cache.setdefault("struve_moments", ([], []))
-        W += (kernel_2d_struve(k, branch, rule.nodes, rule.nodes, moments, maxima)
-              * rule.weights * rule.nodes)
-    return W
-
-
 def scaled_kernel_matrix(params, rule, k, branch):
     """(s, W(s k; R), weights) for the ball B_eps of params on a rule of
     any radius R, s = eps / R: W(k; eps) = s W(s k; R) (module docstring),
     and the volume weights of B_eps are volume_weights(d, rule) s^d."""
     s = params.epsilon / rule.domain[1]
-    W = full_kernel_matrix(rule, params.d, s * k, branch)
+    W = build_split_matrix(rule, params.d, s * k, branch)
     return s, W, volume_weights(params.d, rule) * s**params.d
 
 
@@ -1121,14 +1099,3 @@ def build_l0_operator(params, rule):
     W = build_split_matrix(rule, params.d, 0.0, Branch.ZERO)
     pref = params.g**2 * params.s0_effective / params.c
     return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, volume_weights(params.d, rule))
-
-
-def build_a1_operator(params, omega_j, rule):
-    """First-order correction operator (kernel-only), used in expansions."""
-    if params.d not in (2, 3):
-        raise ValueError("A1 correction applies to d in {2, 3}")
-    k = complex(omega_j) / params.c
-    W = build_kernel_matrix(rule, kernel_a1_reduced(params.d, k), params.d - 1)
-    pref = -params.g**2 * params.s0_effective / params.c
-    return RadialOperator(pref * W, rule, complex(omega_j), params,
-                          volume_weights(params.d, rule))

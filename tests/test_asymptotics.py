@@ -46,6 +46,26 @@ def test_limiting_modes_rejects_a_non_unit_rule():
         asym.limiting_modes(params(), 1, QuadratureRule.make(0.1, n_radial=16))
 
 
+@pytest.mark.parametrize("n", (24, 48, 96))
+def test_a1_form_of_a_constant_on_the_unit_ball(n):
+    # int int 1 / |x - y| over the unit ball is 32 pi^2 / 15, so with
+    # A1 = k / (4 pi |x - y|), k = omega_j / c, and psi = 1 the form is
+    # -(g^2 s0 / c)(omega_j / c) 8 pi / 15
+    p = PhysicalParams(d=3, c=1.3, g=0.9, omega_a=1.0, epsilon=0.1, s0=0.7)
+    rule = QuadratureRule.make(1.0, n_radial=n)
+    omega_j = 0.6
+    mode = asym.LimitingMode(1, omega_j, np.ones(len(rule.nodes)), 0.0, rule, p)
+    want = -(p.g**2 * p.s0 / p.c) * (omega_j / p.c) * 8.0 * np.pi / 15.0
+    assert abs(mode.a1_quad - want) <= 1e-15 * abs(want)
+
+
+def test_a1_form_is_three_dimensional_only():
+    rule = QuadratureRule.make(1.0, n_radial=16)
+    mode = asym.LimitingMode(1, 0.5, np.ones(len(rule.nodes)), 0.0, rule, params(d=2))
+    with pytest.raises(AsymptoticsError):
+        mode.a1_quad
+
+
 @pytest.mark.parametrize("d, n, count", [(3, 48, 5), (2, 40, 2)])
 def test_seeds_are_the_limiting_mode_frequencies(d, n, count):
     # the Muller seeds and limiting_modes take omega_j from one eigvalsh;

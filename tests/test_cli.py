@@ -452,6 +452,19 @@ def test_modes_beyond_the_bound_state_count_exits_2_naming_it(tmp_path, capsys):
     assert len(Path(out, "bound-states.csv").read_text().splitlines()) == 3  # modes 1 and 2
 
 
+def test_failed_continuation_exits_2_with_the_header_alone(tmp_path, capsys):
+    # one Muller step does not settle mode 1 at the first eps: trace_in_epsilon
+    # raises, and the run reports the solver failure, writes no row and exits 2
+    cfg = Path(os.path.dirname(__file__), os.pardir, "configs", "trace_epsilon.cfg").read_text()
+    path = write_cfg(tmp_path, cfg.replace("[numerics]\n", "[numerics]\nmax_iter = 1\n"))
+    out = tmp_path / "o"
+    assert cli.main(["trace-epsilon", "--config", path, "--out", str(out)]) == 2
+    assert "solver failure: continuation of mode 1 failed at eps = 0.2" in capsys.readouterr().err
+    lines = Path(out, "trace-epsilon.csv").read_text().splitlines()
+    assert lines == [",".join(cli.CSV_SCHEMAS["trace-epsilon"])]
+    assert json.loads(Path(out, "manifest.json").read_text())["numerics"]["max_iter"] == 1
+
+
 @pytest.mark.parametrize("path, key, check", (
     ("configs/bound_states_1d.cfg", "asymmetry", lambda a: 0.0 <= a < 1e-3),
     ("perfbench/configs/trace_2d.cfg", "continuity_breaks", lambda breaks: breaks == []),

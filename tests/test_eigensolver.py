@@ -76,6 +76,21 @@ def test_muller_nonconvergence_flagged():
     assert np.isfinite(r.root.real)
 
 
+def test_muller_degenerate_interpolation_moves_the_newest_point():
+    # x^3 - x + 1 is 1 at all three seeds, so the interpolant's denominator
+    # is 0: the newest point moves by 1e-8 |x| and the iteration goes on
+    points = []
+
+    def f(x):
+        points.append(x)
+        return x**3 - x + 1
+
+    r = es.muller_solve(f, [-1.0, 0.0, 1.0], tol=1e-12)
+    assert points[3] == 1 + 1e-8
+    assert r.converged and abs(r.root - (0.66236 + 0.56228j)) < 1e-5
+    assert abs(r.root**3 - r.root + 1) <= 1e-12
+
+
 def params3(eps=0.1):
     return PhysicalParams(d=3, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=1.0)
 

@@ -276,8 +276,8 @@ def test_kernel_matrix_is_homogeneous_in_eps(d, eps, unit48):
     for branch, phase in ((Branch.NEGATIVE, -1.0), (Branch.OUTGOING, 1.0 - 0.01j),
                           (Branch.INCOMING, 1.0 + 0.01j)):
         for k in (1.0 * phase, 12.0 * phase):
-            W = ny.full_kernel_matrix(rule, d, k, branch)
-            scaled = eps * ny.full_kernel_matrix(unit48, d, eps * k, branch)
+            W = ny.build_split_matrix(rule, d, k, branch)
+            scaled = eps * ny.build_split_matrix(unit48, d, eps * k, branch)
             assert np.max(np.abs(scaled - W)) <= HOMOGENEITY_TOL[d] * np.max(np.abs(W)), (branch, k)
 
 
@@ -298,7 +298,7 @@ def _bs_on_eps_rule(p, omega):
     # K_omega built on the rule of radius eps itself, with no rescaling
     rule = QuadratureRule.make(p.epsilon, n_radial=48)
     pref = p.g**2 * p.density / (p.c * (p.omega_a + abs(omega)))
-    W = ny.full_kernel_matrix(rule, p.d, omega / p.c, Branch.NEGATIVE)
+    W = ny.build_split_matrix(rule, p.d, omega / p.c, Branch.NEGATIVE)
     return ny.weighted_symmetrize(pref * W.real, ny.volume_weights(p.d, rule))[0]
 
 
@@ -342,10 +342,17 @@ def _gap(rule, family, power):
     return (family(0.0, Branch.ZERO)(r0, t) * v * t**power).reshape(len(rule.nodes), -1).sum(axis=1)
 
 
+def _struve_share(rule, k, branch):
+    # the entire Struve component, which a 2D split build adds with the plain
+    # rule, from fresh moments: the same values as the rule's cached ones
+    return ny.kernel_2d_struve(k, branch, rule.nodes, rule.nodes, []) * rule.weights * rule.nodes
+
+
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_build_matches_one_piece(case):
     # W_sing + W_reg(k) against the whole kernel on the same rule, less the
-    # k = 0 kernel's open gaps next to each node, which W_sing leaves out
+    # k = 0 kernel's open gaps next to each node, which W_sing leaves out; a
+    # 2D split build adds the Struve component, taken out here
     d, family, make = SPLIT_CASES[case]
     power = d - 1
     for n in (48, 96):
@@ -354,6 +361,8 @@ def test_split_build_matches_one_piece(case):
         for k, branch in SPLIT_WAVENUMBERS:
             one_piece = ny.build_kernel_matrix(rule, family(k, branch), power) - gap
             split = ny.build_split_matrix(rule, d, k, branch)
+            if d == 2:
+                split -= _struve_share(rule, k, branch)
             assert _rel(split, one_piece) <= 1e-10, (n, branch)
 
 
@@ -509,7 +518,7 @@ def test_2d_build_raises_no_warning_on_the_diagonal():
     rule = QuadratureRule.make(1.0, n_radial=32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        W = ny.full_kernel_matrix(rule, 2, 1.5 - 0.01j, Branch.OUTGOING)
+        W = ny.build_split_matrix(rule, 2, 1.5 - 0.01j, Branch.OUTGOING)
     assert np.all(np.isfinite(W))
 
 
@@ -537,9 +546,7 @@ def _struve_reference(kappa, r):
 def test_struve_part_of_2d_operator_against_quadrature(kappa):
     # the Struve share of a 2D build, on a rule of radius 1 (kappa 2R = 2, 10, 20)
     rule = QuadratureRule.make(1.0, n_radial=16)
-    whole = ny.full_kernel_matrix(rule, 2, kappa, Branch.OUTGOING)
-    singular = ny.build_split_matrix(rule, 2, kappa, Branch.OUTGOING)
-    struve = (whole - singular) / (rule.weights * rule.nodes)[None, :]
+    struve = _struve_share(rule, kappa, Branch.OUTGOING) / (rule.weights * rule.nodes)[None, :]
     ref = _struve_reference(kappa, rule.nodes)
     assert np.max(np.abs(struve - ref)) <= 1e-8 * np.max(np.abs(ref))
 
@@ -547,9 +554,9 @@ def test_struve_part_of_2d_operator_against_quadrature(kappa):
 def test_struve_cancellation_raises():
     rule = QuadratureRule.make(1.0, n_radial=16)
     with pytest.raises(ny.NystromError):
-        ny.full_kernel_matrix(rule, 2, 15.0, Branch.OUTGOING)  # kappa 2R = 30
+        ny.build_split_matrix(rule, 2, 15.0, Branch.OUTGOING)  # kappa 2R = 30
     with pytest.raises(ny.NystromError):
-        ny.full_kernel_matrix(rule, 2, -1024.0, Branch.NEGATIVE)  # series terms overflow
+        ny.build_split_matrix(rule, 2, -1024.0, Branch.NEGATIVE)  # series terms overflow
 
 
 def test_second_2d_build_reuses_struve_moments(monkeypatch):
@@ -882,7 +889,7 @@ def test_j0y0_moment_route_matches_kernel_route(n):
         for phase, branch in ((np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING),
                               (-1.0, Branch.NEGATIVE)):
             k = z / radius * phase
-            moments = ny.build_split_matrix(rule, 2, k, branch)
+            moments = ny.build_split_matrix(rule, 2, k, branch) - _struve_share(rule, k, branch)
             direct = _kernel_route(rule, ny.kernel_2d_singular, k, branch, 1)
             assert np.max(np.abs(moments - direct)) <= 1e-13 * np.max(np.abs(direct)), (z, branch)
 
@@ -916,7 +923,8 @@ def test_2d_build_above_radius_takes_kernel_route(monkeypatch):
     assert bessel_calls == []
     W = ny.build_split_matrix(rule, 2, 1.01 * k_edge, Branch.OUTGOING)
     assert {"jv", "_h0"} <= set(bessel_calls)
-    assert np.array_equal(W, _kernel_route(rule, family, 1.01 * k_edge, Branch.OUTGOING, 1))
+    struve = _struve_share(rule, 1.01 * k_edge, Branch.OUTGOING)
+    assert np.array_equal(W, _kernel_route(rule, family, 1.01 * k_edge, Branch.OUTGOING, 1) + struve)
 
 
 def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
