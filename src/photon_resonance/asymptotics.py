@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import nystrom
+from .greens import Branch
 from .nystrom import PhysicalParams, QuadratureRule
 
 UNIT_INTERVAL_LENGTH = 2.0  # |B_1| in one dimension
@@ -66,8 +67,8 @@ def require_unit_domain(rule: QuadratureRule):
 
 def limiting_spectrum(params: PhysicalParams, n: int, rule: QuadratureRule):
     """omega_j = Omega - mu_j of the top-n eigenvalues mu_j of the limiting
-    operator L0, increasing toward Omega, with L0 and its weighted
-    symmetrization B.
+    operator L0 = (g^2 s0 / c) W(0), increasing toward Omega, with the
+    volume weights and the weighted symmetrization B of L0.
 
     L0 is built once and the mu_j come from `np.linalg.eigvalsh(B)`, which
     computes no eigenvector: the Muller seeds and `limiting_modes` take
@@ -78,12 +79,13 @@ def limiting_spectrum(params: PhysicalParams, n: int, rule: QuadratureRule):
     if n < 1:
         raise ValueError("n must be >= 1")
     require_unit_domain(rule)
-    op = nystrom.build_l0_operator(params, rule)
-    B, _ = nystrom.weighted_symmetrize(op.matrix.real, op.norm_weights)
+    W = nystrom.build_split_matrix(rule, params.d, 0.0, Branch.ZERO)
+    weights = nystrom.volume_weights(params.d, rule)
+    B, _ = nystrom.weighted_symmetrize(params.g**2 * params.s0_effective / params.c * W, weights)
     mu = np.linalg.eigvalsh(B)  # ascending
     if n > len(mu):
         raise ValueError(f"requested {n} modes from an N={len(mu)} grid")
-    return [params.omega_a - float(m) for m in mu[::-1][:n]], op, B
+    return [params.omega_a - float(m) for m in mu[::-1][:n]], weights, B
 
 
 def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list[LimitingMode]:
@@ -98,8 +100,7 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list
     """
     from .eigensolver import _inverse_iteration  # eigensolver imports this module
 
-    omegas, op, B = limiting_spectrum(params, n, rule)
-    W = op.norm_weights
+    omegas, W, B = limiting_spectrum(params, n, rule)
     S = np.sqrt(W)
     out = []
     for j, omega_j in enumerate(omegas):
@@ -109,7 +110,7 @@ def limiting_modes(params: PhysicalParams, n: int, rule: QuadratureRule) -> list
         if mass < 0:
             psi = -psi
             mass = -mass
-        out.append(LimitingMode(j + 1, omega_j, psi, mass, op.rule, params))
+        out.append(LimitingMode(j + 1, omega_j, psi, mass, rule, params))
     return out
 
 

@@ -23,12 +23,12 @@ rho = params.density on the ball of radius params.epsilon, as for
 resonances.  The kernel depends on x - y only and rho is constant on its
 support, so a translated support has the same K_omega.
 
-K_omega is built as the resonance operators are, on a rule of any radius R
-through W(k; eps) = s W(s k; R), s = eps / R (`nystrom.scaled_kernel_matrix`):
-the callers pass QuadratureRule.make(1.0, N), so one rule and its cached
-moment stacks serve every mode, density and eps.  The solve builds its
-deep bracket end first, which makes the stack, W_sing its kind 0, in one
-pass.
+K_omega = A(omega) / (Omega + |omega|), with A(omega) the coupling operator
+of the resonance problem M(omega) = (Omega - omega) I - A(omega)
+(`nystrom.coupling_operator`), built on a rule of any radius: the callers
+pass QuadratureRule.make(1.0, N), so one rule and its cached moment stacks
+serve every mode, density and eps.  The solve builds its deep bracket end
+first, which makes the stack, W_sing its kind 0, in one pass.
 
 In 1D, K_omega maps even functions on [-eps, eps] to even ones and odd to
 odd, so its spectrum is that of its even block, the d = 1 operator on [0,
@@ -37,7 +37,7 @@ density and radius (`nystrom` module docstring); both build on the one
 rule.  The negative-branch kernel is positive, so the top eigenfunction is
 simple and positive (Jentzsch), hence even: mode 1 needs only the even
 block, and the odd block is built for modes n >= 2 and for
-count_bound_states_below.
+count_bound_states_below; both read the merged spectrum `bs_spectrum`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import greens, nystrom
-from .greens import Branch
 from .nystrom import PhysicalParams, QuadratureRule
 
 BRACKET_EXPONENTS = (-20, 10)  # omega = -c 2^j from just below 0 to the deepest
@@ -74,77 +73,59 @@ def equal_volume_radius(d: int, half_width: float) -> float:
 
 
 @dataclass(frozen=True)
-class BSOperator:
-    """Symmetric discretization of K_omega[rho] on the support of rho."""
-
-    matrix: np.ndarray
-    asymmetry: float  # similarity-transform asymmetry before symmetrizing
-
-
-@dataclass(frozen=True)
 class BoundState:
     """A root of mu_n(omega) = 1 and the value of mu_n found there."""
 
     omega: float
     mu: float
-    asymmetry: float | None = None  # largest BSOperator.asymmetry of the solve's builds
+    asymmetry: float | None = None  # largest K_omega asymmetry of the solve's builds
 
 
-def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule) -> BSOperator:
-    """Symmetric matrix of K_omega[rho] for real omega < 0, with rho =
-    params.density on the ball of radius params.epsilon; in 1D, its even
-    block (module docstring).
-
-    The resolvent kernel is (1/c) G^{omega/c}(x - y) on the negative
-    branch; inside the (constant) density support the square roots
-    contribute a plain factor rho0.  On a rule of radius R it is s times
-    the kernel at s k on the rule, s = eps / R
-    (`nystrom.scaled_kernel_matrix`).
-    """
+def build_bs_operator(params: PhysicalParams, omega, rule: QuadratureRule):
+    """(B, asymmetry) of K_omega = A(omega) / (Omega + |omega|) for real
+    omega < 0 (`nystrom.weighted_symmetrize`); in 1D, its even block."""
     omega = float(omega)
     if omega >= 0:
         raise ValueError("the bound-state operator needs omega < 0")
-    s, W, weights = nystrom.scaled_kernel_matrix(params, rule, omega / params.c, Branch.NEGATIVE)
-    pref = params.g**2 * params.density / (params.c * (params.omega_a + abs(omega))) * s
-    B, asym = nystrom.weighted_symmetrize(pref * W.real, weights)
-    return BSOperator(B, asym)
+    A, weights = nystrom.coupling_operator(params, rule, omega)
+    return nystrom.weighted_symmetrize(A.real / (params.omega_a + abs(omega)), weights)
 
 
-def _blocks(params, omega, rule, odd):
-    """The operators whose spectra together are that of K_omega: K_omega
-    itself in 2D and 3D; in 1D its even block and, if `odd`, its odd block,
-    the 3D s-wave operator of the same density (module docstring)."""
-    ops = [build_bs_operator(params, omega, rule)]
-    if params.d == 1 and odd:
-        ops.append(build_bs_operator(replace(params, d=3, rho0=params.density, s0=None), omega, rule))
-    return ops
-
-
-def mu_spectrum(op: BSOperator, m: int) -> np.ndarray:
-    """The m largest eigenvalues, in decreasing order."""
+def mu_spectrum(B: np.ndarray, m: int) -> np.ndarray:
+    """The m largest eigenvalues of the symmetric matrix B, in decreasing order."""
     if m < 1:
         raise ValueError("need m >= 1")
-    ev = np.linalg.eigvalsh(op.matrix)
+    ev = np.linalg.eigvalsh(B)
     if m > len(ev):
         raise ValueError(f"requested {m} eigenvalues from an N={len(ev)} matrix")
     return ev[::-1][:m].copy()
 
 
+def bs_spectrum(params: PhysicalParams, omega, rule: QuadratureRule, n=None, asymmetries=None):
+    """The n largest eigenvalues of K_omega (all if n is None), decreasing:
+    in 1D, its even block's merged with, unless n = 1, its odd block's
+    (module docstring), each giving at most its size.  Each block's
+    asymmetry is appended to the list `asymmetries`, if one is given."""
+    blocks = [params]
+    if params.d == 1 and n != 1:
+        blocks.append(replace(params, d=3, rho0=params.density, s0=None))
+    mu = []
+    for p in blocks:
+        B, asymmetry = build_bs_operator(p, omega, rule)
+        if asymmetries is not None:
+            asymmetries.append(asymmetry)
+        mu.append(mu_spectrum(B, len(B) if n is None else min(n, len(B))))
+    return np.sort(np.concatenate(mu))[::-1][:n]
+
+
 def count_bound_states_below(params: PhysicalParams, omega, rule: QuadratureRule) -> int:
-    """Number of Hamiltonian eigenvalues in (-infty, omega]."""
-    return sum(int(np.count_nonzero(np.linalg.eigvalsh(op.matrix) >= 1.0))
-               for op in _blocks(params, omega, rule, True))
+    """Number of Hamiltonian eigenvalues in (-infty, omega]: mu >= 1 of K_omega."""
+    return int(np.count_nonzero(bs_spectrum(params, omega, rule) >= 1.0))
 
 
 def _mu_n(params, omega, n, rule, asymmetries=None):
-    """mu_n(omega), the n-th largest eigenvalue over the blocks, each of
-    which gives at most its size; each block's asymmetry is appended to the
-    list `asymmetries`, if one is given."""
-    ops = _blocks(params, omega, rule, n > 1)
-    if asymmetries is not None:
-        asymmetries.extend(op.asymmetry for op in ops)
-    mu = [mu_spectrum(op, min(n, len(op.matrix))) for op in ops]
-    return float(np.sort(np.concatenate(mu))[-n])
+    """mu_n(omega), the n-th largest eigenvalue of K_omega (`bs_spectrum`)."""
+    return float(bs_spectrum(params, omega, rule, n, asymmetries)[n - 1])
 
 
 def deep_end_exponent(params: PhysicalParams) -> float:

@@ -22,9 +22,10 @@ offending line number, and so is a section that neither the run's
 experiment nor the config's own reads.  ``#`` starts a comment.  Every
 section and key is declared once, in ``_SCHEMA``.  ``bound-states`` solves
 the density of ``[bound_states]`` and ignores ``[params]`` epsilon, s0 and
-rho0.  Exit codes: 0 success, 1 configuration error, 2 solver failure
-(non-convergence, LinAlgError or NystromError; partial results are flushed
-first).
+rho0.  Exit codes: 0 success, 1 configuration error (a greens-table entry
+outside the Green's function's domain included), 2 solver failure
+(non-convergence, LinAlgError, NystromError, EigensolverError or
+BoundStateNotFound; partial results are flushed first).
 """
 
 from __future__ import annotations
@@ -234,11 +235,11 @@ def _run_greens_table(cfg):
     for d in blk["dims"]:
         for k in blk["k_values"]:
             for r in blk["r_values"]:
-                if branch is greens.Branch.ZERO or k == 0:
-                    wave = greens.WaveNumber.zero()
-                else:
-                    wave = greens.WaveNumber(k, branch)
-                val = greens.green(d, wave, float(r))
+                try:  # k = 0 is the zero branch's, whatever the branch
+                    wave = greens.WaveNumber.zero() if k == 0 else greens.WaveNumber(k, branch)
+                    val = greens.green(d, wave, float(r))
+                except greens.GreensDomainError as exc:
+                    raise ConfigError(f"[greens]: d = {d}, k = {k}, r = {r}: {exc}") from None
                 rows.append((d, k.real, k.imag, float(r), val.real, val.imag))
     return rows
 

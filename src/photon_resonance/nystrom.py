@@ -71,10 +71,11 @@ J0Y0_SERIES_RADIUS a build integrates the whole kernel, W(k) =
 Q[kernel(k)] - Q_gap[kernel(0)], with the gap term cached per rule.
 
 As G^k(rho) = rho^(1-d) F_d(k rho), W(k; eps) = s W(s k; R) with s =
-eps / R (`scaled_kernel_matrix`), so one unit-domain rule and its caches
-serve every eps, the limiting operators and the bound-state operators
-(`build_full_operator`, `boundstates.build_bs_operator`).  At N = 48 the
-rescaled build matches an eps rule to 3.6e-14 of max |W| for d = 2, 3,
+eps / R, so one unit-domain rule and its caches serve every eps and the
+coupling operator A(omega) = (g^2 rho0 / c) s W(s omega / c; R) of both
+problems (`coupling_operator`): M(omega) = (Omega - omega) I - A(omega) and
+K_omega = A(omega) / (Omega + |omega|); L0 = (g^2 s0 / c) W(0).  At N = 48
+the rescaled build matches an eps rule to 3.6e-14 of max |W| for d = 2, 3,
 and to 1.5e-10 for d = 1: there the k = 0 kernel's log eps sits in W_sing
 on an eps rule, whose open gaps drop part of it, but in W_reg(s k) on the
 unit rule, which Q integrates up to r0.
@@ -1068,34 +1069,24 @@ def volume_weights(d, rule):
     return greens.surface_measure(d) * rule.weights * rule.nodes ** (d - 1)
 
 
-def scaled_kernel_matrix(params, rule, k, branch):
-    """(s, W(s k; R), weights) for the ball B_eps of params on a rule of
-    any radius R, s = eps / R: W(k; eps) = s W(s k; R) (module docstring),
-    and the volume weights of B_eps are volume_weights(d, rule) s^d."""
+def coupling_operator(params, rule, omega):
+    """(A, weights): A(omega) = (g^2 rho0 / c) s W(s k; R) on the branch of
+    k = omega / c (real for a real omega), s = eps / R for a rule of radius
+    R, and the volume weights of B_eps, volume_weights(d, rule) s^d."""
+    k = omega / params.c
     s = params.epsilon / rule.domain[1]
-    W = build_split_matrix(rule, params.d, s * k, branch)
-    return s, W, volume_weights(params.d, rule) * s**params.d
+    W = build_split_matrix(rule, params.d, s * k, greens.branch_for(k))
+    pref = params.g**2 * params.density / params.c * s
+    return pref * W, volume_weights(params.d, rule) * s**params.d
 
 
 def build_full_operator(params, omega, rule):
     """Matrix of the nonlinear-eigenvalue operator at frequency omega:
-    M = -(omega - Omega) I - (g^2 rho0 / c) s W(s k; R), k = omega / c,
-    s = eps / R, with the norm weights of B_eps (`scaled_kernel_matrix`)."""
+    M(omega) = (Omega - omega) I - A(omega) (`coupling_operator`), with the
+    norm weights of B_eps."""
     omega = complex(omega)
     if omega.real == 0.0:
         raise GreensDomainError("omega on the imaginary axis is outside the domain")
-    k = omega / params.c
-    s, W, weights = scaled_kernel_matrix(params, rule, k, greens.branch_for(k))
-    pref = params.g**2 * params.density / params.c * s
-    M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - pref * W
+    A, weights = coupling_operator(params, rule, omega)
+    M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - A
     return RadialOperator(M, rule, omega, params, weights)
-
-
-def build_l0_operator(params, rule):
-    """Positive compact operator L0 on the unit domain: (g^2 s0 / c) times
-    the k = 0 matrix W_sing, kind 0 of the rule's moment stack."""
-    if params.d not in (2, 3):
-        raise ValueError("L0 is defined for d in {2, 3}; use the rank-1 form in 1D")
-    W = build_split_matrix(rule, params.d, 0.0, Branch.ZERO)
-    pref = params.g**2 * params.s0_effective / params.c
-    return RadialOperator(pref * W, rule, 0.0 + 0.0j, params, volume_weights(params.d, rule))

@@ -150,11 +150,18 @@ def symmetric_eigenvalues_extended(matrix):
     return np.array(sorted(float(x) for x in ev))
 
 
+def limiting_matrix(params, rule):
+    """(L0, weights): the limiting operator L0 = (g^2 s0 / c) W(0) on the
+    unit-domain rule, W(0) the k = 0 build, and the rule's volume weights."""
+    W = ny.build_split_matrix(rule, params.d, 0.0, gr.Branch.ZERO)
+    return params.g**2 * params.s0_effective / params.c * W, ny.volume_weights(params.d, rule)
+
+
 def build_limiting_operator(params, omega, rule):
     """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
-    l0 = ny.build_l0_operator(params, rule)
-    M = -(complex(omega) - params.omega_a) * np.eye(len(l0.rule.nodes)) - l0.matrix
-    return ny.RadialOperator(M, l0.rule, complex(omega), params, l0.norm_weights)
+    L0, weights = limiting_matrix(params, rule)
+    M = -(complex(omega) - params.omega_a) * np.eye(len(rule.nodes)) - L0
+    return ny.RadialOperator(M, rule, complex(omega), params, weights)
 
 
 def radial_integral(f, d, r_max=1e7, n_decades_start=1e-6):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,18 +38,18 @@ def test_profile_validation():
 
 
 def test_bs_operator_symmetric_positive():
-    op = bs.build_bs_operator(p1d(), -0.5, unit(48))
-    assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-12
-    assert op.asymmetry < 1e-3  # pre-symmetrization, discretization scale
-    ev = np.linalg.eigvalsh(op.matrix)
+    B, asymmetry = bs.build_bs_operator(p1d(), -0.5, unit(48))
+    assert np.max(np.abs(B - B.T)) <= 1e-12
+    assert asymmetry < 1e-3  # pre-symmetrization, discretization scale
+    ev = np.linalg.eigvalsh(B)
     assert np.all(ev >= -1e-10)
     with pytest.raises(ValueError):
         bs.build_bs_operator(p1d(), 0.5, unit(48))
 
 
 def test_norm_vanishes_deep_below():
-    mu_deep = bs.mu_spectrum(bs.build_bs_operator(p1d(), -100.0, unit(40)), 1)[0]
-    mu_ref = bs.mu_spectrum(bs.build_bs_operator(p1d(), -1.0, unit(40)), 1)[0]
+    mu_deep = bs.mu_spectrum(bs.build_bs_operator(p1d(), -100.0, unit(40))[0], 1)[0]
+    mu_ref = bs.mu_spectrum(bs.build_bs_operator(p1d(), -1.0, unit(40))[0], 1)[0]
     assert mu_deep < 0.01 * mu_ref
 
 
@@ -58,11 +59,11 @@ def test_mu_monotone_decreasing_in_depth():
 
 
 def test_mu_spectrum_shape():
-    op = bs.build_bs_operator(p1d(), -0.5, unit(40))
-    mu = bs.mu_spectrum(op, 4)
+    B, _ = bs.build_bs_operator(p1d(), -0.5, unit(40))
+    mu = bs.mu_spectrum(B, 4)
     assert len(mu) == 4 and np.all(np.diff(mu) <= 0)
     with pytest.raises(ValueError):
-        bs.mu_spectrum(op, 0)
+        bs.mu_spectrum(B, 0)
 
 
 def test_density_monotonicity():
@@ -312,20 +313,27 @@ def test_second_mode_crossing_strong_coupling():
     assert abs(bs._mu_n(p, w2, 2, unit(40)) - 1.0) <= 1e-9
 
 
+def _blocks(p, omega, rule):
+    # the symmetric matrices of K_omega's even and odd blocks in 1D; the odd
+    # block is the 3D s-wave operator of the same density
+    odd = replace(p, d=3, rho0=p.density, s0=None)
+    return [bs.build_bs_operator(q, omega, rule)[0] for q in (p, odd)]
+
+
 @pytest.mark.parametrize("rho0", (1.0, 30.0))
 @pytest.mark.parametrize("omega", (-0.05, -0.5, -3.0))
 def test_one_dimensional_mode_1_is_even(rho0, omega):
     # the negative-branch kernel is positive, so the top eigenfunction is
     # positive, hence even: the even block alone gives mu_1
-    even, odd = bs._blocks(p1d(rho0=rho0), omega, unit(48), True)
+    even, odd = _blocks(p1d(rho0=rho0), omega, unit(48))
     assert bs.mu_spectrum(even, 1)[0] > bs.mu_spectrum(odd, 1)[0]
 
 
 def test_one_dimensional_count_takes_both_parities():
     # 19 bound states below -1e-3 at rho0 = 30: the even count plus the odd one
     p = p1d(rho0=30.0)
-    even, odd = bs._blocks(p, -1e-3, unit(40), True)
-    counts = [int(np.count_nonzero(np.linalg.eigvalsh(op.matrix) >= 1.0)) for op in (even, odd)]
+    even, odd = _blocks(p, -1e-3, unit(40))
+    counts = [int(np.count_nonzero(np.linalg.eigvalsh(B) >= 1.0)) for B in (even, odd)]
     assert bs.count_bound_states_below(p, -1e-3, unit(40)) == sum(counts) == 19
     assert counts[1] > 0
 
@@ -334,8 +342,8 @@ def test_mu_n_reaches_every_mode_of_both_1d_blocks():
     # mu_n of n > N takes what it needs from each block, as a CLI run with
     # up to 2 N modes on an N-node rule asks
     rule = unit(8)
-    even, odd = bs._blocks(p1d(), -0.5, rule, True)
-    merged = np.sort(np.concatenate([np.linalg.eigvalsh(op.matrix) for op in (even, odd)]))[::-1]
+    even, odd = _blocks(p1d(), -0.5, rule)
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in (even, odd)]))[::-1]
     for n in (len(rule.nodes) + 1, 2 * len(rule.nodes)):
         assert bs._mu_n(p1d(), -0.5, n, rule) == merged[n - 1], n
 

@@ -143,6 +143,81 @@ def test_unknown_greens_branch_exits_1(tmp_path, capsys):
     assert "sideways" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("branch, dims, k, r, what", (
+    ("zero", "1", "-0.5", "1.0", "zero branch requires k = 0"),
+    ("outgoing", "1", "-0.5", "1.0", "requires Re k > 0"),
+    ("outgoing", "1", "1j", "1.0", "imaginary axis"),
+    ("outgoing", "4", "0.5", "1.0", "dimension"),
+    ("outgoing", "1", "0.5", "0.0", "radius"),
+), ids=("k-off-the-zero-branch", "k-off-the-outgoing-branch", "imaginary-k", "d-4", "r-0"))
+def test_greens_entry_outside_the_domain_exits_1(tmp_path, capsys, branch, dims, k, r, what):
+    # every entry is built on the configured branch, and an entry that the
+    # Green's function rejects is a config error naming d, k and r
+    text = (f"experiment = greens-table\n[greens]\ndims = {dims}\nk_values = {k}\n"
+            f"r_values = {r}\nbranch = {branch}\n")
+    code = cli.main(["greens-table", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: [greens]: d = {dims}, k = {complex(k)}, r = {float(r)}: ")
+    assert what in err
+
+
+def test_greens_table_k_0_takes_the_zero_branch_on_any_branch(tmp_path):
+    text = "experiment = greens-table\n[greens]\ndims = 2\nk_values = 0, 0.5\nr_values = 0.5\n"
+    out = str(tmp_path / "o")
+    assert cli.main(["greens-table", "--config", write_cfg(tmp_path, text + "branch = outgoing\n"),
+                     "--out", out]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in Path(out, "greens-table.csv").read_text().splitlines()[1:]]
+    for row, wave in zip(rows, (greens.WaveNumber.zero(), greens.WaveNumber.outgoing(0.5))):
+        val = greens.green(2, wave, 0.5)
+        assert row[1:] == [wave.k.real, wave.k.imag, 0.5, val.real, val.imag]
+
+
+ASYMPTOTICS_CFG = """
+experiment = asymptotics-compare
+
+[params]
+d = {d}
+c = 1.0
+g = 1.0
+omega_a = 1.0
+epsilon = 0.05
+s0 = {s0}
+
+[numerics]
+radial_nodes = 32
+epsilon_grid = 0.05, 0.02, 0.01
+"""
+
+
+@pytest.mark.parametrize("d, s0, gaps", ((2, 1.0, (7.1e-3, 2.9e-3, 1.5e-3)),
+                                         (1, 0.3, (3.1e-2, 2.3e-2, 2.0e-2))))
+def test_asymptotics_compare_below_three_dimensions(tmp_path, d, s0, gaps):
+    # the asym columns are the d-dimensional expansion bit for bit, and the
+    # solved resonance approaches it as eps falls
+    out = str(tmp_path / "o")
+    path = write_cfg(tmp_path, ASYMPTOTICS_CFG.format(d=d, s0=s0))
+    assert cli.main(["asymptotics-compare", "--config", path, "--out", out]) == 0
+    lines = Path(out, "asymptotics-compare.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,re_num,im_num,re_asym,im_asym"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    p = nystrom.PhysicalParams(d=d, c=1.0, g=1.0, omega_a=1.0, epsilon=0.05, s0=s0)
+    if d == 2:
+        mode = asymptotics.limiting_modes(p, 1, nystrom.QuadratureRule.make(1.0, n_radial=32))[0]
+    got = []
+    for eps, re_num, im_num, re_asym, im_asym in rows:
+        pe = replace(p, epsilon=eps)
+        want = (asymptotics.resonance_expansion_2d(mode, pe, eps) if d == 2
+                else asymptotics.resonance_expansion_1d(pe, eps))
+        assert (re_asym, im_asym) == (want.real, want.imag)
+        got.append(abs(complex(re_num, im_num) - want))
+    assert [row[0] for row in rows] == [0.05, 0.02, 0.01]
+    assert got[0] > got[1] > got[2]
+    assert got == pytest.approx(gaps, rel=0.05)
+
+
 def test_determinism_byte_identical(tmp_path):
     path = write_cfg(tmp_path, GREENS_CFG)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -470,7 +545,7 @@ def test_failed_continuation_exits_2_with_the_header_alone(tmp_path, capsys):
     ("perfbench/configs/trace_2d.cfg", "continuity_breaks", lambda breaks: breaks == []),
 ))
 def test_manifest_records_the_diagnostics(tmp_path, path, key, check):
-    # each mode's largest BSOperator asymmetry over the solve's builds, or
+    # each mode's largest K_omega asymmetry over the solve's builds, or
     # the eps values at which a traced mode jumped
     path = os.path.join(os.path.dirname(__file__), os.pardir, path)
     cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from photon_resonance import eigensolver as es, nystrom as ny
+from photon_resonance import asymptotics as asym, eigensolver as es, nystrom as ny
 from photon_resonance.nystrom import PhysicalParams, QuadratureRule
 
 import oracle_utils as orc
@@ -93,6 +93,17 @@ def test_muller_degenerate_interpolation_moves_the_newest_point():
 
 def params3(eps=0.1):
     return PhysicalParams(d=3, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=1.0)
+
+
+def test_spectrum_result_rejects_a_converged_root_above_the_axis():
+    # a converged root with Im omega > IM_SLACK is no resonance; an
+    # unconverged one is kept, flagged, as the best iterate
+    v = np.ones(3)
+    with pytest.raises(es.EigensolverError, match="Im omega"):
+        es.SpectrumResult(0.5 + 2 * es.IM_SLACK * 1j, v, 1e-12, 4, 0.5 + 0j)
+    es.SpectrumResult(0.5 + 0.5 * es.IM_SLACK * 1j, v, 1e-12, 4, 0.5 + 0j)  # round-off slack
+    kept = es.SpectrumResult(0.5 + 1e-3j, v, 1e-3, 50, 0.5 + 0j, converged=False)
+    assert kept.omega == 0.5 + 1e-3j and not kept.converged
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +412,7 @@ def test_trace_rejects_bad_modes():
 
 def test_trace_shares_one_rule_and_one_limit(monkeypatch):
     radii, l0_builds = [], []
-    make, build_l0 = QuadratureRule.make.__func__, ny.build_l0_operator
+    make, spectrum = QuadratureRule.make.__func__, asym.limiting_spectrum
 
     def counted_make(cls, radius, *args, **kwargs):
         radii.append(radius)
@@ -409,11 +420,11 @@ def test_trace_shares_one_rule_and_one_limit(monkeypatch):
 
     def counted_l0(*args, **kwargs):
         l0_builds.append(1)
-        return build_l0(*args, **kwargs)
+        return spectrum(*args, **kwargs)
 
     rule = QuadratureRule.make(1.0, n_radial=16)
     monkeypatch.setattr(QuadratureRule, "make", classmethod(counted_make))
-    monkeypatch.setattr(ny, "build_l0_operator", counted_l0)
+    monkeypatch.setattr(asym, "limiting_spectrum", counted_l0)
     eps = [4e-2, 2e-2]
     traces = es.trace_in_epsilon(params3(), (1, 2), eps, rule)
     # the caller's unit rule seeds and solves every eps: no rule is made here

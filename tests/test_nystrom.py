@@ -193,19 +193,17 @@ def test_limiting_norm_regression_pin():
     # value (stable to ~3e-10 under node doubling)
     p = params3()
     rule = QuadratureRule.make(1.0, n_radial=48)
-    l0 = ny.build_l0_operator(p, rule)
-    S = np.sqrt(l0.norm_weights)
-    A = S[:, None] * l0.matrix.real / S[None, :]
-    mu1 = np.linalg.eigvalsh(0.5 * (A + A.T))[-1]
+    _, _, B = asymptotics.limiting_spectrum(p, 1, rule)
+    mu1 = np.linalg.eigvalsh(B)[-1]
     assert mu1 == pytest.approx(0.4984749079, abs=1e-8)
 
 
 def test_limiting_operator_spectrum_structure():
     p = params3()
     rule = QuadratureRule.make(1.0, n_radial=48)
-    l0 = ny.build_l0_operator(p, rule)
-    S = np.sqrt(l0.norm_weights)
-    A = S[:, None] * l0.matrix.real / S[None, :]
+    L0, weights = orc.limiting_matrix(p, rule)
+    S = np.sqrt(weights)
+    A = S[:, None] * L0 / S[None, :]
     assert np.max(np.abs(A - A.T)) < 1e-3      # similarity-symmetric up to quadrature error
     mu, U = np.linalg.eigh(0.5 * (A + A.T))
     assert np.all(mu >= -1e-10)                # positive operator
@@ -295,11 +293,11 @@ def test_full_operator_on_unit_rule_matches_eps_rule(d, omega, unit48):
 
 
 def _bs_on_eps_rule(p, omega):
-    # K_omega built on the rule of radius eps itself, with no rescaling
+    # K_omega = A(omega) / (Omega + |omega|), A = (g^2 rho0 / c) W, built on
+    # the rule of radius eps itself, with no rescaling
     rule = QuadratureRule.make(p.epsilon, n_radial=48)
-    pref = p.g**2 * p.density / (p.c * (p.omega_a + abs(omega)))
-    W = ny.build_split_matrix(rule, p.d, omega / p.c, Branch.NEGATIVE)
-    return ny.weighted_symmetrize(pref * W.real, ny.volume_weights(p.d, rule))[0]
+    A = p.g**2 * p.density / p.c * ny.build_split_matrix(rule, p.d, omega / p.c, Branch.NEGATIVE)
+    return ny.weighted_symmetrize(A.real / (p.omega_a + abs(omega)), ny.volume_weights(p.d, rule))[0]
 
 
 @pytest.mark.parametrize("block", ("1d even", "1d odd", "2d", "3d"))
@@ -312,7 +310,7 @@ def test_bound_state_operator_on_unit_rule_matches_eps_rule(block, unit48):
     for eps in (1.0, 0.5, 0.1):
         p = PhysicalParams(d=d, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, rho0=2.0)
         for omega in (-0.5, -10.0):
-            K = boundstates._blocks(p, omega, unit48, block == "1d odd")[-1].matrix
+            K = boundstates.build_bs_operator(replace(p, d=ref_d), omega, unit48)[0]
             ref = _bs_on_eps_rule(replace(p, d=ref_d), omega)
             if eps == 1.0:
                 assert np.array_equal(K, ref), omega
