@@ -20,12 +20,15 @@ Config files are plain text: top-level ``key = value`` lines plus
 ``[section]`` blocks; unknown sections or keys are rejected with the
 offending line number, and so is a section that neither the run's
 experiment nor the config's own reads.  ``#`` starts a comment.  Every
-section and key is declared once, in ``_SCHEMA``.  ``bound-states`` solves
-the density of ``[bound_states]`` and ignores ``[params]`` epsilon, s0 and
-rho0.  Exit codes: 0 success, 1 configuration error (a greens-table entry
-outside the Green's function's domain included), 2 solver failure
-(non-convergence, LinAlgError, NystromError, EigensolverError or
-BoundStateNotFound; partial results are flushed first).
+section and key is declared once, in ``_SCHEMA``, which also checks each
+value as it is read, with its line number.  ``bound-states`` solves the
+density of ``[bound_states]`` and ignores ``[params]`` epsilon, s0 and
+rho0; its manifest records the parameters it solved.  Exit codes: 0
+success, 1 configuration error (a greens-table entry outside the Green's
+function's domain and a dynamics run with d != 1 included; no output is
+written), 2 solver failure (non-convergence, LinAlgError, NystromError,
+EigensolverError, BoundStateNotFound or DynamicsError; partial results
+are flushed first, with the manifest).
 """
 
 from __future__ import annotations
@@ -70,6 +73,15 @@ def _at_least_8(val):
         return f"must be at least 8, got {val}"
 
 
+def _power_of_two(val):
+    if val < 2 or val & (val - 1):
+        return f"must be a power of two, got {val}"
+
+
+def _one_of(*choices):
+    return lambda val: None if val in choices else f"must be one of {', '.join(choices)}, got {val!r}"
+
+
 def _decreasing_positive(val):
     if any(e <= 0 for e in val):
         return "entries must be positive"
@@ -94,17 +106,17 @@ _SCHEMA = {
     "greens": {"dims": (_list_of(int), [1, 2, 3], None),
                "k_values": (_list_of(lambda x: complex(x.replace(" ", ""))), [-1.0 + 0j], None),
                "r_values": (_list_of(float), [0.5, 1.0, 2.0], None),
-               "branch": (str, "negative", None)},
+               "branch": (str, "negative", _one_of(*(b.value for b in greens.Branch)))},
     "bound_states": {"rho0": (float, 1.0, _positive), "half_width": (float, 1.0, _positive),
                      "modes": (int, 1, _positive)},
-    "dynamics": {"grid_points": (int, 8192, _positive), "box_length": (float, 24.0, _positive),
+    "dynamics": {"grid_points": (int, 8192, _power_of_two), "box_length": (float, 24.0, _positive),
                  "dt": (float, 1e-3, _positive), "t_final": (float, 10.0, _positive),
                  "sample_every": (int, 100, _positive),
                  "window_halfwidth": (float, 0.5, _positive),
-                 "init_kind": (str, "atomic-bump", None),
+                 "init_kind": (str, "atomic-bump", _one_of("atomic-bump", "wave-packet")),
                  "packet_center": (float, -4.0, None), "packet_width": (float, 0.5, None),
                  "packet_momentum": (float, 3.0, None)},
-    "asymptotics": {"approximation": (str, "expansion", None)},
+    "asymptotics": {"approximation": (str, "expansion", _one_of("expansion", "sphere"))},
 }
 
 
@@ -227,10 +239,7 @@ def write_csv(path, columns, rows):
 
 def _run_greens_table(cfg):
     blk = cfg.sections["greens"]
-    try:
-        branch = greens.Branch(blk["branch"])
-    except ValueError:
-        raise ConfigError(f"[greens]: unknown branch {blk['branch']!r}") from None
+    branch = greens.Branch(blk["branch"])
     rows = []
     for d in blk["dims"]:
         for k in blk["k_values"]:
@@ -295,7 +304,7 @@ def _run_trace(cfg):
 def _run_bound_states(cfg):
     blk = cfg.sections["bound_states"]
     radius = boundstates.equal_volume_radius(cfg.params.d, blk["half_width"])
-    params = replace(cfg.params, epsilon=radius, rho0=blk["rho0"], s0=None)
+    params = cfg.params = replace(cfg.params, epsilon=radius, rho0=blk["rho0"], s0=None)
     rule = _unit_rule(cfg, "modes", "bound_states")  # every mode solves on it
     rows = []
     failures = False
@@ -321,8 +330,6 @@ def _run_asymptotics_compare(cfg):
     p = cfg.params
     j = cfg.sections["numerics"]["mode_index"]
     kind = cfg.sections["asymptotics"]["approximation"]
-    if kind not in ("expansion", "sphere"):
-        raise ConfigError(f"[asymptotics]: unknown approximation {kind!r}")
     rule = _unit_rule(cfg, "mode_index")
     mode = None
     if p.d in (2, 3):
@@ -352,18 +359,18 @@ def _run_asymptotics_compare(cfg):
 def _run_dynamics(cfg):
     blk = cfg.sections["dynamics"]
     p = cfg.params
+    if p.d != 1:
+        raise ConfigError(f"[params]: dynamics evolves d = 1 only, got d = {p.d}")
     n = blk["grid_points"]
     L = blk["box_length"]
     x = -0.5 * L + (L / n) * np.arange(n)
     if blk["init_kind"] == "atomic-bump":
         psi0 = np.zeros(n, dtype=complex)
         phi0 = np.where(np.abs(x) <= p.epsilon, 1.0, 0.0).astype(complex)
-    elif blk["init_kind"] == "wave-packet":
+    else:  # wave-packet
         psi0 = np.exp(-((x - blk["packet_center"]) / blk["packet_width"]) ** 2
                       + 1j * blk["packet_momentum"] * x)
         phi0 = np.zeros(n, dtype=complex)
-    else:
-        raise ConfigError(f"[dynamics]: unknown init_kind {blk['init_kind']!r}")
     state0 = dynamics.FieldState(L, psi0, phi0, 0.0).normalized()
     dt = blk["dt"]
     chunk = blk["sample_every"]
@@ -396,7 +403,6 @@ EXPERIMENTS = tuple(CSV_SCHEMAS)
 
 def run(cfg: RunConfig):
     """Execute one experiment; returns (exit_code, csv_path)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     status = 0
@@ -408,10 +414,12 @@ def run(cfg: RunConfig):
         status = 2
     except asymptotics.AsymptoticsError as exc:
         raise ConfigError(str(exc)) from None
-    except (eigensolver.EigensolverError, boundstates.BoundStateNotFound, *SOLVER_ERRORS) as exc:
+    except (eigensolver.EigensolverError, boundstates.BoundStateNotFound, dynamics.DynamicsError,
+            *SOLVER_ERRORS) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         rows = []
         status = 2
+    os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(csv_path, columns, rows)
     manifest = cfg.manifest()
     manifest["output_csv"] = os.path.basename(csv_path)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import asymptotics, nystrom
-from .nystrom import PhysicalParams, QuadratureRule, RadialOperator
+from .nystrom import PhysicalParams, QuadratureRule
 
 log = logging.getLogger(__name__)
 
@@ -66,12 +66,12 @@ def _inverse_iteration(M, shift=0j):
     raise EigensolverError(f"near-tied smallest eigenvalues: unsettled after {MAX_STEPS} steps")
 
 
-def characteristic_value(op: RadialOperator) -> complex:
-    """Smallest-magnitude eigenvalue of the operator matrix; 0 on a zero pivot."""
-    if not np.all(np.isfinite(op.matrix)):
+def characteristic_value(M) -> complex:
+    """Smallest-magnitude eigenvalue of the matrix M; 0 on a zero pivot."""
+    if not np.all(np.isfinite(M)):
         raise EigensolverError("matrix has non-finite entries")
     try:
-        return _inverse_iteration(op.matrix)[0]
+        return _inverse_iteration(M)[0]
     except np.linalg.LinAlgError:
         return 0j
 
@@ -95,8 +95,9 @@ def muller_solve(f: Callable[[complex], complex], seeds: Sequence[complex],
 
     The root of the interpolant nearest the newest iterate is taken
     (denominator sign chosen to maximize its magnitude).  Degenerate
-    interpolation data perturbs the newest point by 1e-8 |omega| and
-    continues.  Non-convergence returns the best iterate, flagged.
+    interpolation data (two equal iterates, or a zero denominator)
+    perturbs the newest point by 1e-8 |omega| and continues.
+    Non-convergence returns the best iterate, flagged.
     """
     if len(seeds) != 3 or len({complex(s) for s in seeds}) != 3:
         raise ValueError("muller_solve needs three distinct seeds")
@@ -109,7 +110,7 @@ def muller_solve(f: Callable[[complex], complex], seeds: Sequence[complex],
             return MullerResult(x2, f2, it - 1, True)
         h1, h2 = x1 - x0, x2 - x1
         den = 0
-        if h1 != 0 and h2 != 0:
+        if h1 != 0 and h2 != 0 and h1 + h2 != 0:
             d1, d2 = (f1 - f0) / h1, (f2 - f1) / h2
             a = (d2 - d1) / (h2 + h1)
             b = a * h2 + d2
@@ -166,39 +167,45 @@ def _limiting_frequencies(params: PhysicalParams, n_modes: int, rule: Quadrature
     return asymptotics.limiting_spectrum(params, n_modes, rule)[0]
 
 
-def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots):
-    evals = {}  # omega -> (operator, characteristic value)
+def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots, mode):
+    """The SpectrumResult of one mode, labelled `mode` in its warning.
+
+    Muller starts from omega_seed; a root within DEFLATION_RADIUS of one of
+    `known_roots` is re-seeded, at most 4 times.  A mode whose Muller
+    iteration fails, meets an unsettled f or keeps clashing is logged and
+    returned with converged=False, at Muller's last root or best iterate
+    (its last seed if f failed).
+    """
+    evals = {}  # omega -> (M, weights, characteristic value)
 
     def f(w):
         wc = complex(w)
         if wc not in evals:
-            op = nystrom.build_full_operator(params, wc, rule)
-            evals[wc] = (op, characteristic_value(op))
-        return evals[wc][1]
+            M, weights = nystrom.build_full_operator(params, wc, rule)
+            evals[wc] = (M, weights, characteristic_value(M))
+        return evals[wc][2]
 
     seeds = [omega_seed * s for s in SEED_SPREAD]
-    attempt = 0
-    while True:
+    for attempt in range(5):  # the seeds, then at most 4 re-seeds
+        if attempt:  # off a known root
+            bump = (1e-3 * 2**attempt) * max(abs(omega_seed), 1e-3)
+            seeds = [s + bump * (1 + 0.3j * attempt) for s in seeds]
         try:
-            res = muller_solve(f, seeds, tol=tol, max_iter=max_iter)
+            root, fvalue, iterations, converged = muller_solve(f, seeds, tol=tol, max_iter=max_iter)
         except EigensolverError as exc:  # an iterate without a settled f fails the mode
             log.warning("Muller stopped: %s", exc)
-            return MullerResult(seeds[-1], complex("nan"), 0, False), None
-        clash = next((r for r in known_roots if abs(res.root - r) < DEFLATION_RADIUS), None)
-        if res.converged and clash is None:
+            root, fvalue, iterations = seeds[-1], complex("nan"), 0
             break
-        if not res.converged:
-            return res, None
-        attempt += 1
-        if attempt > 4:
-            return MullerResult(res.root, res.fvalue, res.iterations, False), None
-        bump = (1e-3 * 2**attempt) * max(abs(omega_seed), 1e-3)
-        seeds = [s + bump * (1 + 0.3j * attempt) for s in seeds]
-    op, ev = evals[res.root]
-    v = _smallest_eigenpair(op.matrix, ev)
-    residual = float(np.linalg.norm(op.matrix @ v) / np.linalg.norm(v))
-    v = v / op.weighted_norm(v)
-    return res, (v, residual)
+        if not converged:
+            break
+        if all(abs(root - r) >= DEFLATION_RADIUS for r in known_roots):
+            M, weights, ev = evals[root]
+            v = _smallest_eigenpair(M, ev)
+            residual = float(np.linalg.norm(M @ v) / np.linalg.norm(v))
+            v = v / np.sqrt(np.sum(weights * np.abs(v) ** 2))
+            return SpectrumResult(root, v, residual, iterations, omega_seed)
+    log.warning("mode %d did not converge (seed %s, best |f| = %.3e)", mode, omega_seed, abs(fvalue))
+    return SpectrumResult(root, np.array([]), float("nan"), iterations, omega_seed, converged=False)
 
 
 def _solve_modes(params: PhysicalParams, seeds: Sequence[complex], rule: QuadratureRule,
@@ -209,11 +216,9 @@ def _solve_modes(params: PhysicalParams, seeds: Sequence[complex], rule: Quadrat
     order), so the first build of the loop has its largest |k| and builds
     the rule's moment stacks at full height once (`nystrom._moment_sum`);
     smaller seeds then need no new rows.  Each mode deflates against the
-    converged roots of the modes solved before it: a root within
-    DEFLATION_RADIUS of one of them is re-seeded, so on a clash the mode
-    with the smaller |seed| is the one that moves.  A mode whose Muller
-    iteration fails, or meets an unsettled f, is logged and returned with
-    converged=False.  `modes` labels the seeds in that warning (1, 2, ...
+    converged roots of the modes solved before it (`_solve_one_mode`), so
+    on a clash the mode with the smaller |seed| is the one that moves.
+    `modes` labels the seeds in the warning of a mode that fails (1, 2, ...
     by default).
     """
     if modes is None:
@@ -221,17 +226,9 @@ def _solve_modes(params: PhysicalParams, seeds: Sequence[complex], rule: Quadrat
     results = [None] * len(seeds)
     roots = []
     for i in sorted(range(len(seeds)), key=lambda i: -abs(seeds[i])):
-        w_seed = seeds[i]
-        res, extra = _solve_one_mode(params, w_seed, rule, tol, max_iter, roots)
-        if extra is None:
-            log.warning("mode %d did not converge (seed %s, best |f| = %.3e)",
-                        modes[i], w_seed, abs(res.fvalue))
-            results[i] = SpectrumResult(res.root, np.array([]), float("nan"),
-                                        res.iterations, w_seed, converged=False)
-            continue
-        v, residual = extra
-        roots.append(res.root)
-        results[i] = SpectrumResult(res.root, v, residual, res.iterations, w_seed)
+        results[i] = _solve_one_mode(params, seeds[i], rule, tol, max_iter, roots, modes[i])
+        if results[i].converged:
+            roots.append(results[i].omega)
     return results
 
 

@@ -1032,25 +1032,6 @@ def _contract_panel(W, rows, h, batch, x):
             i = k
 
 
-@dataclass(frozen=True)
-class RadialOperator:
-    """Dense discretization of one of the integral operators.
-
-    `norm_weights` are the volume quadrature weights; the discrete L^2
-    pairing is sum_i norm_weights[i] * conj(u_i) * v_i.
-    """
-
-    matrix: np.ndarray
-    rule: QuadratureRule
-    omega: complex
-    params: PhysicalParams
-    norm_weights: np.ndarray
-
-    def weighted_norm(self, v):
-        v = np.asarray(v)
-        return float(np.sqrt(np.sum(self.norm_weights * np.abs(v) ** 2)))
-
-
 def weighted_symmetrize(matrix, weights):
     """Symmetric part of the similarity transform S M S^-1, S = diag(sqrt(w)).
 
@@ -1081,12 +1062,12 @@ def coupling_operator(params, rule, omega):
 
 
 def build_full_operator(params, omega, rule):
-    """Matrix of the nonlinear-eigenvalue operator at frequency omega:
-    M(omega) = (Omega - omega) I - A(omega) (`coupling_operator`), with the
-    norm weights of B_eps."""
+    """(M, weights): the matrix of the nonlinear-eigenvalue operator at
+    frequency omega, M(omega) = (Omega - omega) I - A(omega)
+    (`coupling_operator`), and the volume weights of B_eps, whose discrete
+    L^2 pairing is sum_i weights[i] conj(u_i) v_i."""
     omega = complex(omega)
     if omega.real == 0.0:
         raise GreensDomainError("omega on the imaginary axis is outside the domain")
     A, weights = coupling_operator(params, rule, omega)
-    M = -(omega - params.omega_a) * np.eye(len(rule.nodes)) - A
-    return RadialOperator(M, rule, omega, params, weights)
+    return -(omega - params.omega_a) * np.eye(len(rule.nodes)) - A, weights

@@ -119,7 +119,8 @@ def reduced_kernel(d, k, r, rp):
 
 
 def build_rank1_limit_1d(params, omega, rule=None):
-    """d=1 limiting operator: rank-1 perturbation of -(omega - Omega) I.
+    """(M, weights) of the d=1 limiting operator: M is a rank-1 perturbation
+    of -(omega - Omega) I.
 
     Its single nontrivial eigenvalue sits at Omega - g^2 s0 |B1| / (pi c),
     with the constant function as eigenvector.  Without a rule, a 64-node
@@ -133,13 +134,13 @@ def build_rank1_limit_1d(params, omega, rule=None):
     pref = params.g**2 * params.s0_effective / (np.pi * params.c)
     N = len(rule.nodes)
     M = -(complex(omega) - params.omega_a) * np.eye(N) - pref * np.tile(w_even, (N, 1))
-    return ny.RadialOperator(M.astype(complex), rule, complex(omega), params, 2.0 * rule.weights)
+    return M.astype(complex), 2.0 * rule.weights
 
 
-def characteristic_value_eigvals(op):
-    """Eigenvalue of smallest magnitude of the operator matrix, picked from
-    its full spectrum (`np.linalg.eigvals`)."""
-    ev = np.linalg.eigvals(op.matrix)
+def characteristic_value_eigvals(M):
+    """Eigenvalue of smallest magnitude of the matrix M, picked from its full
+    spectrum (`np.linalg.eigvals`)."""
+    ev = np.linalg.eigvals(M)
     return complex(ev[np.argmin(np.abs(ev))])
 
 
@@ -158,10 +159,9 @@ def limiting_matrix(params, rule):
 
 
 def build_limiting_operator(params, omega, rule):
-    """Matrix of the eps -> 0 limiting operator -(omega - Omega) I - L0."""
+    """(M, weights) of the eps -> 0 limiting operator M = -(omega - Omega) I - L0."""
     L0, weights = limiting_matrix(params, rule)
-    M = -(complex(omega) - params.omega_a) * np.eye(len(rule.nodes)) - L0
-    return ny.RadialOperator(M, rule, complex(omega), params, weights)
+    return -(complex(omega) - params.omega_a) * np.eye(len(rule.nodes)) - L0, weights
 
 
 def radial_integral(f, d, r_max=1e7, n_decades_start=1e-6):

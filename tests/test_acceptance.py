@@ -138,12 +138,12 @@ def test_criterion_06_expansion_consistency_3d():
     for eps in (4e-3, 2e-3, 1e-3):
         p = P3(eps)
         rule = QuadratureRule.make(eps, n_radial=n)
-        res, extra = es._solve_one_mode(p, mode.omega_j, rule, 1e-12, 60, [])
-        assert extra is not None
+        res = es._solve_one_mode(p, mode.omega_j, rule, 1e-12, 60, [], 1)
+        assert res.converged
         pred = asym.resonance_expansion_3d(mode, p, eps)
-        re_resid.append(abs(res.root.real - pred.real) / eps**2)
+        re_resid.append(abs(res.omega.real - pred.real) / eps**2)
         if eps == 1e-3:
-            im_ratio = res.root.imag / pred.imag
+            im_ratio = res.omega.imag / pred.imag
     dt = time.time() - t0
     assert abs(im_ratio - 1.0) <= 0.05
     # bounded as eps halves: no doubling anywhere along the sweep
@@ -219,9 +219,9 @@ def test_criterion_08_bound_state_suite(bound_state_setup):
 
 def test_criterion_09_birman_schwinger_equivalence(bound_state_setup):
     params, omega_star = bound_state_setup
-    op = ny.build_full_operator(params, complex(omega_star),
-                                QuadratureRule.make(1.0, n_radial=64))
-    lam = es.characteristic_value(op)
+    M, _ = ny.build_full_operator(params, complex(omega_star),
+                                  QuadratureRule.make(1.0, n_radial=64))
+    lam = es.characteristic_value(M)
     assert abs(lam) <= 1e-6
     print(f"\nPASS criterion 9 (Birman-Schwinger equivalence): full-operator "
           f"characteristic value {abs(lam):.2e} <= 1e-6 at omega* = {omega_star:.6f}")

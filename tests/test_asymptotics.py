@@ -145,8 +145,8 @@ def test_bound_state_exponent():
 
 def test_rank1_limit_matches_formula_exactly():
     p = params(d=1, eps=0.1, s0=0.7)
-    op = orc.build_rank1_limit_1d(p, 0.0 + 0j, QuadratureRule.make(1.0, n_radial=24))
-    ev = np.linalg.eigvals(op.matrix)
+    M, _ = orc.build_rank1_limit_1d(p, 0.0 + 0j, QuadratureRule.make(1.0, n_radial=24))
+    ev = np.linalg.eigvals(M)
     target = asym.limiting_frequency_1d(p)
     nontrivial = ev[np.argmax(np.abs(ev - p.omega_a))]
     assert abs(nontrivial - target) <= 1e-12
@@ -161,11 +161,11 @@ def test_joint_2d_expansion():
     for eps in (3e-3, 1e-3):
         pe = params(d=2, eps=eps)
         rule = QuadratureRule.make(eps, n_radial=40)
-        res, extra = es._solve_one_mode(pe, mode.omega_j, rule, 1e-11, 60, [])
-        assert extra is not None
+        res = es._solve_one_mode(pe, mode.omega_j, rule, 1e-11, 60, [], 1)
+        assert res.converged
         pred = asym.resonance_expansion_2d(mode, pe, eps)
-        assert abs(res.root.imag / pred.imag - 1.0) < 0.05
-        ratios.append((res.root.real - mode.omega_j) / (pred.real - mode.omega_j))
+        assert abs(res.omega.imag / pred.imag - 1.0) < 0.05
+        ratios.append((res.omega.real - mode.omega_j) / (pred.real - mode.omega_j))
     assert all(1.0 < q < 1.8 for q in ratios)
     assert ratios[1] < ratios[0]  # closing toward 1 as eps shrinks
 
@@ -178,9 +178,9 @@ def test_sphere_approximation_vs_solver():
     for eps in eps_grid:
         pe = params(eps=eps)
         rule = QuadratureRule.make(eps, n_radial=40)
-        res, extra = es._solve_one_mode(pe, seed, rule, 1e-11, 60, [])
-        assert extra is not None
-        num.append(res.root)
+        res = es._solve_one_mode(pe, seed, rule, 1e-11, 60, [], 1)
+        assert res.converged
+        num.append(res.omega)
         sph.append(asym.sphere_lowest_mode_approx(pe, eps))
     for a, b in zip(num, sph):
         assert b.imag < 0 and a.imag < 0
@@ -203,8 +203,8 @@ def test_joint_3d_first_order(modes3, j):
     p = params(eps=eps)
     m = modes3[j - 1]
     rule = QuadratureRule.make(eps, n_radial=48)
-    res, extra = es._solve_one_mode(p, m.omega_j, rule, 1e-12, 60, [])
-    assert extra is not None
+    res = es._solve_one_mode(p, m.omega_j, rule, 1e-12, 60, [], j)
+    assert res.converged
     pred = asym.resonance_expansion_3d(m, p, eps)
-    assert abs(res.root.imag / pred.imag - 1.0) < 0.02
-    assert abs(res.root.real - pred.real) < 5 * eps**2
+    assert abs(res.omega.imag / pred.imag - 1.0) < 0.02
+    assert abs(res.omega.real - pred.real) < 5 * eps**2

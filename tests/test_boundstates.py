@@ -200,6 +200,9 @@ ANALYTIC_ROOTS = (
     (lambda x: 0.5 - x - x * x - 0.5 * x**3, -2.0, 2.0),
     # |f| ties: no swap at |f(a)| = |f(b)|, and bisection where interpolation would stall
     (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+    # f exactly 0 at a bracket end: that end is the root
+    (lambda x: x - 1.0, 1.0, 3.0),
+    (lambda x: x - 3.0, 1.0, 3.0),
 )
 
 
@@ -244,8 +247,8 @@ def test_necessary_condition(omega_star):
 def test_full_operator_equivalence(omega_star):
     # the located Birman-Schwinger crossing annihilates the full operator
     p = p1d()
-    op = ny.build_full_operator(p, complex(omega_star), QuadratureRule.make(1.0, n_radial=48))
-    lam = es.characteristic_value(op)
+    M, _ = ny.build_full_operator(p, complex(omega_star), QuadratureRule.make(1.0, n_radial=48))
+    lam = es.characteristic_value(M)
     assert abs(lam) <= 1e-6
 
 
@@ -298,8 +301,8 @@ def test_2d_bound_state_two_routes_agree():
 
 def test_2d_negative_branch_operator_real():
     p = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.5, rho0=2.0)
-    op = ny.build_full_operator(p, -0.7 + 0j, QuadratureRule.make(0.5, n_radial=24))
-    assert np.max(np.abs(op.matrix.imag)) <= 1e-12
+    M, _ = ny.build_full_operator(p, -0.7 + 0j, QuadratureRule.make(0.5, n_radial=24))
+    assert np.max(np.abs(M.imag)) <= 1e-12
 
 
 def test_second_mode_crossing_strong_coupling():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photon_resonance import asymptotics, boundstates, cli, greens, nystrom
+from photon_resonance import asymptotics, boundstates, cli, dynamics, greens, nystrom
 from photon_resonance.cli import ConfigError
 
 
@@ -434,6 +434,68 @@ init_kind = wave-packet
     assert np.max(np.abs(rows[:, 1] - 1.0)) <= 1e-12  # 3.4e-14 measured: round-off
 
 
+DYN_CFG = """
+experiment = dynamics
+
+[params]
+d = 1
+c = 1.0
+g = 1.0
+omega_a = 1.0
+epsilon = 0.25
+s0 = 0.5
+
+[dynamics]
+grid_points = 64
+box_length = 16.0
+dt = 2e-3
+t_final = 0.2
+sample_every = 100
+"""
+
+
+def test_dynamics_in_two_dimensions_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, DYN_CFG.replace("d = 1", "d = 2"))
+    assert cli.main(["dynamics", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: [params]: dynamics evolves d = 1 only")
+    assert not out.exists()
+
+
+def test_dynamics_mass_drift_abort_exits_2_with_a_manifest(tmp_path, monkeypatch, capsys):
+    def drift(*args, **kwargs):
+        raise dynamics.DynamicsError("mass drift 1.000e-03 exceeds 1.0e-06")
+
+    monkeypatch.setattr(dynamics, "evolve", drift)
+    out = tmp_path / "o"
+    assert cli.main(["dynamics", "--config", write_cfg(tmp_path, DYN_CFG), "--out", str(out)]) == 2
+    assert "solver failure: mass drift" in capsys.readouterr().err
+    assert (out / "dynamics.csv").read_text().splitlines() == ["t,mass,window_mass,survival"]
+    assert json.loads((out / "manifest.json").read_text())["experiment"] == "dynamics"
+
+
+@pytest.mark.parametrize("experiment, cfg, key, bad, complaint", (
+    ("greens-table", GREENS_CFG.replace("branch = negative", "branch = sideways"), "branch", "sideways",
+     "must be one of"),
+    ("asymptotics-compare", RES_CFG + "epsilon_grid = 0.1, 0.05\n[asymptotics]\napproximation = born\n",
+     "approximation", "born", "must be one of"),
+    ("dynamics", DYN_CFG + "init_kind = plane\n", "init_kind", "plane", "must be one of"),
+    ("dynamics", DYN_CFG.replace("grid_points = 64", "grid_points = 1000"), "grid_points", "1000",
+     "must be a power of two"),
+), ids=("branch", "approximation", "init_kind", "grid_points"))
+def test_value_outside_its_schema_exits_1_line_anchored(tmp_path, capsys, experiment, cfg, key,
+                                                         bad, complaint):
+    # checked as the config is read: the message names the line, and the run
+    # makes no output directory
+    out = tmp_path / "o"
+    assert cli.main([experiment, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    lineno = cfg.splitlines().index(f"{key} = {bad}") + 1
+    assert err.startswith("config error:") and f":{lineno}: {key} {complaint}" in err
+    assert bad in err
+    assert not out.exists()
+
+
 def test_trace_epsilon_csv(tmp_path):
     cfg = """
 experiment = trace-epsilon
@@ -538,6 +600,29 @@ def test_failed_continuation_exits_2_with_the_header_alone(tmp_path, capsys):
     lines = Path(out, "trace-epsilon.csv").read_text().splitlines()
     assert lines == [",".join(cli.CSV_SCHEMAS["trace-epsilon"])]
     assert json.loads(Path(out, "manifest.json").read_text())["numerics"]["max_iter"] == 1
+
+
+def test_unreachable_muller_tol_exits_2_with_its_rows_and_a_manifest(tmp_path):
+    # configs/resonances_3d.cfg at muller_tol = 1e-30: no mode reaches |f| <= tol,
+    # so each one stalls at its root, and the run writes all 5 rows
+    cfg = Path(os.path.dirname(__file__), os.pardir, "configs", "resonances_3d.cfg").read_text()
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, cfg.replace("[numerics]\n", "[numerics]\nmuller_tol = 1e-30\n"))
+    assert cli.main(["resonances", "--config", path, "--out", str(out)]) == 2
+    rows = (out / "resonances.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.split(",")[3] == "nan" for row in rows)  # no residual
+    assert json.loads((out / "manifest.json").read_text())["numerics"]["muller_tol"] == 1e-30
+
+
+def test_bound_states_manifest_records_the_params_it_solved(tmp_path):
+    # configs/bound_states_2d.cfg: [params] carries epsilon = 1 and s0 = 1,
+    # the solve takes the disk of equal area (radius 2 / sqrt(pi)) at rho0 = 4
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bound_states_2d.cfg")
+    cfg = cli.resolve_config(cli.parse_config(path), None, str(tmp_path))
+    assert cli.run(cfg)[0] == 0
+    params = json.loads(Path(tmp_path, "manifest.json").read_text())["params"]
+    assert params["epsilon"] == 2.0 / np.sqrt(np.pi) == 1.1283791670955126
+    assert (params["rho0"], params["s0"]) == (4.0, None)
 
 
 @pytest.mark.parametrize("path, key, check", (

@@ -36,6 +36,10 @@ def test_params_validation():
     assert p.density == pytest.approx(-1.0 / (0.1 * np.log(0.1)))
     assert params3().density == pytest.approx(10.0)
     assert params3(s0=None, rho0=10.0).s0_effective == pytest.approx(1.0)
+    # d = 1 given rho0: s0 = -rho0 eps log eps, and back through s0 to rho0
+    p = PhysicalParams(d=1, c=1, g=1, omega_a=1, epsilon=0.05, rho0=3.0)
+    assert p.s0_effective == pytest.approx(0.4493598410330987, rel=1e-15)
+    assert replace(p, rho0=None, s0=p.s0_effective).density == pytest.approx(3.0, rel=1e-15)
 
 
 def test_rule_invariants():
@@ -150,8 +154,8 @@ def test_reduced_kernel_symmetry(r, rp):
 def test_full_operator_real_for_negative_omega():
     p = params3(0.2)
     rule = QuadratureRule.make(0.2, n_radial=32)
-    op = ny.build_full_operator(p, -0.7 + 0j, rule)
-    assert np.max(np.abs(op.matrix.imag)) <= 1e-12
+    M, _ = ny.build_full_operator(p, -0.7 + 0j, rule)
+    assert np.max(np.abs(M.imag)) <= 1e-12
     with pytest.raises(greens.GreensDomainError):
         ny.build_full_operator(p, 1j, rule)
 
@@ -162,8 +166,8 @@ def test_full_operator_refinement_stability():
     vals = []
     for n in (32, 64):
         rule = QuadratureRule.make(0.1, n_radial=n)
-        op = ny.build_full_operator(p, 0.5 * p.omega_a + 0j, rule)
-        ev = np.linalg.eigvals(op.matrix)
+        M, _ = ny.build_full_operator(p, 0.5 * p.omega_a + 0j, rule)
+        ev = np.linalg.eigvals(M)
         vals.append(ev[np.argmin(np.abs(ev))])
     assert abs(vals[0] - vals[1]) <= 1e-6
 
@@ -174,14 +178,14 @@ def test_scaled_operator_approaches_limit():
     n = 32
     unit = QuadratureRule.make(1.0, n_radial=n)
     omega = 0.5 + 0j
-    m_limit = orc.build_limiting_operator(p0, omega, unit).matrix
+    m_limit, _ = orc.build_limiting_operator(p0, omega, unit)
     S = np.sqrt(greens.surface_measure(3) * unit.weights * unit.nodes**2)
     norms = []
     eps_list = (2e-2, 1e-2, 5e-3)
     for eps in eps_list:
         pe = params3(eps)
         rule = QuadratureRule.make(eps, n_radial=n)
-        m_eps = ny.build_full_operator(pe, omega, rule).matrix
+        m_eps, _ = ny.build_full_operator(pe, omega, rule)
         diff = S[:, None] * (m_eps - m_limit) / S[None, :]
         norms.append(np.linalg.norm(diff, 2))
     slope = orc.loglog_slope(eps_list, norms)
@@ -221,22 +225,22 @@ def test_limiting_operator_spectrum_structure():
 def test_rank1_limit_1d():
     p = PhysicalParams(d=1, c=1, g=1, omega_a=1, epsilon=0.1, s0=1.0)
     rule = QuadratureRule.make(1.0, n_radial=32)
-    op = orc.build_rank1_limit_1d(p, 0.0 + 0j, rule)
-    ev, V = np.linalg.eig(op.matrix)
+    M, _ = orc.build_rank1_limit_1d(p, 0.0 + 0j, rule)
+    ev, V = np.linalg.eig(M)
     # single nontrivial eigenvalue at -(0 - Omega) - g^2 s0 |B1|/(pi c)
     target = asymptotics.limiting_frequency_1d(p)
     nontriv = ev[np.argmax(np.abs(ev - p.omega_a))]
     assert abs(nontriv - target) < 1e-12
     # constant vector is the eigenvector
     ones = np.ones(len(rule.nodes))
-    out = op.matrix @ ones
+    out = M @ ones
     assert np.max(np.abs(out - target * ones)) < 1e-12
     # zero-mean vectors sit in the kernel of the integral part
     w_even = 2.0 * rule.weights
     v = np.sin(np.pi * rule.nodes)
     v = v - (w_even * v).sum() / w_even.sum()
     assert abs((w_even * v).sum()) < 1e-14
-    integral_part = op.matrix - p.omega_a * np.eye(len(ones))
+    integral_part = M - p.omega_a * np.eye(len(ones))
     assert np.max(np.abs(integral_part @ v)) < 1e-13
     with pytest.raises(ValueError):
         orc.build_rank1_limit_1d(params3(), 0.0)
@@ -245,11 +249,11 @@ def test_rank1_limit_1d():
 def test_operator_norm_weights_and_dot():
     p = params3(0.3)
     rule = QuadratureRule.make(0.3, n_radial=32)
-    op = ny.build_full_operator(p, -0.5 + 0j, rule)
+    _, weights = ny.build_full_operator(p, -0.5 + 0j, rule)
     ones = np.ones(len(rule.nodes))
     vol = greens.ball_volume(3, 0.3)
-    assert op.weighted_norm(ones) == pytest.approx(np.sqrt(vol))
-    assert np.sum(op.norm_weights) == pytest.approx(vol)
+    assert np.sqrt(np.sum(weights * ones**2)) == pytest.approx(np.sqrt(vol))
+    assert np.sum(weights) == pytest.approx(vol)
 
 
 # max |W(k; eps) - eps W(eps k; 1)| / max |W| at N = 48.  d = 1 is looser:
@@ -283,13 +287,13 @@ def test_kernel_matrix_is_homogeneous_in_eps(d, eps, unit48):
 def test_full_operator_on_unit_rule_matches_eps_rule(d, omega, unit48):
     for eps in (0.2, 0.025):
         p = PhysicalParams(d=d, c=1.0, g=1.0, omega_a=1.0, epsilon=eps, s0=0.3)
-        direct = ny.build_full_operator(p, omega, QuadratureRule.make(eps, n_radial=48))
-        scaled = ny.build_full_operator(p, omega, unit48)
+        direct, direct_weights = ny.build_full_operator(p, omega, QuadratureRule.make(eps, n_radial=48))
+        scaled, scaled_weights = ny.build_full_operator(p, omega, unit48)
         shift = (omega - p.omega_a) * np.eye(48)  # M + shift = -pref W
-        tol = HOMOGENEITY_TOL[d] * np.max(np.abs(direct.matrix + shift))
-        assert np.max(np.abs(scaled.matrix - direct.matrix)) <= tol, eps
+        tol = HOMOGENEITY_TOL[d] * np.max(np.abs(direct + shift))
+        assert np.max(np.abs(scaled - direct)) <= tol, eps
         # the norm weights are the physical ones on B_eps
-        assert np.max(np.abs(scaled.norm_weights / direct.norm_weights - 1.0)) <= 1e-14
+        assert np.max(np.abs(scaled_weights / direct_weights - 1.0)) <= 1e-14
 
 
 def _bs_on_eps_rule(p, omega):
@@ -867,12 +871,12 @@ def test_larger_k_grows_g1_moments_without_rebuilding_sing(monkeypatch):
         return a0(d)
 
     monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
-    grown = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, rule).matrix
+    grown, _ = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, rule)
     assert k0_calls == []
     W_sing, U, V = rule._cache[key]
     assert len(W_sing) == 1 and len(U) > n_powers and len(V) > n_logs
-    fresh = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, QuadratureRule.make(0.1, n_radial=48))
-    assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
+    fresh, _ = ny.build_full_operator(params3(0.1), 15.0 - 0.001j, QuadratureRule.make(0.1, n_radial=48))
+    assert np.array_equal(grown, fresh)  # grown moments equal ones made in one pass
 
 
 def params2(eps=0.2):
@@ -938,13 +942,13 @@ def test_larger_k_grows_j0y0_moments_without_rebuilding_sing(monkeypatch):
         return a0(d)
 
     monkeypatch.setattr(ny, "kernel_a0_reduced", counted_a0)
-    grown = ny.build_full_operator(params2(), 12.0 - 0.01j, rule).matrix  # |k| R = 2.4
+    grown, _ = ny.build_full_operator(params2(), 12.0 - 0.01j, rule)  # |k| R = 2.4
     assert k0_calls == []
     W_sing, *rows = rule._cache[key]
     after = [len(m) for m in rows]
     assert len(W_sing) == 1 and all(a > b for a, b in zip(after, before)) and len(set(after)) == 1
-    fresh = ny.build_full_operator(params2(), 12.0 - 0.01j, QuadratureRule.make(0.2, n_radial=48))
-    assert np.array_equal(grown, fresh.matrix)  # grown moments equal ones made in one pass
+    fresh, _ = ny.build_full_operator(params2(), 12.0 - 0.01j, QuadratureRule.make(0.2, n_radial=48))
+    assert np.array_equal(grown, fresh)  # grown moments equal ones made in one pass
 
 
 def test_log_tail_rule_moments():
