@@ -379,10 +379,14 @@ def _run_dynamics(cfg):
     rows = [(0.0, state0.mass(), state0.window_mass(-w, w),
              dynamics.survival_probability(state0, state0))]
     cur = state0
-    for _ in range(n_chunks):
-        cur = dynamics.evolve(cur, dt, chunk, p)
-        rows.append((cur.t, cur.mass(), cur.window_mass(-w, w),
-                     dynamics.survival_probability(state0, cur)))
+    try:
+        for _ in range(n_chunks):
+            cur = dynamics.evolve(cur, dt, chunk, p)
+            rows.append((cur.t, cur.mass(), cur.window_mass(-w, w),
+                         dynamics.survival_probability(state0, cur)))
+    except dynamics.DynamicsError as exc:  # a mass-drift abort keeps the rows sampled before it
+        print(f"solver failure: {exc}", file=sys.stderr)
+        raise SolverFailure(rows) from None
     return rows
 
 

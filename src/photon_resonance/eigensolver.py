@@ -3,9 +3,15 @@
 A frequency omega is an eigenvalue of the nonlinear problem when the
 matrix M(omega) built by the quadrature module is singular.  We track
 f(omega) = eigenvalue of M(omega) of smallest magnitude, by inverse
-iteration on one inverse of M(omega) (about 0.25 ms at N = 48 near a
-root, against 1 ms for `eigvals`, 2-core VM), and drive it to zero with
-Muller's method, seeded from the spectrum of the limiting operator.  The
+iteration on one inverse of M(omega), and drive it to zero with Muller's
+method, seeded from the spectrum of the limiting operator.  At N = 48 on a
+2-core VM one Muller iterate costs about 0.1 ms for M(omega) (a moment
+sum, `nystrom._moment_sum`), 0.12 ms for the inverse and 0.01 ms per
+inverse-iteration step (5-19 steps), against 1 ms for `eigvals`.  The
+iterate's eigenvector, the inverse iteration's last vector, is cached with
+f, so a root's eigenvector and residual come from the evaluation at the
+root; a second, shifted inverse iteration (`_smallest_eigenpair`) runs
+only where that evaluation met a zero pivot (f = 0 exactly).  The
 seeds are its eigenvalues only (`asymptotics.limiting_spectrum`, one
 `eigvalsh`): at N = 48 an `eigh` took about three times as long and woke
 a second OpenBLAS thread, which then spun through the rest of the solve.
@@ -53,7 +59,9 @@ def _inverse_iteration(M, shift=0j):
     inverse of M - shift I from the all-ones vector until the Rayleigh quotient settles
     (its change stops shrinking, within n eps max|M|); near-ties raise EigensolverError."""
     n = len(M)
-    inv = np.linalg.inv(M - shift * np.eye(n))
+    shifted = np.array(M, dtype=np.result_type(M, shift))
+    shifted[np.diag_indices(n)] -= shift
+    inv = np.linalg.inv(shifted)
     tol = n * np.finfo(float).eps * np.max(np.abs(M))
     v, lam, change = np.ones(n, dtype=complex), np.inf, np.inf
     for _ in range(MAX_STEPS):
@@ -66,14 +74,15 @@ def _inverse_iteration(M, shift=0j):
     raise EigensolverError(f"near-tied smallest eigenvalues: unsettled after {MAX_STEPS} steps")
 
 
-def characteristic_value(M) -> complex:
-    """Smallest-magnitude eigenvalue of the matrix M; 0 on a zero pivot."""
+def characteristic_value(M):
+    """Smallest-magnitude eigenvalue of the matrix M and its eigenvector (the
+    inverse iteration's last iterate); (0, None) on a zero pivot."""
     if not np.all(np.isfinite(M)):
         raise EigensolverError("matrix has non-finite entries")
     try:
-        return _inverse_iteration(M)[0]
+        return _inverse_iteration(M)
     except np.linalg.LinAlgError:
-        return 0j
+        return 0j, None
 
 
 def _smallest_eigenpair(M, ev):
@@ -176,13 +185,13 @@ def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots, mode):
     returned with converged=False, at Muller's last root or best iterate
     (its last seed if f failed).
     """
-    evals = {}  # omega -> (M, weights, characteristic value)
+    evals = {}  # omega -> (M, weights, characteristic value, its eigenvector or None)
 
     def f(w):
         wc = complex(w)
         if wc not in evals:
             M, weights = nystrom.build_full_operator(params, wc, rule)
-            evals[wc] = (M, weights, characteristic_value(M))
+            evals[wc] = (M, weights, *characteristic_value(M))
         return evals[wc][2]
 
     seeds = [omega_seed * s for s in SEED_SPREAD]
@@ -199,8 +208,9 @@ def _solve_one_mode(params, omega_seed, rule, tol, max_iter, known_roots, mode):
         if not converged:
             break
         if all(abs(root - r) >= DEFLATION_RADIUS for r in known_roots):
-            M, weights, ev = evals[root]
-            v = _smallest_eigenpair(M, ev)
+            M, weights, ev, v = evals[root]
+            if v is None:  # f hit a zero pivot: f = 0 exactly
+                v = _smallest_eigenpair(M, ev)
             residual = float(np.linalg.norm(M @ v) / np.linalg.norm(v))
             v = v / np.sqrt(np.sum(weights * np.abs(v) ** 2))
             return SpectrumResult(root, v, residual, iterations, omega_seed)

@@ -164,6 +164,26 @@ def _g3(k, r, branch):
     return core
 
 
+_order_cache: dict = {}
+
+
+def _order_tables(order):
+    """The k-independent tables of `g1_series` for n = 0..order, cached per
+    order: n, (-1)^(n // 2), whether n is even, psi(n + 1) = H_n - gamma,
+    i i^n and i (-i)^n."""
+    tables = _order_cache.get(order)
+    if tables is None:
+        n = np.arange(order + 1)
+        psi = np.zeros(order + 1)
+        np.cumsum(1.0 / n[1:], out=psi[1:])
+        psi -= EULER_GAMMA
+        tables = (n, np.where(n % 4 < 2, 1.0, -1.0), n % 2 == 0, psi, 1j * 1j**n, 1j * (-1j) ** n)
+        for table in tables:
+            table.flags.writeable = False
+        _order_cache[order] = tables
+    return tables
+
+
 def g1_series(k, branch, order):
     """Coefficients of G1(k, rho) - G1(0, rho) = sum a[n] rho^n + sum b[m] rho^2m log rho.
 
@@ -185,21 +205,19 @@ def g1_series(k, branch, order):
     zero branch both are zero.  The series converges for every rho, but
     loses digits to cancellation once |kappa| rho is large.
     """
-    n = np.arange(order + 1)
     if branch is Branch.ZERO:
         return np.zeros(order + 1, dtype=complex), np.zeros(order // 2 + 1, dtype=complex)
+    n, sign, even, psi, i_out, i_in = _order_tables(order)
     kappa = -complex(k) if branch is Branch.NEGATIVE else complex(k)
     log_kappa = np.log(kappa)
-    powers = np.cumprod(np.r_[1.0, kappa / n[1:]])  # kappa^n / n!
-    sign = np.where(n % 4 < 2, 1.0, -1.0)  # (-1)^(n // 2)
-    even = n % 2 == 0
-    psi = np.cumsum(np.r_[0.0, 1.0 / n[1:]]) - EULER_GAMMA  # psi(n + 1)
+    powers = np.ones(order + 1, dtype=complex)
+    np.cumprod(kappa / n[1:], out=powers[1:])  # kappa^n / n!
     a = sign * powers * np.where(even, (psi - log_kappa) / np.pi, 0.5)
     a[0] = -log_kappa / np.pi
     if branch is Branch.OUTGOING:
-        a += 1j * 1j**n * powers
+        a += i_out * powers
     elif branch is Branch.INCOMING:
-        a -= 1j * (-1j) ** n * powers
+        a -= i_in * powers
     b = -(sign * powers)[::2] / np.pi
     b[0] = 0.0
     return a, b

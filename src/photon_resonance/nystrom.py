@@ -51,7 +51,13 @@ with closed-form coefficients in k times k-independent rows, so W_reg(k) is
 the same series over moment matrices, Q's integrals of those rows.  Each
 rule caches them in one stack whose kind 0 is W_sing, so a build, k = 0
 included, is one sum (`_moment_sum`), float64 at k = 0, and evaluates no
-kernel.  Growing the stack for a larger |k| costs nearly a fresh build of
+kernel.  Each kind of the stack is one (rows x N^2) array, and the sum
+takes one real matrix product per kind, of its first n rows (transposed)
+and the n coefficients as real and imaginary columns.  At N = 48 such a
+product, at most 2 x 38 x 2304 multiply-adds, stays below OpenBLAS's
+threading threshold of 65536 x 4, so it runs on one thread.  The moment
+rows are written into the kernel's output array row by row
+(`_moment_kernel`, `_j0y0_rows`).  Growing the stack for a larger |k| costs nearly a fresh build of
 it, so the callers build the largest |k| first: the bound-state solve its
 deep bracket end (W_sing in the same pass), the mode loop of `eigensolver`
 its largest |seed| (after L0's W_sing).  The series:
@@ -100,7 +106,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -429,20 +434,25 @@ class QuadratureRule:
         PanelBatch per panel, cached on the rule.
 
         A batch holds row 0's pieces on the panel, then row 1's, and so on:
-        one `_row_pieces` call makes every row's pieces on the panel as
-        arrays, mapped to Gauss points together.  Its weights carry the
+        one `_row_pieces` call makes the pieces of every (panel, row) cell
+        as arrays, mapped to Gauss points together, and the points are then
+        split by panel.  Its weights carry the
         barycentric normalizer of the panel's interpolant (`_bary_basis`),
         so that a build only multiplies by the node terms w_j / (t - x_j)."""
         hit = self._cache.get("batches")
         if hit is not None:
             return hit
+        panels = len(self.counts)
+        lo, hi, n, pieces = self._row_pieces(np.repeat(np.arange(panels), len(self.nodes)),
+                                             np.tile(self.nodes, panels))
+        t, v = _gauss_pieces(lo, hi, n)
+        counts = np.add.reduceat(n, np.cumsum(pieces) - pieces).reshape(panels, -1)
+        ends = np.cumsum(counts.sum(axis=1))
         batches = []
-        for p, sl in enumerate(self._panel_slices()):
-            lo, hi, n, pieces = self._row_pieces(p, self.nodes)
-            t, v = _gauss_pieces(lo, hi, n)
-            scale, exact = _bary_basis(t, self.nodes[sl])
-            counts = np.add.reduceat(n, np.cumsum(pieces) - pieces)
-            batches.append(PanelBatch(sl, t, v * scale, counts, exact))
+        for sl, c, tp, vp in zip(self._panel_slices(), counts, np.split(t, ends[:-1]),
+                                 np.split(v, ends[:-1])):
+            scale, exact = _bary_basis(tp, self.nodes[sl])
+            batches.append(PanelBatch(sl, tp, vp * scale, c, exact))
         self._cache["batches"] = batches
         return batches
 
@@ -575,26 +585,27 @@ def kernel_3d_reduced(k, branch):
     return f
 
 
-def _powers_and_logs(s):
-    """Yield (s^n, s^n log s for even n, else None) for n = 0, 1, ..."""
-    p, log_s = np.ones_like(s), np.log(s)
-    for n in itertools.count():
-        yield p, (p * log_s if n % 2 == 0 else None)
-        p = p * s
-
-
 def _basis_1d(rho_max):
-    """`_powers_and_logs` at s = |r - t| / rho_max plus at (r + t) / rho_max."""
-    def terms(r0, t):
-        for (a, log_a), (b, log_b) in zip(_powers_and_logs(np.abs(r0 - t) / rho_max),
-                                          _powers_and_logs((r0 + t) / rho_max)):
-            yield a + b, (None if log_a is None else log_a + log_b)
-    return terms
+    """The powers s^n and, for even n, s^n log s at s = |r - t| / rho_max
+    plus at (r + t) / rho_max, written into the stack rows of
+    `_moment_kernel`."""
+    def fill(r0, t, powers, logs, out):
+        s = np.stack((np.abs(r0 - t) / rho_max, (r0 + t) / rho_max))
+        p, log_s, term = np.ones_like(s), np.log(s), np.empty_like(s)
+        for n in range(powers.stop):
+            if n in powers:
+                np.add(p[0], p[1], out=out[n - powers.start])
+            if n % 2 == 0 and n // 2 in logs:
+                np.multiply(p, log_s, out=term)
+                np.add(term[0], term[1], out=out[len(powers) + n // 2 - logs.start])
+            p *= s
+    return fill
 
 
 def _basis_3d(rho_max):
-    """`_powers_and_logs` at s = |r - t| / rho_max minus at (r + t) /
-    rho_max, divided by r t, written without cancellation.
+    """The powers s^n and, for even n, s^n log s at s = |r - t| / rho_max
+    minus at (r + t) / rho_max, divided by r t, written without
+    cancellation into the stack rows of `_moment_kernel`.
 
     With D = rho_max, x = max(r, t) / D and y = min(r, t) / D, the powers
     are -2 P_n / (x D^2), where P_n = ((x + y)^n - (x - y)^n) / (2y) and
@@ -604,39 +615,51 @@ def _basis_3d(rho_max):
     (x D^2) and x^(2m-2) [(1 - u)^2m log(1 - u) - (1 + u)^2m log1p(u)] /
     (u D^2), whose two terms are both <= 0.
     """
-    def terms(r0, t):
+    def fill(r0, t, powers, logs, out):
         hi, lo = np.maximum(r0, t), np.minimum(r0, t)
         x, y, u = hi / rho_max, lo / rho_max, lo / hi
         minus = np.abs(r0 - t) / hi  # 1 - u, without its rounding
-        log_x, log_minus, log_plus = np.log(x), np.log(minus), np.log1p(u)
-        x2, minus2, plus2 = x * x, minus * minus, (1.0 + u) ** 2
-        xm, minus_m, plus_m = np.ones_like(x), minus2, plus2  # x^(n-2), (1 -+ u)^n at n = 2
-        p, q = np.zeros_like(x), np.ones_like(x)
+        log_x2, log_minus, log_plus = -2.0 * np.log(x), np.log(minus), np.log1p(u)
+        x2, y2, minus2, plus2 = x * x, y * y, minus * minus, (1.0 + u) ** 2
+        xm, minus_m, plus_m = np.ones_like(x), minus2.copy(), plus2.copy()  # x^(n-2), (1 -+ u)^n at n = 2
+        p, q, next_p, term = np.zeros_like(x), np.ones_like(x), np.empty_like(x), np.empty_like(x)
         scale = -2.0 / (x * rho_max**2)
-        for n in itertools.count():
-            log_row = None
+        for n in range(powers.stop):
             if n >= 2 and n % 2 == 0:
-                log_row = (-2.0 * log_x * p / x
-                           + xm * (minus_m * log_minus - plus_m * log_plus) / u) / rho_max**2
-                xm, minus_m, plus_m = xm * x2, minus_m * minus2, plus_m * plus2
-            yield scale * p, log_row
-            p, q = x * p + q, x * q + y * y * p
-    return terms
+                if n // 2 in logs:
+                    row = out[len(powers) + n // 2 - logs.start]
+                    np.multiply(log_x2, p, out=row)
+                    row /= x
+                    np.multiply(minus_m, log_minus, out=term)
+                    term -= np.multiply(plus_m, log_plus, out=next_p)  # free until the step below
+                    term *= xm
+                    term /= u
+                    row += term
+                    row /= rho_max**2
+                xm *= x2
+                minus_m *= minus2
+                plus_m *= plus2
+            if n in powers:
+                np.multiply(scale, p, out=out[n - powers.start])
+            np.multiply(x, p, out=next_p)
+            next_p += q
+            np.multiply(y2, p, out=term)
+            q *= x
+            q += term
+            p, next_p = next_p, p
+    return fill
 
 
-def _moment_kernel(terms, powers, logs, k0=None):
+def _moment_kernel(basis, powers, logs, k0=None):
     """Kernel stacking the kernel k0 if given, the power rows n in
-    `powers`, then the log rows m in `logs` (row 2m of `terms`), of the
-    reduced basis `terms`."""
+    `powers`, then the log rows m in `logs` (the log row of power 2m), of
+    the reduced basis `basis`, which writes each row into the stack."""
     def f(r0, t):
         out = np.empty((1 + len(powers) + len(logs), len(t)))  # row 0: k0's
         if k0 is not None:
             out[0] = k0(r0, t)
-        for n, (row, log_row) in zip(range(powers.stop), terms(r0, t)):
-            if n in powers:
-                out[1 + n - powers.start] = row
-            if n % 2 == 0 and n // 2 in logs:
-                out[1 + len(powers) + n // 2 - logs.start] = log_row
+        if len(powers) or len(logs):  # none for kind 0 alone
+            basis(r0, t, powers, logs, out[1:])
         return out if k0 is not None else out[1:]
     return f
 
@@ -885,43 +908,75 @@ def _j0y0_rows(radius, orders, k0=None):
     is the same sum with each term weighted by the harmonic number H_b.
     All terms are positive, so the rows do not cancel."""
     def f(r0, t):
-        head = [] if k0 is None else [k0(r0, t)]
+        head = 0 if k0 is None else 1
+        out = np.empty((head + 3 * len(orders), len(t)))
+        if k0 is not None:
+            out[0] = k0(r0, t)
+        if not len(orders):  # kind 0 alone
+            return out
+        U, L, H = (out[head + i * len(orders):head + (i + 1) * len(orders)] for i in range(3))
         x2, y = (np.minimum(r0, t) / radius) ** 2, np.maximum(r0, t) / radius
-        p, q = [np.ones_like(y)], [np.ones_like(y)]  # x^2a / a!^2, y^2b / b!^2
+        y2, term = y * y, np.empty_like(y)
+        p, q = np.empty((2, orders.stop, len(t)))  # x^2a / a!^2, y^2b / b!^2
+        p[0], q[0] = 1.0, 1.0
         for j in range(1, orders.stop):
-            p.append(p[-1] * x2 / j**2)
-            q.append(q[-1] * (y * y) / j**2)
-        U = [sum(p[a] * q[n - a] for a in range(n + 1)) for n in orders]
-        H = [sum(p[a] * q[n - a] * _HARMONIC[n - a] for a in range(n + 1)) for n in orders]
-        log_y = np.log(y) if U else None  # none for kind 0 alone
-        return np.array(head + U + [u * log_y for u in U] + H)
+            np.multiply(p[j - 1], x2, out=p[j])
+            p[j] /= j**2
+            np.multiply(q[j - 1], y2, out=q[j])
+            q[j] /= j**2
+        for i, n in enumerate(orders):
+            np.multiply(p[0], q[n], out=U[i])
+            np.multiply(U[i], _HARMONIC[n], out=H[i])
+            for a in range(1, n + 1):
+                U[i] += np.multiply(p[a], q[n - a], out=term)
+                term *= _HARMONIC[n - a]
+                H[i] += term
+        np.multiply(U, np.log(y), out=L)
+        return out
     return f
 
 
 def _moment_sum(rule, d, coefficients, rows):
-    """sum_f sum_i coefficients[f][i] M_f[i], the moment route of every
-    split build (d = 1, 2, 3), in float64 where the coefficients are real.
+    """sum_f coefficients[f] . M_f, the moment route of every split build
+    (d = 1, 2, 3), in float64 where the coefficients are real.
 
-    M_f[i] is the rule's integral of row i of kind f of the reduced basis;
-    kind 0 less its gap term (`_k0_gap`) is W_sing, and the sum adds it
-    first.  The moments are cached on the rule and grown, in one stacked
-    build of the missing rows (`rows`), when a larger |k| needs more terms;
-    a grown stack equals a fresh one bit for bit (`_contract_panel`)."""
-    moments = rule._cache.setdefault(("moments", d), [[] for _ in coefficients])
+    M_f, kind f of the rule's moment stack, is one (rows x N^2) array whose
+    row i is the rule's integral of row i of kind f of the reduced basis.
+    Kind 0, less its gap term (`_k0_gap`), is W_sing; its coefficient is 1,
+    and the sum adds it as it is.  Every other kind is one real matrix
+    product: the first n rows of M_f, exactly the rows its n coefficients
+    need, so that a sum at a given k has the same bits whatever the stack's
+    height, transposed, times the coefficients as an (n x 2) matrix of
+    their real and imaginary parts (n x 1 where all are real), so that the
+    product is laid out as the complex sum.  The kinds are added in order.
+    The stack is cached on the rule and grown, in one stacked build of the
+    missing rows (`rows`), when a larger |k| needs more terms; a grown
+    stack equals a fresh one bit for bit (`_contract_panel`)."""
+    n = len(rule.nodes)
+    moments = rule._cache.get(("moments", d))
+    if moments is None:
+        moments = rule._cache[("moments", d)] = [np.empty((0, n * n)) for _ in coefficients]
     missing = [range(len(M), max(len(M), len(c))) for M, c in zip(moments, coefficients)]
     if any(missing):
-        stack = iter(build_kernel_matrix(rule, rows(missing), d - 1))
-        for M, r in zip(moments, missing):
-            M.extend(itertools.islice(stack, len(r)))
+        stack = build_kernel_matrix(rule, rows(missing), d - 1).reshape(-1, n * n)
+        for f, new in enumerate(np.split(stack, np.cumsum([len(r) for r in missing])[:-1])):
+            if len(new):
+                moments[f] = np.concatenate((moments[f], new)) if len(moments[f]) else new
         if missing[0]:
-            moments[0][0][np.diag_indices(len(rule.nodes))] -= _k0_gap(rule, d)
-    W = np.zeros(moments[0][0].shape, np.result_type(*coefficients))
-    # elementwise on purpose: a BLAS contraction (tensordot) wakes a second
-    # OpenBLAS thread, which costs more CPU time than it saves wall time
-    for c, M in zip(coefficients, moments):
-        for cn, Mn in zip(c, M):
-            W += cn * Mn
-    return W
+            moments[0][0, ::n + 1] -= _k0_gap(rule, d)
+    real = not any(np.iscomplexobj(c) for c in coefficients)
+    W = None
+    for c, M in zip(coefficients[1:], moments[1:]):
+        if len(c):
+            part = M[:len(c)].T @ (c[:, None] if real else c.view(float).reshape(-1, 2))
+            if W is None:
+                W = part
+                W[:, 0] += moments[0][0]
+            else:
+                W += part
+    if W is None:  # kind 0 alone
+        W = moments[0][0][:, None].copy()
+    return (W if real else W.view(complex)).reshape(n, n)
 
 
 def build_kernel_matrix(rule, kernel, measure_power):
@@ -938,7 +993,8 @@ def build_kernel_matrix(rule, kernel, measure_power):
     kernel's dtype, in the same pass.
 
     The products take the real rows: a real kernel's own values, scaled by
-    the weights in place (so `kernel` must return a fresh float array), or
+    the weights in place (so `kernel` must return a fresh float array, as
+    the moment kernels do, which write each row into it), or
     a copy of the real parts stacked on the imaginary ones.  A complex
     product of these sizes wakes a second OpenBLAS thread (a 1152 x 14 one
     took 1.3 times its wall time in CPU time, a 4000 x 14 one 1.9 times); a
@@ -1057,8 +1113,8 @@ def coupling_operator(params, rule, omega):
     k = omega / params.c
     s = params.epsilon / rule.domain[1]
     W = build_split_matrix(rule, params.d, s * k, greens.branch_for(k))
-    pref = params.g**2 * params.density / params.c * s
-    return pref * W, volume_weights(params.d, rule) * s**params.d
+    W *= params.g**2 * params.density / params.c * s
+    return W, volume_weights(params.d, rule) * s**params.d
 
 
 def build_full_operator(params, omega, rule):
@@ -1069,5 +1125,7 @@ def build_full_operator(params, omega, rule):
     omega = complex(omega)
     if omega.real == 0.0:
         raise GreensDomainError("omega on the imaginary axis is outside the domain")
-    A, weights = coupling_operator(params, rule, omega)
-    return -(omega - params.omega_a) * np.eye(len(rule.nodes)) - A, weights
+    M, weights = coupling_operator(params, rule, omega)
+    np.negative(M, out=M)
+    M[np.diag_indices(len(M))] -= omega - params.omega_a
+    return M, weights

@@ -5,6 +5,7 @@ use scipy's adaptive integrator.  These deliberately avoid the library's
 own evaluation paths.
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -323,3 +324,90 @@ def build_kernel_matrix_per_node(rule, kernel, measure_power):
                 term[batch.exact == j] = 1.0
             W[..., batch.nodes.start + j] = np.add.reduceat(a * term, starts, axis=-1)
     return W
+
+
+# -- generator forms of the moment-stack rows, the reference for the rows
+# -- that nystrom writes in place: same operations, in the same order
+
+def _powers_and_logs(s):
+    """Yield (s^n, s^n log s for even n, else None) for n = 0, 1, ..."""
+    p, log_s = np.ones_like(s), np.log(s)
+    for n in itertools.count():
+        yield p, (p * log_s if n % 2 == 0 else None)
+        p = p * s
+
+
+def basis_1d_terms(rho_max):
+    """`_powers_and_logs` at s = |r - t| / rho_max plus at (r + t) / rho_max."""
+    def terms(r0, t):
+        for (a, log_a), (b, log_b) in zip(_powers_and_logs(np.abs(r0 - t) / rho_max),
+                                          _powers_and_logs((r0 + t) / rho_max)):
+            yield a + b, (None if log_a is None else log_a + log_b)
+    return terms
+
+
+def basis_3d_terms(rho_max):
+    """`_powers_and_logs` at s = |r - t| / rho_max minus at (r + t) /
+    rho_max, divided by r t, by the recurrences of `nystrom._basis_3d`."""
+    def terms(r0, t):
+        hi, lo = np.maximum(r0, t), np.minimum(r0, t)
+        x, y, u = hi / rho_max, lo / rho_max, lo / hi
+        minus = np.abs(r0 - t) / hi
+        log_x, log_minus, log_plus = np.log(x), np.log(minus), np.log1p(u)
+        x2, minus2, plus2 = x * x, minus * minus, (1.0 + u) ** 2
+        xm, minus_m, plus_m = np.ones_like(x), minus2, plus2
+        p, q = np.zeros_like(x), np.ones_like(x)
+        scale = -2.0 / (x * rho_max**2)
+        for n in itertools.count():
+            log_row = None
+            if n >= 2 and n % 2 == 0:
+                log_row = (-2.0 * log_x * p / x
+                           + xm * (minus_m * log_minus - plus_m * log_plus) / u) / rho_max**2
+                xm, minus_m, plus_m = xm * x2, minus_m * minus2, plus_m * plus2
+            yield scale * p, log_row
+            p, q = x * p + q, x * q + y * y * p
+    return terms
+
+
+def moment_kernel_terms(terms, powers, logs, k0=None):
+    """Kernel stacking the kernel k0 if given, the power rows n in
+    `powers`, then the log rows m in `logs` (row 2m of `terms`)."""
+    def f(r0, t):
+        out = np.empty((1 + len(powers) + len(logs), len(t)))
+        if k0 is not None:
+            out[0] = k0(r0, t)
+        for n, (row, log_row) in zip(range(powers.stop), terms(r0, t)):
+            if n in powers:
+                out[1 + n - powers.start] = row
+            if n % 2 == 0 and n // 2 in logs:
+                out[1 + len(powers) + n // 2 - logs.start] = log_row
+        return out if k0 is not None else out[1:]
+    return f
+
+
+def j0y0_rows_lists(radius, orders, k0=None):
+    """The rows of `nystrom._j0y0_rows`, each built as a list of arrays."""
+    def f(r0, t):
+        head = [] if k0 is None else [k0(r0, t)]
+        x2, y = (np.minimum(r0, t) / radius) ** 2, np.maximum(r0, t) / radius
+        p, q = [np.ones_like(y)], [np.ones_like(y)]
+        for j in range(1, orders.stop):
+            p.append(p[-1] * x2 / j**2)
+            q.append(q[-1] * (y * y) / j**2)
+        U = [sum(p[a] * q[n - a] for a in range(n + 1)) for n in orders]
+        H = [sum(p[a] * q[n - a] * ny._HARMONIC[n - a] for a in range(n + 1)) for n in orders]
+        log_y = np.log(y) if U else None
+        return np.array(head + U + [u * log_y for u in U] + H)
+    return f
+
+
+def panel_batches_per_panel(rule):
+    """(t, weights, counts, exact) of each base panel from one `_row_pieces`
+    and one `_gauss_pieces` call per panel, over that panel's rows."""
+    out = []
+    for p, sl in enumerate(rule._panel_slices()):
+        lo, hi, n, pieces = rule._row_pieces(p, rule.nodes)
+        t, v = ny._gauss_pieces(lo, hi, n)
+        scale, exact = ny._bary_basis(t, rule.nodes[sl])
+        out.append((t, v * scale, np.add.reduceat(n, np.cumsum(pieces) - pieces), exact))
+    return out

@@ -221,7 +221,7 @@ def test_criterion_09_birman_schwinger_equivalence(bound_state_setup):
     params, omega_star = bound_state_setup
     M, _ = ny.build_full_operator(params, complex(omega_star),
                                   QuadratureRule.make(1.0, n_radial=64))
-    lam = es.characteristic_value(M)
+    lam, _ = es.characteristic_value(M)
     assert abs(lam) <= 1e-6
     print(f"\nPASS criterion 9 (Birman-Schwinger equivalence): full-operator "
           f"characteristic value {abs(lam):.2e} <= 1e-6 at omega* = {omega_star:.6f}")

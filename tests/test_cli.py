@@ -463,14 +463,25 @@ def test_dynamics_in_two_dimensions_exits_1(tmp_path, capsys):
 
 
 def test_dynamics_mass_drift_abort_exits_2_with_a_manifest(tmp_path, monkeypatch, capsys):
-    def drift(*args, **kwargs):
-        raise dynamics.DynamicsError("mass drift 1.000e-03 exceeds 1.0e-06")
+    # a run of two chunks aborts in its second: the rows sampled before, at
+    # t = 0 and after the first chunk, are flushed with the manifest
+    evolve, chunks = dynamics.evolve, []
 
-    monkeypatch.setattr(dynamics, "evolve", drift)
+    def drift_in_chunk_2(*args, **kwargs):
+        chunks.append(args[0].t)
+        if len(chunks) == 2:
+            raise dynamics.DynamicsError("mass drift 1.000e-03 exceeds 1.0e-06")
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", drift_in_chunk_2)
     out = tmp_path / "o"
-    assert cli.main(["dynamics", "--config", write_cfg(tmp_path, DYN_CFG), "--out", str(out)]) == 2
+    cfg = write_cfg(tmp_path, DYN_CFG.replace("t_final = 0.2", "t_final = 0.4"))
+    assert cli.main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
     assert "solver failure: mass drift" in capsys.readouterr().err
-    assert (out / "dynamics.csv").read_text().splitlines() == ["t,mass,window_mass,survival"]
+    header, *rows = (out / "dynamics.csv").read_text().splitlines()
+    assert header == "t,mass,window_mass,survival" and len(rows) == 2
+    t = [float(row.split(",")[0]) for row in rows]
+    assert t[0] == 0.0 and t[1] == chunks[1] > 0.0  # the first chunk's row is at its end time
     assert json.loads((out / "manifest.json").read_text())["experiment"] == "dynamics"
 
 

@@ -20,10 +20,11 @@ def test_cubic_root_oracle():
 def test_characteristic_value_diagonal():
     p = PhysicalParams(d=3, c=1, g=1, omega_a=1, epsilon=0.1, s0=1)
     m = np.diag([3.0 + 0j, -0.1 + 0j, 2.0j])
-    assert es.characteristic_value(m) == -0.1
+    lam, v = es.characteristic_value(m)
+    assert lam == -0.1 and _aligned_distance(v, np.array([0.0, 1.0, 0.0])) <= 1e-15
     omega = p.omega_a
     m2 = -(omega - p.omega_a) * np.eye(3, dtype=complex)
-    assert es.characteristic_value(m2) == 0.0
+    assert es.characteristic_value(m2) == (0.0, None)  # a zero pivot: no eigenvector
     with pytest.raises(es.EigensolverError):
         es.characteristic_value(np.array([[np.nan + 0j]]))
 
@@ -170,7 +171,7 @@ def test_smallest_eigenpair_matches_eig(res3):
     p2 = PhysicalParams(d=2, c=1.0, g=1.0, omega_a=1.0, epsilon=0.1, s0=1.0)
     for params, omega in ((params3(), res3[0].omega), (params3(), 0.7 - 0.01j), (p2, 0.108 - 0.014j)):
         M, _ = ny.build_full_operator(params, omega, rule)
-        v = es._smallest_eigenpair(M, es.characteristic_value(M))
+        v = es._smallest_eigenpair(M, es.characteristic_value(M)[0])
         ev, V = np.linalg.eig(M)
         assert _aligned_distance(v, V[:, np.argmin(np.abs(ev))]) <= 1e-10, omega
     # an eigenvalue that is exact in floating point still gives its vector
@@ -205,13 +206,15 @@ def n32_solves(request):
     evals, cv = [], es.characteristic_value
 
     def recorded(M):
-        evals.append((M, cv(M)))
-        return evals[-1][1]
+        pair = cv(M)
+        evals.append((M, pair[0]))
+        return pair
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "characteristic_value", recorded)
         roots = [r.omega for r in es.find_resonances(p, 2, rule)]
-        mp.setattr(es, "characteristic_value", orc.characteristic_value_eigvals)
+        # no eigenvector: each root's comes from _smallest_eigenpair
+        mp.setattr(es, "characteristic_value", lambda M: (orc.characteristic_value_eigvals(M), None))
         oracle_roots = [r.omega for r in es.find_resonances(p, 2, rule)]
     return evals, roots, oracle_roots
 
@@ -242,7 +245,7 @@ def test_characteristic_value_at_its_step_bound():
     rest = list(1.5 + np.arange(30) / 10)
     # |lambda_1 / lambda_2| = 0.9 still settles within MAX_STEPS
     lam1 = 0.9 * np.exp(0.3j)
-    assert abs(es.characteristic_value(_with_spectrum([lam1, 1j, *rest])) - lam1) <= 1e-12
+    assert abs(es.characteristic_value(_with_spectrum([lam1, 1j, *rest]))[0] - lam1) <= 1e-12
     # near-tied and tied magnitudes do not settle: EigensolverError
     for tied in (0.999 * np.exp(0.3j), -1j):
         with pytest.raises(es.EigensolverError, match="near-tied"):
@@ -255,7 +258,7 @@ def test_seed_robustness(res3):
     rule = QuadratureRule.make(0.1, n_radial=32)
 
     def f(w):
-        return es.characteristic_value(ny.build_full_operator(p, w, rule)[0])
+        return es.characteristic_value(ny.build_full_operator(p, w, rule)[0])[0]
 
     s = res3[0].seed * 1.01
     r = es.muller_solve(f, [s, s * (1 - 1e-3), s * (1 - 1e-3j)], tol=1e-10)
@@ -307,6 +310,62 @@ def test_resonance_roots_do_not_depend_on_the_solve_order():
     for r in res:
         [alone] = es._solve_modes(p, [r.seed], QuadratureRule.make(1.0, n_radial=48), 1e-10, 50)
         assert alone.omega == r.omega, r.seed
+
+
+def test_root_eigenvectors_come_from_one_inverse_per_f_evaluation(monkeypatch):
+    # the resonances_3d solve (N = 48, 5 modes): each f evaluation runs one
+    # inverse iteration, whose eigenvector at the root is the root's, so no
+    # second eigensolve runs; it matches _smallest_eigenpair's at the root
+    p, rule = params3(), QuadratureRule.make(1.0, n_radial=48)
+    iterations, builds = [], []
+    inverse, build = es._inverse_iteration, ny.build_full_operator
+
+    def counted_inverse(M, *args):
+        iterations.append(len(M))
+        return inverse(M, *args)
+
+    def counted_build(params, omega, rule):
+        builds.append(omega)
+        return build(params, omega, rule)
+
+    monkeypatch.setattr(es, "_inverse_iteration", counted_inverse)
+    monkeypatch.setattr(ny, "build_full_operator", counted_build)
+    res = es.find_resonances(p, 5, rule)
+    assert len(iterations) == len(builds) == len(set(builds)) > 0
+    monkeypatch.undo()
+    for r in res:
+        assert r.converged and r.residual <= 1e-8, r.omega
+        M, weights = ny.build_full_operator(p, r.omega, rule)
+        v = es._smallest_eigenpair(M, es.characteristic_value(M)[0])
+        v = v / np.sqrt(np.sum(weights * np.abs(v) ** 2))
+        phase = np.vdot(r.eigenvector, v)
+        assert np.max(np.abs(r.eigenvector * phase / abs(phase) - v)) <= 1e-10 * np.max(np.abs(v))
+
+
+def test_a_zero_pivot_root_takes_the_shifted_eigenpair(monkeypatch):
+    # an f evaluation that meets a zero pivot has no eigenvector: a root
+    # there takes _smallest_eigenpair's, and only then
+    p, rule = params3(), QuadratureRule.make(1.0, n_radial=32)
+    pairs, cv, eigenpair = [], es.characteristic_value, es._smallest_eigenpair
+
+    def pivotless(M):  # as if every inverse met a zero pivot
+        return cv(M)[0], None
+
+    def recorded(M, ev):
+        pairs.append(ev)
+        return eigenpair(M, ev)
+
+    monkeypatch.setattr(es, "_smallest_eigenpair", recorded)
+    want = es.find_resonances(p, 2, rule)
+    assert pairs == []
+    monkeypatch.setattr(es, "characteristic_value", pivotless)
+    got = es.find_resonances(p, 2, rule)
+    assert len(pairs) == 2
+    for r, ref in zip(got, want):
+        assert r.omega == ref.omega and r.residual <= 1e-8
+        phase = np.vdot(r.eigenvector, ref.eigenvector)
+        assert np.max(np.abs(r.eigenvector * phase / abs(phase) - ref.eigenvector)) <= 1e-10 * np.max(
+            np.abs(ref.eigenvector))
 
 
 def _recorded_muller_seeds(monkeypatch):

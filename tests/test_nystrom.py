@@ -645,6 +645,48 @@ def test_panel_batches_split_the_row_quadratures():
                               np.concatenate([b.weights[sl] for b, sl in zip(batches, rows)]))
 
 
+@pytest.mark.parametrize("n", (48, 96))
+def test_panel_batches_equal_the_per_panel_batches(n):
+    # one _row_pieces and one _gauss_pieces call over every (panel, row)
+    # cell, split by panel, against one call of each per panel: same bits
+    rule = QuadratureRule.make(1.0, n)
+    for p, (batch, ref) in enumerate(zip(rule.panel_batches(), orc.panel_batches_per_panel(rule))):
+        for field, want in zip(("t", "weights", "counts", "exact"), ref):
+            assert _identical(getattr(batch, field), want), (p, field)
+
+
+def _reference_rows(d, rule, orders, with_k0):
+    # the rows kernel of the moment route, from the generator bases
+    radius = rule.domain[1]
+    k0 = _SPLIT_FAMILIES[d](0.0, Branch.ZERO) if with_k0 else None
+    if d == 2:
+        return orc.j0y0_rows_lists(radius, orders[1], k0)
+    terms = (orc.basis_1d_terms if d == 1 else orc.basis_3d_terms)(2.0 * radius)
+    logs = range(orders[2].start + 1, orders[2].stop + 1)
+    return orc.moment_kernel_terms(terms, orders[1], logs, k0)
+
+
+_SPLIT_FAMILIES = {1: ny.kernel_1d, 2: ny.kernel_2d_singular, 3: ny.kernel_3d_reduced}
+
+
+@pytest.mark.parametrize("n", (48, 96))
+@pytest.mark.parametrize("d, k_deep", ((1, -1.0), (2, -2.9), (3, -0.975)))
+def test_moment_rows_written_in_place_equal_the_generator_rows(d, k_deep, n):
+    # every panel's kernel values of the moment route, rows written into the
+    # stack in place, against the generator bases: bit for bit, for the
+    # whole stack with W_sing's kernel, and for the rows a grown stack adds
+    rule = QuadratureRule.make(1.0, n)
+    coefficients, rows = ny._moment_series(rule, d, k_deep, Branch.NEGATIVE)
+    full = [range(len(c)) for c in coefficients]
+    grown = [range(1, 1), range(5, len(coefficients[1])), range(3, len(coefficients[2]))]
+    for orders in (full, grown):
+        got, want = rows(orders), _reference_rows(d, rule, orders, bool(orders[0]))
+        for batch in rule.panel_batches():
+            r0 = np.repeat(rule.nodes, batch.counts)
+            a, b = got(r0, batch.t), want(r0, batch.t)
+            assert a.shape == b.shape and np.array_equal(a, b), orders
+
+
 def _moment_stack(d, rule, k):
     # every row of the moment route's stack at k on the negative branch
     coefficients, rows = ny._moment_series(rule, d, k, Branch.NEGATIVE)
@@ -742,8 +784,54 @@ def test_l0_kind_0_equals_the_stacks_kind_0(d, k_deep):
     l0 = ny.build_split_matrix(QuadratureRule.make(1.0, 48), d, 0.0, Branch.ZERO)
     rule = QuadratureRule.make(1.0, 48)
     ny.build_split_matrix(rule, d, k_deep, Branch.NEGATIVE)
-    [in_stack], *rows = rule._cache[("moments", d)]
-    assert all(rows) and np.array_equal(l0, in_stack)
+    W_sing, *rows = rule._cache[("moments", d)]  # each kind one (rows x N^2) array
+    assert len(W_sing) == 1 and all(len(r) for r in rows) and np.array_equal(l0.ravel(), W_sing[0])
+
+
+MOMENT_SUM_CASES = {1: 2.0, 2: 1.0, 3: 2.0}  # d -> rho_max of the unit rule
+
+
+def _moment_sums(rule, d, zs):
+    # the moment route's sums at |k| rho_max = z on each branch, and at k = 0
+    rho_max = MOMENT_SUM_CASES[d]
+    cases = [(0.0, Branch.ZERO)] + [(z / rho_max * phase, branch) for z in zs for phase, branch in (
+        (np.exp(-0.01j), Branch.OUTGOING), (np.exp(0.01j), Branch.INCOMING), (-1.0, Branch.NEGATIVE))]
+    return [(k, branch, ny._moment_sum(rule, d, *ny._moment_series(rule, d, k, branch)))
+            for k, branch in cases]
+
+
+@pytest.mark.parametrize("d", sorted(MOMENT_SUM_CASES))
+def test_a_moment_sum_does_not_depend_on_the_stacks_height(d):
+    # a sum on a rule whose stack was grown for a larger |k| has the bits of
+    # the same sum on a fresh rule, whose stack holds the rows it needs
+    z_large = (ny.J0Y0_SERIES_RADIUS if d == 2 else ny.G1_SERIES_RADIUS) * (1 - 1e-12)
+    tall = QuadratureRule.make(1.0, 48)
+    _moment_sums(tall, d, [z_large])
+    heights = [len(M) for M in tall._cache[("moments", d)]]
+    for z in (0.3, 1.0):
+        fresh = QuadratureRule.make(1.0, 48)
+        for (k, branch, got), (_, _, want) in zip(_moment_sums(tall, d, [z]), _moment_sums(fresh, d, [z])):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (z, branch)
+        assert all(len(M) < h for M, h in zip(fresh._cache[("moments", d)][1:], heights[1:]))
+
+
+@pytest.mark.parametrize("d", sorted(MOMENT_SUM_CASES))
+def test_a_moment_sum_is_rounded_within_4_eps_of_its_terms(d):
+    # sampled entries of each sum against math.fsum of the rows times their
+    # coefficients: within 4 eps sum_i |c_i| |M_i|, in both parts
+    rule = QuadratureRule.make(1.0, 48)
+    n = len(rule.nodes)
+    entries = np.random.default_rng(d).choice(n * n, 40, replace=False)
+    for k, branch, W in _moment_sums(rule, d, [0.3, 2.0]):
+        coefficients, _ = ny._moment_series(rule, d, k, branch)
+        moments = rule._cache[("moments", d)]
+        for e in entries:
+            terms = [(complex(ci), float(Mi[e])) for c, M in zip(coefficients, moments)
+                     for ci, Mi in zip(c, M)]
+            bound = 4 * np.finfo(float).eps * math.fsum(abs(ci) * abs(m) for ci, m in terms)
+            got = complex(W.flat[e])
+            assert abs(got.real - math.fsum(ci.real * m for ci, m in terms)) <= bound, (k, e)
+            assert abs(got.imag - math.fsum(ci.imag * m for ci, m in terms)) <= bound, (k, e)
 
 
 def test_k0_kernels_are_real():
@@ -759,7 +847,7 @@ def test_k0_kernels_are_real():
     rule = QuadratureRule.make(1.0, 48)
     for d in (1, 2, 3):
         W = ny.build_split_matrix(rule, d, 0.0, Branch.ZERO)
-        assert W.dtype == np.float64 and np.array_equal(W, rule._cache[("moments", d)][0][0]), d
+        assert W.dtype == np.float64 and np.array_equal(W.ravel(), rule._cache[("moments", d)][0][0]), d
 
 
 G1_CASES = ("1d-even", "3d")
